@@ -182,7 +182,7 @@ def _empirical_crossing(betas, labels):
 
 
 def sweep(spec: FamilySpec, betas, depths, r: int,
-          f_variant: str = "exponential", threads: int = 1,
+          f_variant: str = "exponential",
           tail: int = DEFAULT_TAIL, tau_g: float = DEFAULT_TAU_GLOBAL,
           tau_l: float = DEFAULT_TAU_LOCAL, node_cap: int = None) -> TransitionReport:
     """Grid of T_r/T over (beta, depth) with per-beta phase labels.
@@ -216,7 +216,7 @@ def sweep(spec: FamilySpec, betas, depths, r: int,
     for n in depths:
         try:
             g = family_graph(spec, depth=n, **cap_kw)
-            census = pair_census(g, n, threads=threads)
+            census = pair_census(g, n)
         except HypertrafficError as exc:
             errors[n] = str(exc)
             continue

@@ -12,7 +12,13 @@ import os
 import sys
 
 from . import analysis, generators, graphs, serialize, traffic
-from .errors import GraphTooLarge, HypertrafficError
+from .errors import GraphTooLarge, HypertrafficError, MalformedEdge
+
+
+_THREADS_HELP = (
+    "accepted for compatibility and ignored: the engine runs one batched "
+    "walk on a single thread"
+)
 
 
 def _node_cap() -> int:
@@ -64,8 +70,11 @@ def _add_family_flags(parser):
 
 def _load_graph(path):
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return graphs.graph_from_json_dict(doc)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise MalformedEdge(f"{path}: JSON nested too deeply") from None
+    return graphs.graph_from_json_dict(doc, node_cap=_node_cap())
 
 
 def _rate_from_args(args):
@@ -123,7 +132,7 @@ def cmd_traffic(args):
     n = args.n if args.n is not None else g.max_depth
     if args.r is not None and not 0 <= args.r <= n:
         raise HypertrafficError(f"--r must be in [0, {n}], got {args.r}")
-    report = traffic.traffic_totals(g, rate, n, threads=args.threads)
+    report = traffic.traffic_totals(g, rate, n)
     core = traffic.core_radius(report, args.epsilon)
     doc = {
         "n": n,
@@ -139,8 +148,7 @@ def cmd_traffic(args):
     print(line)
     if args.loads_out:
         loads = traffic.node_loads(
-            g, rate, n, threads=args.threads,
-            include_endpoints=args.include_endpoints,
+            g, rate, n, include_endpoints=args.include_endpoints
         )
         rows = [
             f"{v},{g.depth[v]},{serialize.fmt_float(loads[v])}"
@@ -163,7 +171,7 @@ def cmd_sweep(args):
     betas = _beta_grid(args.beta_min, args.beta_max, args.steps)
     depths = [int(x) for x in args.depths.split(",")]
     report = analysis.sweep(
-        spec, betas, depths, args.r, threads=args.threads,
+        spec, betas, depths, args.r,
         tail=args.tail, tau_g=args.tau_global, tau_l=args.tau_local,
         node_cap=_node_cap(),
     )
@@ -223,8 +231,8 @@ def cmd_tree_oracle(args):
     for n in range(1, args.n_max + 1):
         g = generators.gen_kary_tree(args.k, n, node_cap=_node_cap())
         closed = analysis.tree_closed_forms(args.k, args.beta, n)
-        rep = traffic.traffic_totals(g, rate, n, threads=args.threads)
-        loads = traffic.node_loads(g, rate, n, threads=args.threads)
+        rep = traffic.traffic_totals(g, rate, n)
+        loads = traffic.node_loads(g, rate, n)
         share = loads[g.root] / rep.T
         err_t = abs(rep.T - closed["T"]) / closed["T"]
         err_p = abs(share - closed["P"]) / closed["P"]
@@ -277,7 +285,7 @@ def build_parser():
     p_tr.add_argument("--n", type=int, default=None)
     p_tr.add_argument("--r", type=int, default=None)
     p_tr.add_argument("--epsilon", type=float, default=0.1)
-    p_tr.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p_tr.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p_tr.add_argument("--include-endpoints", action="store_true")
     p_tr.add_argument("--out", required=True)
     p_tr.add_argument("--loads-out")
@@ -290,7 +298,7 @@ def build_parser():
     p_sw.add_argument("--steps", type=int, required=True)
     p_sw.add_argument("--depths", required=True, help="comma-separated, ascending")
     p_sw.add_argument("--r", type=int, required=True)
-    p_sw.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p_sw.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p_sw.add_argument("--tail", type=int, default=analysis.DEFAULT_TAIL)
     p_sw.add_argument("--tau-global", type=float, default=analysis.DEFAULT_TAU_GLOBAL)
     p_sw.add_argument("--tau-local", type=float, default=analysis.DEFAULT_TAU_LOCAL)
@@ -302,7 +310,7 @@ def build_parser():
     p_or.add_argument("--k", type=int, required=True)
     p_or.add_argument("--beta", type=float, required=True)
     p_or.add_argument("--n-max", type=int, required=True)
-    p_or.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p_or.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p_or.add_argument("--out", required=True)
     p_or.set_defaults(func=cmd_tree_oracle)
 

@@ -7,9 +7,7 @@ from dataclasses import dataclass
 
 from . import tessellation
 from .errors import EvenSide, ParseError, SizeOverflow
-from .graphs import Graph, build_graph
-
-DEFAULT_NODE_CAP = 1 << 24
+from .graphs import DEFAULT_NODE_CAP, Graph, build_graph, check_node_cap
 
 
 @dataclass(frozen=True)
@@ -114,9 +112,10 @@ def gen_grid(side: int) -> Graph:
     return build_graph(edges, (side * side) // 2)
 
 
-def load_edge_list(text: str) -> Graph:
+def load_edge_list(text: str, node_cap: int = DEFAULT_NODE_CAP) -> Graph:
     """Parse whitespace-separated "u v" pairs; '#' starts a comment, and a
-    "# root R" comment sets the root (default 0)."""
+    "# root R" comment sets the root (default 0). An id at or above node_cap
+    raises SizeOverflow before the graph is built."""
     root = 0
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -141,6 +140,7 @@ def load_edge_list(text: str) -> Graph:
         except ValueError:
             raise ParseError(f"non-integer token in {raw!r}", lineno) from None
         edges.extend(zip(values[0::2], values[1::2]))
+    check_node_cap(edges, root, node_cap)
     return build_graph(edges, root)
 
 
@@ -156,5 +156,5 @@ def family_graph(spec: FamilySpec, depth: int | None = None,
         return gen_grid(spec.side)
     if spec.variant == "edge_list":
         with open(spec.source, encoding="utf-8") as fh:
-            return load_edge_list(fh.read())
+            return load_edge_list(fh.read(), node_cap=node_cap)
     raise ValueError(f"unknown family variant {spec.variant!r}")

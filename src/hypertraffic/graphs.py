@@ -12,8 +12,9 @@ from functools import total_ordering
 
 import numpy as np
 
-from .errors import DisconnectedGraph, GraphTooLarge, MalformedEdge
+from .errors import DisconnectedGraph, GraphTooLarge, MalformedEdge, SizeOverflow
 
+DEFAULT_NODE_CAP = 1 << 24
 FOUR_POINT_CAP = 300
 SLIM_CAP = 64
 GEODESIC_ENUM_CAP = 20000
@@ -91,6 +92,17 @@ def _bfs(adjacency, source, n):
                 dist[w] = du + 1
                 queue.append(w)
     return dist
+
+
+def check_node_cap(edges, root, node_cap: int) -> None:
+    """Raise SizeOverflow when an id implies more than node_cap nodes.
+
+    Loaders call this before build_graph, which allocates one neighbor set
+    per id up to the largest.
+    """
+    top = max(root, max((max(e) for e in edges), default=root))
+    if top >= node_cap:
+        raise SizeOverflow(f"node id {top} exceeds node cap {node_cap}")
 
 
 def build_graph(edges, root) -> Graph:
@@ -265,14 +277,39 @@ def graph_to_json_dict(g: Graph, family=None) -> dict:
     return doc
 
 
-def graph_from_json_dict(doc: dict) -> tuple[Graph, dict | None]:
-    """Rebuild a Graph from its JSON form; depths and layers are recomputed."""
-    if doc.get("format") != GRAPH_FORMAT:
-        raise MalformedEdge(f"unsupported graph format {doc.get('format')!r}")
-    edges = [(int(u), int(v)) for u, v in doc["edges"]]
-    g = build_graph(edges, int(doc["root"]))
-    if int(doc["node_count"]) != g.node_count:
+def _json_int(value, what: str) -> int:
+    if type(value) is not int:
+        raise MalformedEdge(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def graph_from_json_dict(doc, node_cap: int = DEFAULT_NODE_CAP) -> tuple[Graph, dict | None]:
+    """Rebuild a Graph from its JSON form; depths and layers are recomputed.
+
+    The document must be an object with integer root, node_count and edge
+    endpoints; anything else raises MalformedEdge, and an id at or above
+    node_cap raises SizeOverflow before any per-node allocation.
+    """
+    if not isinstance(doc, dict):
+        raise MalformedEdge(f"graph JSON must be an object, got {type(doc).__name__}")
+    missing = [k for k in ("format", "root", "node_count", "edges") if k not in doc]
+    if missing:
+        raise MalformedEdge(f"graph JSON lacks {', '.join(missing)}")
+    if doc["format"] != GRAPH_FORMAT:
+        raise MalformedEdge(f"unsupported graph format {doc['format']!r}")
+    root = _json_int(doc["root"], "root")
+    node_count = _json_int(doc["node_count"], "node_count")
+    if not isinstance(doc["edges"], list):
+        raise MalformedEdge("edges must be a list")
+    edges = []
+    for e in doc["edges"]:
+        if not isinstance(e, list) or len(e) != 2:
+            raise MalformedEdge(f"edge {e!r} is not a pair")
+        edges.append((_json_int(e[0], "edge endpoint"), _json_int(e[1], "edge endpoint")))
+    check_node_cap(edges, root, node_cap)
+    g = build_graph(edges, root)
+    if node_count != g.node_count:
         raise MalformedEdge(
-            f"file claims {doc['node_count']} nodes but edges imply {g.node_count}"
+            f"file claims {node_count} nodes but edges imply {g.node_count}"
         )
     return g, doc.get("family")

@@ -5,15 +5,16 @@ geodesic counts, minimum depth over geodesics) is computed once per source by
 a vectorized BFS; rates enter only through a per-distance lookup table, so a
 single integer census over (distance, h) pairs serves every rate function.
 
-Determinism: sources are processed in fixed chunks of CHUNK_SIZE and partial
-results are folded in ascending chunk order with compensated accumulation, so
-results are bit-identical for any worker count.
+Determinism: one batched BFS walks many boundary sources together on a single
+thread. Each source sees its frontier in ascending node order, exactly as a
+walk from that source alone would, so geodesic counts and dependency sums are
+bit-identical for every batch size. Node loads are folded in boundary order
+with compensated accumulation.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +22,9 @@ import numpy as np
 from .errors import EmptyBoundary, InvalidRate, SigmaOverflow
 from .graphs import DistanceRow, Graph
 
-CHUNK_SIZE = 64
 _SIGMA_LIMIT = 2.0**53
+_BATCH_SLOTS = 1 << 14  # slots (source x node) per batch of the walk
+_KAHAN_GROUP = 64
 
 
 @dataclass(frozen=True)
@@ -149,17 +151,17 @@ def pair_h(field: GeodesicField, y: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# vectorized per-source passes
+# batched multi-source BFS
 
 
 class _Arrays:
-    """CSR adjacency plus depth vector, shared read-only across workers."""
+    """CSR adjacency plus depth vector of a graph."""
 
     def __init__(self, g: Graph):
         self.n = g.node_count
-        degrees = np.array([len(a) for a in g.adjacency], dtype=np.int64)
+        self.degree = np.array([len(a) for a in g.adjacency], dtype=np.int64)
         self.indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(degrees, out=self.indptr[1:])
+        np.cumsum(self.degree, out=self.indptr[1:])
         self.indices = np.fromiter(
             (w for adj in g.adjacency for w in adj),
             dtype=np.int64,
@@ -168,80 +170,63 @@ class _Arrays:
         self.depth = np.array(g.depth, dtype=np.int64)
 
 
-def _gather(arrs: _Arrays, nodes: np.ndarray):
-    """Flattened (source, neighbor) edge pairs out of a node subset."""
-    starts = arrs.indptr[nodes]
-    lens = arrs.indptr[nodes + 1] - starts
-    total = int(lens.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    offs = np.repeat(np.cumsum(lens) - lens, lens)
-    pos = np.arange(total, dtype=np.int64) - offs + np.repeat(starts, lens)
-    return np.repeat(nodes, lens), arrs.indices[pos]
+def _batches(arrs: _Arrays, boundary: np.ndarray):
+    """Consecutive runs of boundary sources, about _BATCH_SLOTS slots each."""
+    size = max(1, _BATCH_SLOTS // arrs.n)
+    for i in range(0, boundary.size, size):
+        yield boundary[i : i + size]
 
 
-def _source_pass(arrs: _Arrays, s: int, targets: np.ndarray = None,
-                 need_sigma: bool = True):
-    """BFS from s with optional geodesic counting and min-depth propagation.
+def _walk(arrs: _Arrays, sources: np.ndarray, boundary: np.ndarray):
+    """Level-synchronous BFS from every source in a batch at once.
 
-    Returns (dist, sigma, mindepth, frontiers). The walk stops once every
-    target has been leveled (targets' sigma and mindepth are final when their
-    level completes), which also keeps sigma within exact float64 range on
-    graphs much larger than the traffic depth; an overflow check guards the
-    rest.
+    Row r of the batch walks from sources[r]; its state for node v sits at
+    slot r * n + v of flat arrays, so one numpy call serves the whole batch
+    while the frontier stays sparse. A row leaves the frontier at the level
+    that reaches its last boundary node: boundary values are final there, and
+    stopping also keeps sigma within exact float64 range on graphs much
+    deeper than the traffic depth.
+
+    Returns (dist, levels): dist per slot (-1 if never reached) and, per
+    level t >= 1, (below, src, tgt, new). below are the level t-1 slots that
+    were expanded, new the level t slots, ascending (so sorted by row, then
+    node), and tgt[i] is reached from below[src[i]] by a BFS-DAG edge. Edges
+    are listed by source slot, then in adjacency order.
     """
     n = arrs.n
-    dist = np.full(n, -1, dtype=np.int64)
-    sigma = np.zeros(n, dtype=np.float64)
-    md = np.zeros(n, dtype=np.int64)
-    dist[s] = 0
-    sigma[s] = 1.0
-    md[s] = arrs.depth[s]
-    remaining = -1
-    if targets is not None:
-        remaining = int(targets.size) - int(np.count_nonzero(targets == s))
-    frontier = np.array([s], dtype=np.int64)
-    frontiers = [frontier]
+    rows = sources.size
+    dist = np.full(rows * n, -1, dtype=np.int64)
+    start = np.arange(rows, dtype=np.int64) * n + sources
+    dist[start] = 0
+    is_target = np.zeros(n, dtype=bool)
+    is_target[boundary] = True
+    remaining = np.full(rows, boundary.size - 1, dtype=np.int64)
+    mark = np.zeros(rows * n, dtype=bool)
+    frontier = start[remaining > 0]
+    levels = []
     level = 0
-    while remaining != 0:
-        srcs, nbrs = _gather(arrs, frontier)
-        if nbrs.size == 0:
+    while frontier.size:
+        node = frontier % n
+        lens = arrs.degree[node]
+        src = np.repeat(np.arange(frontier.size, dtype=np.int64), lens)
+        offset = arrs.indptr[node] - (np.cumsum(lens) - lens)
+        pos = np.arange(src.size, dtype=np.int64) + offset[src]
+        nbr = arrs.indices[pos] + (frontier - node)[src]
+        fresh = dist[nbr] < 0
+        tgt = nbr[fresh]
+        if tgt.size == 0:
             break
-        fresh = nbrs[dist[nbrs] == -1]
-        if fresh.size == 0:
-            break
-        new_nodes = np.unique(fresh)
-        dist[new_nodes] = level + 1
-        md[new_nodes] = arrs.depth[new_nodes]
-        into = dist[nbrs] == level + 1
-        tgt = nbrs[into]
-        src = srcs[into]
-        if need_sigma:
-            sigma += np.bincount(tgt, weights=sigma[src], minlength=n)
-            if float(sigma[new_nodes].max()) >= _SIGMA_LIMIT:
-                raise SigmaOverflow(
-                    "geodesic counts exceed exact float64 range; "
-                    "use geodesic_field() for exact big-integer counts"
-                )
-        np.minimum.at(md, tgt, md[src])
-        if targets is not None:
-            remaining -= int(np.count_nonzero(dist[targets] == level + 1))
-        frontier = new_nodes
-        frontiers.append(frontier)
+        src = src[fresh]
+        mark[tgt] = True
+        new = np.flatnonzero(mark)
+        mark[new] = False
         level += 1
-    return dist, sigma, md, frontiers
-
-
-def _chunks(items, size=CHUNK_SIZE):
-    return [items[i : i + size] for i in range(0, len(items), size)]
-
-
-def _run_chunks(fn, chunks, threads):
-    if threads <= 1:
-        return [fn(c) for c in chunks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, chunks))
+        dist[new] = level
+        levels.append((frontier, src, tgt, new))
+        row, node = np.divmod(new, n)
+        remaining -= np.bincount(row[is_target[node]], minlength=rows)
+        frontier = new[remaining[row] > 0]
+    return dist, levels
 
 
 def boundary_nodes(g: Graph, n: int) -> tuple:
@@ -252,7 +237,7 @@ def boundary_nodes(g: Graph, n: int) -> tuple:
     return g.layers[n]
 
 
-def pair_census(g: Graph, n: int, threads: int = 1) -> np.ndarray:
+def pair_census(g: Graph, n: int) -> np.ndarray:
     """Integer counts of ordered boundary pairs by (distance, h).
 
     Shape (2n+1, n+1); rate-independent, so one census serves every beta.
@@ -261,20 +246,16 @@ def pair_census(g: Graph, n: int, threads: int = 1) -> np.ndarray:
     arrs = _Arrays(g)
     width = n + 1
     size = (2 * n + 1) * width
-
-    def work(chunk):
-        local = np.zeros(size, dtype=np.int64)
-        for s in chunk:
-            dist, _, md, _ = _source_pass(
-                arrs, int(s), targets=boundary, need_sigma=False
-            )
-            flat = dist[boundary] * width + md[boundary]
-            local += np.bincount(flat, minlength=size)
-        return local
-
     total = np.zeros(size, dtype=np.int64)
-    for part in _run_chunks(work, _chunks(list(boundary)), threads):
-        total += part
+    for sources in _batches(arrs, boundary):
+        dist, levels = _walk(arrs, sources, boundary)
+        md = np.tile(arrs.depth, sources.size)
+        for below, src, tgt, _ in levels:
+            np.minimum.at(md, tgt, md[below[src]])
+        slots = (np.arange(sources.size) * arrs.n)[:, None] + boundary
+        total += np.bincount(
+            (dist[slots] * width + md[slots]).ravel(), minlength=size
+        )
     return total.reshape(2 * n + 1, width)
 
 
@@ -297,20 +278,17 @@ class TrafficReport:
     def core_radius_for(self, epsilons) -> dict:
         return {eps: core_radius(self, eps) for eps in epsilons}
 
-    def rate_descriptor(self) -> dict:
-        return self.rate.descriptor()
 
-
-def traffic_totals(g: Graph, f, n: int, threads: int = 1,
+def traffic_totals(g: Graph, f, n: int,
                    census: np.ndarray = None) -> TrafficReport:
     """T and T_r over ordered boundary pairs, diagonal included.
 
     A pair's full rate lands in T_r as soon as its minimum-depth geodesic
     enters B(root, r). Sums use math.fsum in a fixed (h, d) term order, so
-    T_r[n] == T exactly and results do not depend on worker count.
+    T_r[n] == T exactly.
     """
     if census is None:
-        census = pair_census(g, n, threads=threads)
+        census = pair_census(g, n)
     rates = rate_table(f, census.shape[0] - 1)
 
     h_counts = []
@@ -336,8 +314,7 @@ def traffic_totals(g: Graph, f, n: int, threads: int = 1,
     )
 
 
-def node_loads(g: Graph, f, n: int, threads: int = 1,
-               include_endpoints: bool = False) -> tuple:
+def node_loads(g: Graph, f, n: int, include_endpoints: bool = False) -> tuple:
     """Per-node relay load with equal splitting across geodesics.
 
     load(v) = sum over ordered boundary pairs (x, y), x != y, v not an
@@ -348,45 +325,61 @@ def node_loads(g: Graph, f, n: int, threads: int = 1,
     arrs = _Arrays(g)
     rates = rate_table(f, 2 * n)
     nn = arrs.n
+    total = np.zeros(nn)
+    carry = np.zeros(nn)
+    acc = np.zeros(nn)
+    comp = np.zeros(nn)
 
-    def work(chunk):
-        acc = np.zeros(nn)
-        comp = np.zeros(nn)
-        for s in chunk:
-            s = int(s)
-            dist, sigma, _, frontiers = _source_pass(arrs, s, targets=boundary)
-            weight = np.zeros(nn)
-            weight[boundary] = rates[dist[boundary]]
-            weight[s] = 0.0
-            delta = np.zeros(nn)
-            coef = np.zeros(nn)
-            for level in range(len(frontiers) - 1, 0, -1):
-                nodes = frontiers[level]
-                coef[nodes] = (weight[nodes] + delta[nodes]) / sigma[nodes]
-                below = frontiers[level - 1]
-                srcs, nbrs = _gather(arrs, below)
-                vals = np.where(dist[nbrs] == level, coef[nbrs], 0.0)
-                sums = np.bincount(srcs, weights=vals, minlength=nn)
-                delta[below] = sigma[below] * sums[below]
-            delta[s] = 0.0
-            if include_endpoints:
-                delta[s] = math.fsum(weight[boundary])
-                delta[boundary] += weight[boundary]
-            # Kahan step, elementwise
-            y = delta - comp
+    def fold(part):
+        nonlocal total, carry
+        y = part - carry
+        t = total + y
+        carry = (t - total) - y
+        total = t
+
+    done = 0
+    for sources in _batches(arrs, boundary):
+        rows = sources.size
+        dist, levels = _walk(arrs, sources, boundary)
+        start = np.arange(rows, dtype=np.int64) * nn + sources
+        sigma = np.zeros(rows * nn)
+        sigma[start] = 1.0
+        for below, src, tgt, _ in levels:
+            np.add.at(sigma, tgt, sigma[below[src]])
+        if float(sigma.max()) >= _SIGMA_LIMIT:
+            raise SigmaOverflow(
+                "geodesic counts exceed exact float64 range; "
+                "use geodesic_field() for exact big-integer counts"
+            )
+        weight = np.zeros((rows, nn))
+        weight[:, boundary] = rates[dist.reshape(rows, nn)[:, boundary]]
+        weight.flat[start] = 0.0
+        weight = weight.ravel()
+        delta = np.zeros(rows * nn)
+        coef = np.zeros(rows * nn)
+        for below, src, tgt, new in reversed(levels):
+            coef[new] = (weight[new] + delta[new]) / sigma[new]
+            sums = np.bincount(src, weights=coef[tgt], minlength=below.size)
+            delta[below] = sigma[below] * sums
+        delta[start] = 0.0
+        delta = delta.reshape(rows, nn)
+        if include_endpoints:
+            ends = weight.reshape(rows, nn)[:, boundary]
+            delta.flat[start] = [math.fsum(row) for row in ends]
+            delta[:, boundary] += ends
+        # Kahan sum over each group of _KAHAN_GROUP sources in boundary
+        # order, then a compensated fold of the group sums
+        for row in delta:
+            y = row - comp
             t = acc + y
             comp = (t - acc) - y
             acc = t
-        return acc, comp
-
-    total = np.zeros(nn)
-    carry = np.zeros(nn)
-    for part_acc, part_comp in _run_chunks(work, _chunks(list(boundary)), threads):
-        for part in (part_acc, -part_comp):
-            y = part - carry
-            t = total + y
-            carry = (t - total) - y
-            total = t
+            done += 1
+            if done % _KAHAN_GROUP == 0 or done == boundary.size:
+                fold(acc)
+                fold(-comp)
+                acc = np.zeros(nn)
+                comp = np.zeros(nn)
     return tuple(float(x) for x in total)
 
 

@@ -1,14 +1,29 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from hypertraffic import generators, graphs
 from hypertraffic.cli import main
-from hypertraffic.graphs import graph_from_json_dict, graph_to_json_dict
+from hypertraffic.errors import DisconnectedGraph, MalformedEdge, SizeOverflow
+from hypertraffic.generators import load_edge_list
+from hypertraffic.graphs import GRAPH_FORMAT, graph_from_json_dict, graph_to_json_dict
 from hypertraffic.serialize import dumps
 
 
 def run(*argv):
     return main(list(argv))
+
+
+def exit_code(*argv):
+    """Return code of the CLI, with argparse's SystemExit turned into a code."""
+    try:
+        return main(list(argv))
+    except SystemExit as exc:
+        return exc.code
 
 
 class TestGenerate:
@@ -186,3 +201,155 @@ class TestTreeOracle:
             fields = line.split(",")
             assert float(fields[5]) < 1e-9  # rel_err_T
             assert float(fields[6]) < 1e-9  # rel_err_P
+
+
+PATH_DOC = {"format": GRAPH_FORMAT, "root": 0, "node_count": 2, "edges": [[0, 1]]}
+
+MALFORMED_DOCS = {
+    "not-an-object": [1, 2],
+    "missing-edges": {k: v for k, v in PATH_DOC.items() if k != "edges"},
+    "missing-root": {k: v for k, v in PATH_DOC.items() if k != "root"},
+    "missing-format": {k: v for k, v in PATH_DOC.items() if k != "format"},
+    "missing-node-count": {k: v for k, v in PATH_DOC.items() if k != "node_count"},
+    "float-endpoint": {**PATH_DOC, "edges": [[0, 1.5]]},
+    "bool-endpoint": {**PATH_DOC, "edges": [[0, True]]},
+    "string-endpoint": {**PATH_DOC, "edges": [[0, "1"]]},
+    "float-root": {**PATH_DOC, "root": 0.0},
+    "bool-root": {**PATH_DOC, "root": False},
+    "float-node-count": {**PATH_DOC, "node_count": 2.0},
+    "edge-not-a-pair": {**PATH_DOC, "edges": [[0, 1, 1]]},
+    "edges-not-a-list": {**PATH_DOC, "edges": {"0": 1}},
+}
+
+
+class TestGraphSchema:
+    @pytest.mark.parametrize("doc", MALFORMED_DOCS.values(), ids=MALFORMED_DOCS.keys())
+    def test_malformed_graph_exit_3(self, tmp_path, capsys, doc):
+        with pytest.raises(MalformedEdge):
+            graph_from_json_dict(doc)
+        gfile = tmp_path / "g.json"
+        gfile.write_text(json.dumps(doc))
+        assert run("traffic", "--graph", str(gfile), "--beta", "1.5",
+                   "--out", str(tmp_path / "r.json")) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_deeply_nested_json_exit_3(self, tmp_path):
+        gfile = tmp_path / "g.json"
+        gfile.write_text("[" * 100000)
+        assert run("traffic", "--graph", str(gfile), "--beta", "1.5",
+                   "--out", str(tmp_path / "r.json")) == 3
+
+    def test_valid_graph_exit_0(self, tmp_path):
+        gfile = tmp_path / "g.json"
+        gfile.write_text(json.dumps(PATH_DOC))
+        assert run("traffic", "--graph", str(gfile), "--beta", "1.5",
+                   "--out", str(tmp_path / "r.json")) == 0
+
+
+class TestLoadedNodeCap:
+    HUGE = 10**9
+
+    @pytest.fixture
+    def no_build(self, monkeypatch):
+        """Fail at once if a loader gets as far as allocating the graph."""
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("build_graph reached past the node cap")
+
+        monkeypatch.setattr(graphs, "build_graph", refuse)
+        monkeypatch.setattr(generators, "build_graph", refuse)
+
+    def test_library_loaders(self, no_build):
+        with pytest.raises(SizeOverflow):
+            load_edge_list(f"0 {self.HUGE}", node_cap=100)
+        with pytest.raises(SizeOverflow):
+            load_edge_list(f"# root {self.HUGE}", node_cap=100)
+        with pytest.raises(SizeOverflow):
+            graph_from_json_dict({**PATH_DOC, "edges": [[0, self.HUGE]]}, node_cap=100)
+        with pytest.raises(SizeOverflow):
+            graph_from_json_dict({**PATH_DOC, "root": self.HUGE}, node_cap=100)
+
+    def test_cli_reads_cap_from_env(self, tmp_path, monkeypatch, no_build):
+        monkeypatch.setenv("HYPERTRAFFIC_NODE_CAP", "100")
+        gfile = tmp_path / "g.json"
+        gfile.write_text(json.dumps({**PATH_DOC, "edges": [[0, self.HUGE]]}))
+        assert run("traffic", "--graph", str(gfile), "--beta", "1.5",
+                   "--out", str(tmp_path / "r.json")) == 3
+        efile = tmp_path / "e.txt"
+        efile.write_text(f"0 {self.HUGE}\n")
+        assert run("sweep", "--family", "edges", "--path", str(efile),
+                   "--beta-min", "1.1", "--beta-max", "1.5", "--steps", "2",
+                   "--depths", "1", "--r", "0", "--out", str(tmp_path / "s.csv")) == 3
+
+    def test_cap_is_a_node_count(self):
+        with pytest.raises(DisconnectedGraph):  # id 99 passes the cap of 100
+            load_edge_list("0 99", node_cap=100)
+        with pytest.raises(SizeOverflow):
+            load_edge_list("0 100", node_cap=100)
+
+
+# ids stay mostly small so that valid graphs turn up; the node cap set in the
+# fuzz test refuses the large ones before any allocation
+NODE_IDS = st.integers(-2, 10) | st.integers(-(10**12), 10**12)
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=10,
+)
+GRAPH_DOCS = st.fixed_dictionaries({}, optional={
+    "format": st.just(GRAPH_FORMAT) | ANY_JSON,
+    "root": NODE_IDS | ANY_JSON,
+    "node_count": NODE_IDS | ANY_JSON,
+    "edges": st.lists(st.lists(NODE_IDS, max_size=3) | ANY_JSON, max_size=10) | ANY_JSON,
+    "family": ANY_JSON,
+})
+# connected graphs on nodes 0..8: a spanning path plus random chords
+VALID_DOCS = st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=12).map(
+    lambda chords: {
+        "format": GRAPH_FORMAT, "root": 0, "node_count": 9,
+        "edges": [[i, i + 1] for i in range(8)] + [[u, v] for u, v in chords if u != v],
+    }
+)
+EDGE_LINES = st.lists(
+    st.tuples(NODE_IDS, NODE_IDS).map(lambda e: f"{e[0]} {e[1]}")
+    | NODE_IDS.map(lambda r: f"# root {r}")
+    | st.text(max_size=8),
+    max_size=12,
+).map("\n".join) | VALID_DOCS.map(
+    lambda doc: "\n".join(f"{u} {v}" for u, v in doc["edges"])
+)
+
+
+class TestExitCodeContract:
+    """Whatever the input file holds, the CLI exits 0, 2 or 3 and never raises."""
+
+    SETTINGS = settings(
+        max_examples=150, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+
+    @SETTINGS
+    @given(doc=ANY_JSON | GRAPH_DOCS | VALID_DOCS)
+    def test_traffic_on_any_json(self, monkeypatch, doc):
+        monkeypatch.setenv("HYPERTRAFFIC_NODE_CAP", "64")
+        with tempfile.TemporaryDirectory() as tmp:
+            gfile = Path(tmp) / "g.json"
+            gfile.write_text(json.dumps(doc))
+            code = exit_code("traffic", "--graph", str(gfile), "--beta", "1.5",
+                             "--out", str(Path(tmp) / "r.json"),
+                             "--loads-out", str(Path(tmp) / "l.csv"))
+        assert code in (0, 2, 3)
+
+    @SETTINGS
+    @given(data=EDGE_LINES.map(lambda t: t.encode("utf-8", "replace")) | st.binary(max_size=40))
+    def test_sweep_on_any_edge_list(self, monkeypatch, data):
+        monkeypatch.setenv("HYPERTRAFFIC_NODE_CAP", "64")
+        with tempfile.TemporaryDirectory() as tmp:
+            efile = Path(tmp) / "e.txt"
+            efile.write_bytes(data)
+            code = exit_code("sweep", "--family", "edges", "--path", str(efile),
+                             "--beta-min", "1.1", "--beta-max", "1.5", "--steps", "2",
+                             "--depths", "1,2", "--r", "0",
+                             "--out", str(Path(tmp) / "s.csv"),
+                             "--summary-out", str(Path(tmp) / "s.json"))
+        assert code in (0, 2, 3)

@@ -1,9 +1,12 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypertraffic import traffic
 from hypertraffic.errors import EmptyBoundary, InvalidRate, SigmaOverflow
 from hypertraffic.generators import gen_grid, gen_kary_tree, gen_tessellation
 from hypertraffic.graphs import build_graph, gromov_product, slim_delta_exact
@@ -360,16 +363,31 @@ class TestSandwiches:
 
 
 class TestDeterminism:
-    def test_threads_bit_identical(self):
-        g = gen_tessellation(5, 4, 5)
-        rate = ExponentialRate(1.3)
-        rep1 = traffic_totals(g, rate, 5, threads=1)
-        rep4 = traffic_totals(g, rate, 5, threads=4)
-        assert rep1.T == rep4.T
-        assert rep1.T_r == rep4.T_r
-        l1 = node_loads(g, rate, 5, threads=1)
-        l4 = node_loads(g, rate, 5, threads=4)
-        assert l1 == l4
+    @pytest.mark.parametrize("name,g,n_max", BRUTE_CASES, ids=[c[0] for c in BRUTE_CASES])
+    def test_batch_sizes_bit_identical(self, name, g, n_max, monkeypatch):
+        """One source per batch, an uneven split, and the whole boundary in one
+        batch give the same bits; every n < max_depth stops rows early."""
+        rate = ExponentialRate(1.7)
+        for n in range(1, g.max_depth + 1):
+            size = len(g.layers[n])
+            uneven = next(k for k in itertools.count(3) if size % k)
+            results = []
+            for batch in (1, uneven, size):
+                monkeypatch.setattr(traffic, "_BATCH_SLOTS", batch * g.node_count)
+                census = pair_census(g, n)
+                rep = traffic_totals(g, rate, n, census=census)
+                results.append((census, rep, node_loads(g, rate, n)))
+            (census, rep, loads), *rest = results
+            for other_census, other_rep, other_loads in rest:
+                assert np.array_equal(census, other_census)
+                assert rep.T == other_rep.T and rep.T_r == other_rep.T_r
+                assert loads == other_loads
+            want_t, want_tr, want_loads = brute_traffic(g, rate, n)
+            assert rep.T == pytest.approx(want_t, rel=1e-12)
+            for got, want in zip(rep.T_r, want_tr):
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+            for got, want in zip(loads, want_loads):
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
     def test_census_reuse_matches_direct(self):
         g = gen_tessellation(5, 4, 4)
