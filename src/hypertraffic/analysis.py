@@ -243,9 +243,7 @@ def sweep(spec: FamilySpec, betas, depths, r: int,
     labels = {}
     for b in betas:
         series = [cells[(b, n)]["ratio"] for n in depths if (b, n) in cells]
-        if b == pred:
-            labels[b] = UNDECIDED  # no prediction exactly at the critical point
-        elif len(series) < tail:
+        if len(series) < tail:
             labels[b] = UNDECIDED
         else:
             labels[b] = classify_transition(series, tail=tail, tau_g=tau_g, tau_l=tau_l)

@@ -23,7 +23,14 @@ _THREADS_HELP = (
 
 def _node_cap() -> int:
     env = os.environ.get("HYPERTRAFFIC_NODE_CAP")
-    return int(env) if env else generators.DEFAULT_NODE_CAP
+    if not env:
+        return graphs.DEFAULT_NODE_CAP
+    try:
+        return int(env)
+    except ValueError:
+        raise HypertrafficError(
+            f"HYPERTRAFFIC_NODE_CAP must be an integer, got {env!r}"
+        ) from None
 
 
 def _family_from_args(args, need_depth=True) -> generators.FamilySpec:

@@ -21,6 +21,11 @@ class SizeOverflow(HypertrafficError):
     """Generator would exceed its node-count cap."""
 
 
+class NotAutomorphism(HypertrafficError):
+    """A graph symmetry is not a root-fixing automorphism, or a tessellation
+    dart walk did not close into one."""
+
+
 class NotHyperbolic(HypertrafficError):
     """Tessellation parameters violate (p-2)(q-2) > 4."""
 

@@ -85,20 +85,23 @@ def gen_kary_tree(k: int, depth: int, root_degree: int | None = None,
 def gen_tessellation(p: int, q: int, depth: int,
                      node_cap: int = DEFAULT_NODE_CAP) -> Graph:
     """Ball of radius `depth` in the tessellation by p-gons with vertex
-    degree q; requires (p-2)(q-2) > 4."""
+    degree q; requires (p-2)(q-2) > 4. The graph carries the ball's rotation
+    and reflection about the root as symmetries."""
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    edges, _ = tessellation.build_ball(p, q, depth, node_cap=node_cap)
-    return build_graph(edges, 0)
+    edges, _, symmetries = tessellation.build_ball(p, q, depth, node_cap=node_cap)
+    return build_graph(edges, 0, symmetries)
 
 
-def gen_grid(side: int) -> Graph:
+def gen_grid(side: int, node_cap: int = DEFAULT_NODE_CAP) -> Graph:
     """side x side square lattice with 4-neighbor adjacency, rooted at the
     center; side must be odd so the center exists."""
     if side < 1:
         raise ValueError(f"side must be >= 1, got {side}")
     if side % 2 == 0:
         raise EvenSide(f"side must be odd, got {side}")
+    if side * side > node_cap:
+        raise SizeOverflow(f"grid side {side} exceeds node cap {node_cap}")
     if side == 1:
         return build_graph([], 0)
     edges = []
@@ -153,7 +156,7 @@ def family_graph(spec: FamilySpec, depth: int | None = None,
     if spec.variant == "tessellation":
         return gen_tessellation(spec.p, spec.q, d, node_cap=node_cap)
     if spec.variant == "grid":
-        return gen_grid(spec.side)
+        return gen_grid(spec.side, node_cap=node_cap)
     if spec.variant == "edge_list":
         with open(spec.source, encoding="utf-8") as fh:
             return load_edge_list(fh.read(), node_cap=node_cap)

@@ -7,12 +7,18 @@ metric layer involves no floating point at all.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import total_ordering
 
 import numpy as np
 
-from .errors import DisconnectedGraph, GraphTooLarge, MalformedEdge, SizeOverflow
+from .errors import (
+    DisconnectedGraph,
+    GraphTooLarge,
+    MalformedEdge,
+    NotAutomorphism,
+    SizeOverflow,
+)
 
 DEFAULT_NODE_CAP = 1 << 24
 FOUR_POINT_CAP = 300
@@ -62,7 +68,11 @@ class Graph:
     """Simple connected graph rooted at `root`, layered by BFS depth.
 
     adjacency[v] is sorted ascending; layers[t] lists the nodes at depth t,
-    ascending. Instances are immutable and safe to share across workers.
+    ascending. symmetries holds permutations of the node ids as read-only
+    int64 arrays, each checked by build_graph to be an automorphism that
+    fixes the root; generators supply them where they know the graph's
+    symmetry, and other graphs carry none.
+    Instances are immutable and safe to share across workers.
     """
 
     node_count: int
@@ -70,6 +80,7 @@ class Graph:
     root: int
     depth: tuple[int, ...]
     layers: tuple[tuple[int, ...], ...]
+    symmetries: tuple[np.ndarray, ...] = field(default=(), compare=False)
 
     @property
     def max_depth(self) -> int:
@@ -105,11 +116,36 @@ def check_node_cap(edges, root, node_cap: int) -> None:
         raise SizeOverflow(f"node id {top} exceeds node cap {node_cap}")
 
 
-def build_graph(edges, root) -> Graph:
+def _check_symmetry(perm, root, edges, neighbor_sets) -> np.ndarray:
+    """perm as a read-only int64 array, if it is an automorphism fixing root.
+
+    A bijection of the nodes maps distinct edges to distinct pairs, so it
+    maps the edge set onto itself when every image pair is an edge; one set
+    lookup per listed edge checks that.
+    """
+    n = len(neighbor_sets)
+    arr = np.asarray(perm)
+    if arr.shape != (n,) or arr.dtype.kind not in "iu":
+        raise NotAutomorphism(f"symmetry is not a sequence of {n} integers")
+    arr = arr.astype(np.int64)  # a private copy, so the caller cannot mutate it
+    if arr.min() < 0 or arr.max() >= n or np.bincount(arr, minlength=n).max() > 1:
+        raise NotAutomorphism("symmetry is not a permutation of the node ids")
+    if arr[root] != root:
+        raise NotAutomorphism(f"symmetry moves the root {root} to {arr[root]}")
+    image = arr.tolist()
+    if not all(image[v] in neighbor_sets[image[u]] for u, v in edges):
+        raise NotAutomorphism("symmetry does not map edges onto edges")
+    arr.flags.writeable = False
+    return arr
+
+
+def build_graph(edges, root, symmetries=()) -> Graph:
     """Assemble a Graph from an iterable of index pairs.
 
     Duplicate edges collapse; self-loops and negative indices raise
-    MalformedEdge, unreachable nodes raise DisconnectedGraph.
+    MalformedEdge, unreachable nodes raise DisconnectedGraph. Each of
+    `symmetries` must be a permutation of the node ids that fixes the root
+    and maps edges onto edges, else NotAutomorphism is raised.
     """
     edges = list(edges)
     if not isinstance(root, int) or root < 0:
@@ -138,12 +174,14 @@ def build_graph(edges, root) -> Graph:
     layers = [[] for _ in range(max(dist) + 1)]
     for v in range(n):
         layers[dist[v]].append(v)
+    checked = tuple(_check_symmetry(s, root, edges, neighbor_sets) for s in symmetries)
     return Graph(
         node_count=n,
         adjacency=adjacency,
         root=root,
         depth=tuple(dist),
         layers=tuple(tuple(layer) for layer in layers),
+        symmetries=checked,
     )
 
 

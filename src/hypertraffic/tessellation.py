@@ -17,9 +17,8 @@ from __future__ import annotations
 
 from collections import deque
 
-from .errors import NotHyperbolic, SizeOverflow
-
-DEFAULT_NODE_CAP = 1 << 24
+from .errors import NotAutomorphism, NotHyperbolic, SizeOverflow
+from .graphs import DEFAULT_NODE_CAP
 
 
 class TessellationMap:
@@ -150,8 +149,8 @@ class TessellationMap:
             adj[v].append(u)
         return adj
 
-    def vertex_depths(self):
-        adj = self.adjacency()
+    def vertex_depths(self, adj):
+        """BFS depth from the root over `adj`, the current adjacency()."""
         dist = [-1] * self.vertex_count
         dist[0] = 0
         queue = deque([0])
@@ -162,6 +161,45 @@ class TessellationMap:
                     dist[w] = dist[u] + 1
                     queue.append(w)
         return dist
+
+    def root_symmetry(self, image, reflect, depths, depth):
+        """Vertex map of the root-fixing map automorphism taking dart 1 to `image`.
+
+        Dart 1 runs from vertex 1 into the root, and `image` must point into
+        the root too. A map automorphism is fixed by the image of one dart
+        (Weinberg's walk): turning to the next dart into the same vertex,
+        nxt[h] ^ 1, commutes with it, and a reflection turns the image the
+        other way, prv[h ^ 1]. Only vertices closer than `depth` are turned
+        around, since only their wheels are complete; every vertex of the
+        ball is a neighbor of one of them. Raises NotAutomorphism when the
+        image darts do not close into consistent wheels.
+        """
+        if self._head(image) != 0:
+            raise NotAutomorphism(f"dart {image} does not point into the root")
+        vmap = [-1] * self.vertex_count
+        vmap[0] = 0
+        queue = deque([(1, image)])
+        while queue:
+            h, g = start = queue.popleft()
+            for _ in range(self.q):
+                u, w = self.org[h], self.org[g]
+                if vmap[u] < 0:
+                    vmap[u] = w
+                    if depths[u] < depth:
+                        queue.append((h ^ 1, g ^ 1))
+                elif vmap[u] != w:
+                    raise NotAutomorphism(
+                        f"({self.p},{self.q}) dart walk sends vertex {u} to both "
+                        f"{vmap[u]} and {w}"
+                    )
+                h = self.nxt[h] ^ 1
+                g = self.prv[g ^ 1] if reflect else self.nxt[g] ^ 1
+            if (h, g) != start:
+                raise NotAutomorphism(
+                    f"({self.p},{self.q}) dart walk does not close around vertex "
+                    f"{self._head(start[0])}"
+                )
+        return vmap
 
     def audit(self):
         """Structural invariants of the half-edge disk; cheap, O(V + E)."""
@@ -207,19 +245,27 @@ class TessellationMap:
                 h = self.bnd_in[v]
                 assert self.face[h] == -1 and self._head(h) == v
 
-        # rotating around any vertex visits each incident edge exactly once
-        at_vertex = [[] for _ in range(self.vertex_count)]
+        # rotating around any vertex visits each incident edge exactly once:
+        # every rotation cycle of incoming half-edges is as long as its
+        # vertex's degree, and each vertex has degree-many incoming ones
+        incoming = [0] * self.vertex_count
         for h in range(n_half):
-            at_vertex[self._head(h)].append(h)
-        for v, incoming in enumerate(at_vertex):
-            assert len(incoming) == self.degree[v]
-            orbit = {incoming[0]}
-            cur = self.nxt[incoming[0]] ^ 1
-            while cur != incoming[0]:
-                assert cur not in orbit
-                orbit.add(cur)
+            incoming[self._head(h)] += 1
+        assert incoming == self.degree
+        seen = [False] * n_half
+        for h in range(n_half):
+            if seen[h]:
+                continue
+            length = 0
+            cur = h
+            while True:
+                assert not seen[cur]
+                seen[cur] = True
+                length += 1
                 cur = self.nxt[cur] ^ 1
-            assert len(orbit) == self.degree[v]
+                if cur == h:
+                    break
+            assert length == self.degree[self._head(h)]
 
         # Euler characteristic of a disk
         assert self.vertex_count - edge_count + self.face_count == 1
@@ -235,16 +281,20 @@ def check_hyperbolic(p: int, q: int):
 def build_ball(p: int, q: int, depth: int, node_cap: int = DEFAULT_NODE_CAP, audit: bool = True):
     """Edges of the radius-`depth` ball around a root vertex, BFS-relabeled.
 
-    Returns (edges, node_count); the root is vertex 0. Saturates every vertex
+    Returns (edges, node_count, symmetries); the root is vertex 0.
+    symmetries holds two root-fixing automorphisms of the ball as permutations
+    of its labels: the rotation by one face about the root and a reflection,
+    which generate the dihedral group of order 2q. Saturates every vertex
     closer than `depth` to the root, then truncates to the ball.
     """
     check_hyperbolic(p, q)
     if depth == 0:
-        return [], 1
+        return [], 1, ((0,), (0,))
     tmap = TessellationMap(p, q)
     tmap.bootstrap()
     while True:
-        depths = tmap.vertex_depths()
+        adj = tmap.adjacency()
+        depths = tmap.vertex_depths(adj)
         pending = [
             v
             for v in range(tmap.vertex_count)
@@ -261,8 +311,6 @@ def build_ball(p: int, q: int, depth: int, node_cap: int = DEFAULT_NODE_CAP, aud
     if audit:
         tmap.audit()
 
-    depths = tmap.vertex_depths()
-    adj = tmap.adjacency()
     keep = [v for v in range(tmap.vertex_count) if depths[v] <= depth]
 
     relabel = {0: 0}
@@ -282,4 +330,16 @@ def build_ball(p: int, q: int, depth: int, node_cap: int = DEFAULT_NODE_CAP, aud
                 nu, nw = relabel[u], relabel[w]
                 if nu < nw:
                     edges.add((nu, nw))
-    return sorted(edges), len(keep)
+
+    symmetries = []
+    for image, reflect in ((tmap.nxt[1] ^ 1, False), (1, True)):
+        vmap = tmap.root_symmetry(image, reflect, depths, depth)
+        perm = [-1] * len(keep)
+        for v in keep:
+            perm[relabel[v]] = relabel.get(vmap[v], -1)
+        if -1 in perm or len(set(perm)) != len(perm):
+            raise NotAutomorphism(
+                f"({p},{q}) depth {depth} dart walk does not permute the ball"
+            )
+        symmetries.append(tuple(perm))
+    return sorted(edges), len(keep), tuple(symmetries)

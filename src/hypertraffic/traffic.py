@@ -5,6 +5,12 @@ geodesic counts, minimum depth over geodesics) is computed once per source by
 a vectorized BFS; rates enter only through a per-distance lookup table, so a
 single integer census over (distance, h) pairs serves every rate function.
 
+The census walks one source per orbit of the graph's checked root-fixing
+symmetries (the dihedral group about the root for tessellation balls) and
+weights each row by its orbit size, in exact integers. Node loads are not
+reduced: every boundary source is walked, so their float sums keep their
+order.
+
 Determinism: one batched BFS walks many boundary sources together on a single
 thread. Each source sees its frontier in ascending node order, exactly as a
 walk from that source alone would, so geodesic counts and dependency sums are
@@ -237,25 +243,45 @@ def boundary_nodes(g: Graph, n: int) -> tuple:
     return g.layers[n]
 
 
+def _orbit_labels(g: Graph) -> np.ndarray:
+    """Smallest node id in each node's orbit under the group g.symmetries
+    generate, by min-label propagation with pointer jumping."""
+    label = np.arange(g.node_count)
+    while True:
+        new = label
+        for s in g.symmetries:
+            new = np.minimum(new, new[s])
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
 def pair_census(g: Graph, n: int) -> np.ndarray:
     """Integer counts of ordered boundary pairs by (distance, h).
 
     Shape (2n+1, n+1); rate-independent, so one census serves every beta.
+    A root-fixing automorphism preserves both distance and root depth, so
+    sources in one orbit of g.symmetries have equal rows: only the smallest
+    id of each boundary orbit is walked, and its row counts orbit-size times.
     """
     boundary = np.array(boundary_nodes(g, n), dtype=np.int64)
     arrs = _Arrays(g)
+    orbit_size = np.bincount(_orbit_labels(g)[boundary], minlength=arrs.n)
+    reps = np.flatnonzero(orbit_size)
     width = n + 1
     size = (2 * n + 1) * width
     total = np.zeros(size, dtype=np.int64)
-    for sources in _batches(arrs, boundary):
+    for sources in _batches(arrs, reps):
+        rows = sources.size
         dist, levels = _walk(arrs, sources, boundary)
-        md = np.tile(arrs.depth, sources.size)
+        md = np.tile(arrs.depth, rows)
         for below, src, tgt, _ in levels:
             np.minimum.at(md, tgt, md[below[src]])
-        slots = (np.arange(sources.size) * arrs.n)[:, None] + boundary
-        total += np.bincount(
-            (dist[slots] * width + md[slots]).ravel(), minlength=size
-        )
+        slots = (np.arange(rows) * arrs.n)[:, None] + boundary
+        keys = dist[slots] * width + md[slots] + (np.arange(rows) * size)[:, None]
+        counts = np.bincount(keys.ravel(), minlength=rows * size).reshape(rows, size)
+        total += (counts * orbit_size[sources][:, None]).sum(0)
     return total.reshape(2 * n + 1, width)
 
 

@@ -73,6 +73,22 @@ class TestGenerate:
                    "--out", str(tmp_path / "x.json"))
         assert code == 3
 
+    def test_grid_node_cap_env(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("HYPERTRAFFIC_NODE_CAP", "10")
+        out = tmp_path / "x.json"
+        assert run("generate", "--family", "grid", "--side", "5", "--out", str(out)) == 3
+        assert not out.exists()
+        assert run("sweep", "--family", "grid", "--side", "5", "--beta-min", "1.1",
+                   "--beta-max", "2.0", "--steps", "2", "--depths", "1,2,3",
+                   "--r", "0", "--out", str(tmp_path / "s.csv")) == 3
+
+    def test_bad_node_cap_env_is_named(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("HYPERTRAFFIC_NODE_CAP", "abc")
+        code = run("generate", "--family", "tree", "--k", "2", "--depth", "2",
+                   "--out", str(tmp_path / "x.json"))
+        assert code == 3
+        assert "HYPERTRAFFIC_NODE_CAP" in capsys.readouterr().err
+
 
 class TestAnalyze:
     def test_tree_analysis(self, tmp_path):

@@ -1,10 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 
+from hypertraffic import generators
 from hypertraffic.errors import (
     EvenSide,
     MalformedEdge,
+    NotAutomorphism,
     NotHyperbolic,
     ParseError,
     SizeOverflow,
@@ -128,6 +131,36 @@ class TestTessellation:
         with pytest.raises(SizeOverflow):
             gen_tessellation(5, 4, 8, node_cap=500)
 
+    @pytest.mark.parametrize("p,q", [(5, 4), (4, 5), (7, 3), (3, 7)])
+    def test_symmetries_generate_the_dihedral_group(self, p, q):
+        # build_graph has checked both as root-fixing automorphisms
+        g = gen_tessellation(p, q, 4)
+        rot, ref = g.symmetries
+        ident = np.arange(g.node_count)
+        power = rot
+        for _ in range(q - 1):
+            assert not np.array_equal(power, ident)
+            power = rot[power]
+        assert np.array_equal(power, ident)
+        assert not np.array_equal(ref, ident)
+        assert np.array_equal(ref[ref], ident)
+        assert np.array_equal(ref[rot[ref]], np.argsort(rot))  # s r s = r^-1
+
+    def test_walk_that_does_not_close_raises(self):
+        # saturating only the first face's corners leaves the map without
+        # the rotation symmetry at depth 1
+        tmap = TessellationMap(5, 4)
+        tmap.bootstrap()
+        for v in range(5):
+            tmap.saturate(v)
+        depths = tmap.vertex_depths(tmap.adjacency())
+        rotation = tmap.nxt[1] ^ 1
+        assert tmap.root_symmetry(rotation, False, depths, 1)[0] == 0
+        with pytest.raises(NotAutomorphism):
+            tmap.root_symmetry(rotation, False, depths, 2)
+        with pytest.raises(NotAutomorphism, match="root"):
+            tmap.root_symmetry(0, False, depths, 1)  # dart 0 points away
+
     def test_bootstrap_invariants(self):
         tmap = TessellationMap(5, 4)
         tmap.bootstrap()
@@ -156,6 +189,18 @@ class TestGrid:
     def test_bad_side(self):
         with pytest.raises(ValueError):
             gen_grid(0)
+
+    def test_node_cap(self, monkeypatch):
+        assert gen_grid(5, node_cap=25).node_count == 25
+        monkeypatch.setattr(generators, "build_graph", None)  # never reached
+        with pytest.raises(SizeOverflow):
+            gen_grid(5, node_cap=24)
+        with pytest.raises(SizeOverflow):
+            family_graph(FamilySpec(variant="grid", side=5), node_cap=10)
+
+    def test_no_symmetries(self):
+        assert gen_grid(5).symmetries == ()
+        assert gen_kary_tree(2, 3).symmetries == ()
 
 
 class TestEdgeList:

@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypertraffic.errors import DisconnectedGraph, GraphTooLarge, MalformedEdge
+from hypertraffic.errors import (
+    DisconnectedGraph,
+    GraphTooLarge,
+    MalformedEdge,
+    NotAutomorphism,
+)
 from hypertraffic.generators import gen_grid, gen_kary_tree
 from hypertraffic.graphs import (
     HalfInteger,
@@ -77,6 +82,50 @@ class TestBuildGraph:
                     assert abs(g.depth[u] - g.depth[v]) <= 1
                 if u != g.root:
                     assert any(g.depth[w] == g.depth[u] - 1 for w in g.adjacency[u])
+
+
+class TestSymmetries:
+    # the 4-cycle 0-1-2-3 rooted at 0: swapping 1 and 3 is its one
+    # non-trivial root-fixing automorphism
+    MIRROR = (0, 3, 2, 1)
+
+    def test_checked_symmetry_is_kept(self):
+        g = build_graph(CYCLE4, 0, [self.MIRROR])
+        assert len(g.symmetries) == 1
+        assert g.symmetries[0].tolist() == list(self.MIRROR)
+        assert not g.symmetries[0].flags.writeable
+
+    def test_symmetries_do_not_affect_equality(self):
+        assert build_graph(CYCLE4, 0, [self.MIRROR]) == build_graph(CYCLE4, 0)
+
+    def test_duplicate_edges_allowed(self):
+        g = build_graph(CYCLE4 + [(1, 0)], 0, [self.MIRROR])
+        assert len(g.symmetries) == 1
+
+    @pytest.mark.parametrize("perm", [
+        (0, 3, 3, 1),      # repeats a node
+        (0, 3, 2),         # too short
+        (0, 3, 2, 4),      # out of range
+        (0, -1, 2, 1),     # negative
+        (0.0, 3.0, 2.0, 1.0),  # not integers
+    ])
+    def test_non_permutation_rejected(self, perm):
+        with pytest.raises(NotAutomorphism):
+            build_graph(CYCLE4, 0, [perm])
+
+    def test_root_mover_rejected(self):
+        # rotating the cycle is an automorphism, but it moves the root
+        with pytest.raises(NotAutomorphism, match="root"):
+            build_graph(CYCLE4, 0, [(1, 2, 3, 0)])
+
+    def test_non_automorphism_rejected(self):
+        # fixes the root but sends edge 0-1 to the non-edge 0-2
+        with pytest.raises(NotAutomorphism, match="edges"):
+            build_graph(CYCLE4, 0, [(0, 2, 1, 3)])
+
+    def test_loaded_graphs_carry_none(self):
+        g, _ = graph_from_json_dict(graph_to_json_dict(build_graph(CYCLE4, 0, [self.MIRROR])))
+        assert g.symmetries == ()
 
 
 class TestDistances:

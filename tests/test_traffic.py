@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -395,3 +396,34 @@ class TestDeterminism:
         direct = traffic_totals(g, ExponentialRate(1.8), 4)
         cached = traffic_totals(g, ExponentialRate(1.8), 4, census=census)
         assert direct.T == cached.T and direct.T_r == cached.T_r
+
+
+# (p, q, deepest ball): every ball up to that depth is checked at every n
+ORBIT_BALLS = [(5, 4, 8), (7, 3, 9), (4, 5, 6), (3, 7, 8)]
+
+
+class TestOrbitCensus:
+    @pytest.mark.parametrize("p,q,d_max", ORBIT_BALLS)
+    def test_reduced_census_equals_full(self, p, q, d_max):
+        """Walking one source per orbit gives the census of every source."""
+        for d in range(d_max + 1):
+            g = gen_tessellation(p, q, d)
+            assert len(g.symmetries) == 2
+            plain = dataclasses.replace(g, symmetries=())
+            for n in range(d + 1):
+                assert np.array_equal(pair_census(g, n), pair_census(plain, n)), (d, n)
+
+    def test_sources_walked_on_the_sweep_balls(self):
+        # the dihedral group of order 8 about the (5,4) root leaves this many
+        # boundary orbits at the criterion-7 sweep depths
+        walked = []
+        for d in (5, 6, 7, 8):
+            g = gen_tessellation(5, 4, d)
+            labels = traffic._orbit_labels(g)[list(g.layers[d])]
+            walked.append(len(set(labels.tolist())))
+        assert walked == [19, 43, 98, 225]
+
+    def test_graphs_without_symmetries_walk_every_source(self):
+        for g in (gen_kary_tree(3, 3), gen_grid(5), DIAMOND):
+            assert g.symmetries == ()
+            assert np.array_equal(traffic._orbit_labels(g), np.arange(g.node_count))
