@@ -1,48 +1,8 @@
-"""Traffic simulation and phase-transition analysis on hyperbolic graphs."""
+"""Traffic simulation and phase-transition analysis on hyperbolic graphs.
 
-from .analysis import (
-    GrowthEstimate,
-    TransitionReport,
-    beta_c,
-    classify_transition,
-    growth_exponent,
-    sweep,
-    tree_closed_forms,
-    tree_distance_counts,
-    tree_root_limit,
-)
-from .generators import (
-    FamilySpec,
-    gen_grid,
-    gen_kary_tree,
-    gen_tessellation,
-    load_edge_list,
-)
-from .graphs import (
-    DistanceRow,
-    Graph,
-    HalfInteger,
-    build_graph,
-    distances_from,
-    four_point_delta,
-    graph_from_json_dict,
-    graph_to_json_dict,
-    gromov_product,
-    slim_delta_exact,
-)
-from .traffic import (
-    ExponentialRate,
-    GeodesicField,
-    PolynomialRate,
-    TableRate,
-    TrafficReport,
-    core_radius,
-    geodesic_field,
-    node_loads,
-    pair_h,
-    rate_eval,
-    traffic_totals,
-)
+The API lives in the submodules (graphs, generators, tessellation, traffic,
+analysis, serialize, errors); `hypertraffic.cli` is the command-line front
+end and imports every module it uses.
+"""
 
-__all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -238,6 +238,10 @@ def cmd_tree_oracle(args):
     for n in range(1, args.n_max + 1):
         g = generators.gen_kary_tree(args.k, n, node_cap=_node_cap())
         closed = analysis.tree_closed_forms(args.k, args.beta, n)
+        if closed["P"] == 0.0:
+            raise ValueError(
+                f"closed-form root share beta^-{2 * n} underflows to 0 at beta={args.beta}"
+            )
         rep = traffic.traffic_totals(g, rate, n)
         loads = traffic.node_loads(g, rate, n)
         share = loads[g.root] / rep.T

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import tessellation
 from .errors import EvenSide, ParseError, SizeOverflow
 from .graphs import DEFAULT_NODE_CAP, Graph, build_graph, check_node_cap
@@ -45,6 +47,8 @@ def gen_kary_tree(k: int, depth: int, root_degree: int | None = None,
     internal node has k children, leaves at distance `depth`.
 
     Nodes are numbered in BFS order, so layer t occupies a contiguous range.
+    The graph carries the odometer as its one symmetry, which is transitive
+    on every layer.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
@@ -67,19 +71,36 @@ def gen_kary_tree(k: int, depth: int, root_degree: int | None = None,
     if depth == 0:
         return build_graph([], 0)
 
-    edges = []
-    next_id = 1
-    frontier = [0]
-    for level in range(depth):
-        children_per = root_degree if level == 0 else k
-        new_frontier = []
-        for parent in frontier:
-            for _ in range(children_per):
-                edges.append((parent, next_id))
-                new_frontier.append(next_id)
-                next_id += 1
-        frontier = new_frontier
-    return build_graph(edges, 0)
+    # the parent of node v > root_degree is 1 + (v - 1 - root_degree) // k
+    parents = np.arange(total - 1 - root_degree) // k + 1
+    edges = [(0, v) for v in range(1, root_degree + 1)]
+    edges += zip(parents.tolist(), range(root_degree + 1, total))
+    return build_graph(edges, 0, [_odometer(k, depth, root_degree)])
+
+
+def _odometer(k: int, depth: int, root_degree: int) -> np.ndarray:
+    """The tree's odometer (adding machine) as a permutation of node ids: a
+    root-fixing automorphism with one cycle per layer.
+
+    Read a node's path from the root as a numeral with radices (root_degree,
+    k, ..., k), its level-1 digit least significant; the odometer adds 1
+    with carry. In layer positions, level l maps by [W, root_degree*W) ++
+    O_(l-1) with W = k^(l-1): a node moves to the same place under the next
+    root child, and one under the last root child wraps to the first while
+    its lower digits turn by the k-ary odometer O_j = [k^(j-1), k^j) ++
+    O_(j-1), O_0 = [0].
+    """
+    perm = [np.zeros(1, dtype=np.int64)]
+    inner = np.zeros(1, dtype=np.int64)  # O_(l-1)
+    first = 1
+    for level in range(1, depth + 1):
+        width = k ** (level - 1)
+        perm.append(first + np.concatenate([
+            np.arange(width, root_degree * width, dtype=np.int64), inner,
+        ]))
+        first += root_degree * width
+        inner = np.concatenate([np.arange(width, k * width, dtype=np.int64), inner])
+    return np.concatenate(perm)
 
 
 def gen_tessellation(p: int, q: int, depth: int,
@@ -95,7 +116,8 @@ def gen_tessellation(p: int, q: int, depth: int,
 
 def gen_grid(side: int, node_cap: int = DEFAULT_NODE_CAP) -> Graph:
     """side x side square lattice with 4-neighbor adjacency, rooted at the
-    center; side must be odd so the center exists."""
+    center; side must be odd so the center exists. The graph carries a
+    quarter turn and a mirror about the center, which generate D4."""
     if side < 1:
         raise ValueError(f"side must be >= 1, got {side}")
     if side % 2 == 0:
@@ -112,7 +134,10 @@ def gen_grid(side: int, node_cap: int = DEFAULT_NODE_CAP) -> Graph:
                 edges.append((v, v + 1))
             if i + 1 < side:
                 edges.append((v, v + side))
-    return build_graph(edges, (side * side) // 2)
+    ids = np.arange(side * side, dtype=np.int64).reshape(side, side)
+    # (i, j) -> (j, side-1-i) and (i, j) -> (i, side-1-j) generate D4
+    symmetries = (np.rot90(ids).ravel(), ids[:, ::-1].ravel())
+    return build_graph(edges, (side * side) // 2, symmetries)
 
 
 def load_edge_list(text: str, node_cap: int = DEFAULT_NODE_CAP) -> Graph:

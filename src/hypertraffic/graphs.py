@@ -6,7 +6,6 @@ metric layer involves no floating point at all.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import total_ordering
 
@@ -94,13 +93,12 @@ class Graph:
 def _bfs(adjacency, source, n):
     dist = [-1] * n
     dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
+    queue = [source]
+    for u in queue:  # the loop also visits the nodes appended while it runs
+        du = dist[u] + 1
         for w in adjacency[u]:
             if dist[w] < 0:
-                dist[w] = du + 1
+                dist[w] = du
                 queue.append(w)
     return dist
 
@@ -157,7 +155,10 @@ def build_graph(edges, root, symmetries=()) -> Graph:
             raise MalformedEdge(f"edge {e!r} has a non-integer or negative endpoint")
         if u == v:
             raise MalformedEdge(f"self-loop at node {u}")
-        top = max(top, u, v)
+        if u > top:
+            top = u
+        if v > top:
+            top = v
     n = top + 1
     neighbor_sets = [set() for _ in range(n)]
     for u, v in edges:
@@ -166,8 +167,8 @@ def build_graph(edges, root, symmetries=()) -> Graph:
     adjacency = tuple(tuple(sorted(s)) for s in neighbor_sets)
 
     dist = _bfs(adjacency, root, n)
-    missing = [v for v in range(n) if dist[v] < 0]
-    if missing:
+    if -1 in dist:
+        missing = [v for v in range(n) if dist[v] < 0]
         raise DisconnectedGraph(
             f"{len(missing)} node(s) unreachable from root {root}, e.g. node {missing[0]}"
         )

@@ -5,11 +5,12 @@ geodesic counts, minimum depth over geodesics) is computed once per source by
 a vectorized BFS; rates enter only through a per-distance lookup table, so a
 single integer census over (distance, h) pairs serves every rate function.
 
-The census walks one source per orbit of the graph's checked root-fixing
-symmetries (the dihedral group about the root for tessellation balls) and
-weights each row by its orbit size, in exact integers. Node loads are not
-reduced: every boundary source is walked, so their float sums keep their
-order.
+The census and the node loads walk one source per orbit of the graph's
+checked root-fixing symmetries (the dihedral group about the root for
+tessellation balls, D4 for grids, the odometer for trees) and weight each
+row by its orbit size: in exact integers for the census, and for loads
+followed by a mean over each node orbit. A graph without symmetries, such as
+any loaded graph, walks every source and sums its loads in boundary order.
 
 Determinism: one batched BFS walks many boundary sources together on a single
 thread. Each source sees its frontier in ascending node order, exactly as a
@@ -257,6 +258,15 @@ def _orbit_labels(g: Graph) -> np.ndarray:
         label = new
 
 
+def _boundary_orbits(g: Graph, boundary: np.ndarray):
+    """(label, orbit_size, reps): every node's orbit label, the size of each
+    boundary orbit indexed by its label, and those labels ascending, which
+    are the smallest ids of the boundary orbits and the only sources walked."""
+    label = _orbit_labels(g)
+    orbit_size = np.bincount(label[boundary], minlength=g.node_count)
+    return label, orbit_size, np.flatnonzero(orbit_size)
+
+
 def pair_census(g: Graph, n: int) -> np.ndarray:
     """Integer counts of ordered boundary pairs by (distance, h).
 
@@ -267,8 +277,7 @@ def pair_census(g: Graph, n: int) -> np.ndarray:
     """
     boundary = np.array(boundary_nodes(g, n), dtype=np.int64)
     arrs = _Arrays(g)
-    orbit_size = np.bincount(_orbit_labels(g)[boundary], minlength=arrs.n)
-    reps = np.flatnonzero(orbit_size)
+    _, orbit_size, reps = _boundary_orbits(g, boundary)
     width = n + 1
     size = (2 * n + 1) * width
     total = np.zeros(size, dtype=np.int64)
@@ -346,9 +355,17 @@ def node_loads(g: Graph, f, n: int, include_endpoints: bool = False) -> tuple:
     load(v) = sum over ordered boundary pairs (x, y), x != y, v not an
     endpoint, of rate(d(x,y)) * sigma_xy(v) / sigma_xy; computed by one
     Brandes-style dependency pass per source with per-target rate weights.
+
+    Only the smallest id of each boundary orbit of g.symmetries is walked.
+    A root-fixing automorphism s gives delta_sx(sv) = delta_x(v), so the
+    sources of the orbit Gx add |Gx| times the mean of delta_x over the
+    orbit Gv at v: each walked row is scaled by its orbit size, and the sum
+    is averaged over each node orbit. Without symmetries every factor and
+    divisor is 1, and the loads sum every source in boundary order.
     """
     boundary = np.array(boundary_nodes(g, n), dtype=np.int64)
     arrs = _Arrays(g)
+    label, orbit_size, reps = _boundary_orbits(g, boundary)
     rates = rate_table(f, 2 * n)
     nn = arrs.n
     total = np.zeros(nn)
@@ -364,7 +381,7 @@ def node_loads(g: Graph, f, n: int, include_endpoints: bool = False) -> tuple:
         total = t
 
     done = 0
-    for sources in _batches(arrs, boundary):
+    for sources in _batches(arrs, reps):
         rows = sources.size
         dist, levels = _walk(arrs, sources, boundary)
         start = np.arange(rows, dtype=np.int64) * nn + sources
@@ -393,6 +410,7 @@ def node_loads(g: Graph, f, n: int, include_endpoints: bool = False) -> tuple:
             ends = weight.reshape(rows, nn)[:, boundary]
             delta.flat[start] = [math.fsum(row) for row in ends]
             delta[:, boundary] += ends
+        delta *= orbit_size[sources][:, None]
         # Kahan sum over each group of _KAHAN_GROUP sources in boundary
         # order, then a compensated fold of the group sums
         for row in delta:
@@ -401,12 +419,13 @@ def node_loads(g: Graph, f, n: int, include_endpoints: bool = False) -> tuple:
             comp = (t - acc) - y
             acc = t
             done += 1
-            if done % _KAHAN_GROUP == 0 or done == boundary.size:
+            if done % _KAHAN_GROUP == 0 or done == reps.size:
                 fold(acc)
                 fold(-comp)
                 acc = np.zeros(nn)
                 comp = np.zeros(nn)
-    return tuple(float(x) for x in total)
+    mean = np.bincount(label, weights=total)[label] / np.bincount(label)[label]
+    return tuple(float(x) for x in mean)
 
 
 def core_radius(report: TrafficReport, epsilon: float) -> int:

@@ -13,6 +13,8 @@ from hypertraffic.generators import load_edge_list
 from hypertraffic.graphs import GRAPH_FORMAT, graph_from_json_dict, graph_to_json_dict
 from hypertraffic.serialize import dumps
 
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
 
 def run(*argv):
     return main(list(argv))
@@ -218,6 +220,21 @@ class TestTreeOracle:
             assert float(fields[5]) < 1e-9  # rel_err_T
             assert float(fields[6]) < 1e-9  # rel_err_P
 
+    @pytest.mark.parametrize("beta", ["1e200", "inf"])
+    def test_underflowing_root_share_exit_3(self, tmp_path, capsys, beta):
+        # beta^-2 is 0.0 in float64, so the relative error has no base
+        assert run("tree-oracle", "--k", "2", "--beta", beta, "--n-max", "2",
+                   "--out", str(tmp_path / "o.csv")) == 3
+        assert "underflows" in capsys.readouterr().err
+
+    def test_bytes_match_the_unreduced_engine(self, tmp_path):
+        # recorded before node loads were orbit-reduced, when every leaf of
+        # every tree was walked
+        out = tmp_path / "o.csv"
+        assert run("tree-oracle", "--k", "3", "--beta", "2.0", "--n-max", "6",
+                   "--out", str(out)) == 0
+        assert out.read_bytes() == (FIXTURES / "tree-oracle-k3-beta2-n6.csv").read_bytes()
+
 
 PATH_DOC = {"format": GRAPH_FORMAT, "root": 0, "node_count": 2, "edges": [[0, 1]]}
 
@@ -368,4 +385,16 @@ class TestExitCodeContract:
                              "--depths", "1,2", "--r", "0",
                              "--out", str(Path(tmp) / "s.csv"),
                              "--summary-out", str(Path(tmp) / "s.json"))
+        assert code in (0, 2, 3)
+
+    # small k and n-max give trees under the node cap, and the bounded beta
+    # range reaches the betas whose closed-form root share underflows
+    @SETTINGS
+    @given(k=st.integers(-1, 9) | st.integers(), n_max=st.integers(-1, 6) | st.integers(),
+           beta=st.floats(1.0, 1e300) | st.floats())
+    def test_tree_oracle_on_any_flags(self, monkeypatch, k, n_max, beta):
+        monkeypatch.setenv("HYPERTRAFFIC_NODE_CAP", "64")
+        with tempfile.TemporaryDirectory() as tmp:
+            code = exit_code("tree-oracle", f"--k={k}", f"--n-max={n_max}", f"--beta={beta!r}",
+                             "--out", str(Path(tmp) / "o.csv"))
         assert code in (0, 2, 3)

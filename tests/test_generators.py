@@ -198,9 +198,17 @@ class TestGrid:
         with pytest.raises(SizeOverflow):
             family_graph(FamilySpec(variant="grid", side=5), node_cap=10)
 
-    def test_no_symmetries(self):
-        assert gen_grid(5).symmetries == ()
-        assert gen_kary_tree(2, 3).symmetries == ()
+    @pytest.mark.parametrize("side", [3, 5, 9])
+    def test_symmetries_generate_d4(self, side):
+        # build_graph has checked both as root-fixing automorphisms
+        rot, ref = gen_grid(side).symmetries
+        ident = np.arange(side * side)
+        assert not np.array_equal(rot[rot], ident)
+        assert np.array_equal(rot[rot[rot[rot]]], ident)
+        assert not np.array_equal(ref, ident)
+        assert np.array_equal(ref[ref], ident)
+        assert np.array_equal(ref[rot[ref]], np.argsort(rot))  # s r s = r^-1
+        assert gen_grid(1).symmetries == ()
 
 
 class TestEdgeList:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 
@@ -8,9 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypertraffic import traffic
-from hypertraffic.errors import EmptyBoundary, InvalidRate, SigmaOverflow
-from hypertraffic.generators import gen_grid, gen_kary_tree, gen_tessellation
-from hypertraffic.graphs import build_graph, gromov_product, slim_delta_exact
+from hypertraffic.analysis import tree_closed_forms
+from hypertraffic.errors import EmptyBoundary, InvalidRate, NotAutomorphism, SigmaOverflow
+from hypertraffic.generators import _odometer, gen_grid, gen_kary_tree, gen_tessellation
+from hypertraffic.graphs import (
+    build_graph,
+    graph_from_json_dict,
+    graph_to_json_dict,
+    gromov_product,
+    slim_delta_exact,
+)
 from hypertraffic.traffic import (
     ExponentialRate,
     PolynomialRate,
@@ -423,7 +431,113 @@ class TestOrbitCensus:
             walked.append(len(set(labels.tolist())))
         assert walked == [19, 43, 98, 225]
 
+    def test_trees_and_grids_walk_one_source_per_orbit(self):
+        for g, walked in ((gen_kary_tree(3, 3), [1, 1, 1, 1]), (gen_grid(5), [1, 1, 2, 1, 1])):
+            labels = traffic._orbit_labels(g)
+            assert [len(set(labels[list(layer)].tolist())) for layer in g.layers] == walked
+
     def test_graphs_without_symmetries_walk_every_source(self):
-        for g in (gen_kary_tree(3, 3), gen_grid(5), DIAMOND):
+        loaded, _ = graph_from_json_dict(graph_to_json_dict(gen_tessellation(5, 4, 3)))
+        for g in (DIAMOND, loaded):
             assert g.symmetries == ()
             assert np.array_equal(traffic._orbit_labels(g), np.arange(g.node_count))
+
+
+def _load_graphs(family):
+    if family == "trees":
+        return [gen_kary_tree(k, d, m) for k in (2, 3) for m in (1, k, k + 2) for d in range(6)]
+    if family == "grids":
+        return [gen_grid(5), gen_grid(9)]
+    p, q, d_max = family
+    return [gen_tessellation(p, q, d) for d in range(d_max + 1)]
+
+
+# loads of graphs without symmetries, as sha256 prefixes of their float64
+# bytes at beta 1.3, recorded from the kernel that walked every source before
+# loads were orbit-reduced: (graph, n, include_endpoints) -> digest
+PLAIN_LOAD_DIGESTS = {
+    ("tree-3-4", 4, False): "df440abaed285fe5",
+    ("tree-3-4", 4, True): "a08c04c8d146f6ba",
+    ("tess-5-4-5", 5, False): "cd42a83dd7cd2a24",
+    ("tess-5-4-5", 5, True): "3c16d1cc8c144a03",
+    ("tess-7-3-6", 4, False): "143dc93af9035e4a",
+    ("tess-7-3-6", 4, True): "20860e53d7eaa006",
+    ("grid-9", 6, False): "015165433c066b16",
+    ("grid-9", 6, True): "3732d6f5a8f200da",
+}
+
+
+class TestOrbitLoads:
+    @pytest.mark.parametrize("family", ["trees", (5, 4, 7), (7, 3, 7), (4, 5, 5), "grids"],
+                             ids=["trees", "tess-5-4", "tess-7-3", "tess-4-5", "grids"])
+    def test_reduced_loads_equal_plain(self, family):
+        """Scaling each walked row by its orbit size and averaging over node
+        orbits gives the loads of every source."""
+        rate = ExponentialRate(1.3)
+        for g in _load_graphs(family):
+            plain = dataclasses.replace(g, symmetries=())
+            for n in range(g.max_depth + 1):
+                for ends in (False, True):
+                    got = np.array(node_loads(g, rate, n, include_endpoints=ends))
+                    want = np.array(node_loads(plain, rate, n, include_endpoints=ends))
+                    assert np.array_equal(got == 0, want == 0), (g.node_count, n, ends)
+                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_loads_without_symmetries_are_bit_identical(self):
+        graphs = {
+            "tree-3-4": gen_kary_tree(3, 4),
+            "tess-5-4-5": gen_tessellation(5, 4, 5),
+            "tess-7-3-6": gen_tessellation(7, 3, 6),
+            "grid-9": gen_grid(9),
+        }
+        for (name, n, ends), digest in PLAIN_LOAD_DIGESTS.items():
+            plain = dataclasses.replace(graphs[name], symmetries=())
+            loads = np.array(node_loads(plain, ExponentialRate(1.3), n, include_endpoints=ends))
+            assert hashlib.sha256(loads.tobytes()).hexdigest()[:16] == digest, (name, n, ends)
+
+    @pytest.mark.parametrize("k,depth,root_degree", [(2, 6, 2), (3, 4, 1), (3, 4, 5), (4, 3, 2)])
+    def test_odometer_has_one_orbit_per_layer(self, k, depth, root_degree):
+        g = gen_kary_tree(k, depth, root_degree)
+        (odometer,) = g.symmetries
+        labels = traffic._orbit_labels(g)
+        for layer in g.layers:
+            assert set(labels[list(layer)].tolist()) == {layer[0]}
+            # one cycle: the layer's first node returns after |layer| steps
+            v, steps = odometer[layer[0]], 1
+            while v != layer[0]:
+                v, steps = odometer[v], steps + 1
+            assert steps == len(layer)
+
+    def test_depth_zero_tree_has_no_symmetries(self):
+        assert gen_kary_tree(3, 0).symmetries == ()
+
+    def test_swapped_leaf_images_are_rejected(self):
+        # the first and the last leaf sit under different root children, so
+        # swapping their images breaks the parent relation
+        g = gen_kary_tree(2, 3)
+        perm = _odometer(2, 3, 2).copy()
+        first, last = g.layers[3][0], g.layers[3][-1]
+        perm[[first, last]] = perm[[last, first]]
+        with pytest.raises(NotAutomorphism):
+            build_graph(g.edge_list(), 0, [perm])
+
+
+class TestDeepTree:
+    def test_k3_depth8_census_and_closed_forms(self):
+        """The census of the 3-ary tree at depth 8 is one BFS: a leaf has
+        (k-1)k^(r-1) leaves at distance 2r, whose geodesics turn at depth
+        8-r, and only itself at distance 0."""
+        k, n = 3, 8
+        g = gen_kary_tree(k, n)
+        census = pair_census(g, n)
+        want = np.zeros_like(census)
+        want[0, n] = k**n
+        for r in range(1, n + 1):
+            want[2 * r, n - r] = k**n * (k - 1) * k ** (r - 1)
+        assert np.array_equal(census, want)
+        rate = ExponentialRate(2.0)
+        rep = traffic_totals(g, rate, n, census=census)
+        share = node_loads(g, rate, n)[g.root] / rep.T
+        closed = tree_closed_forms(k, 2.0, n)
+        assert rep.T == pytest.approx(closed["T"], rel=1e-9)
+        assert share == pytest.approx(closed["P"], rel=1e-9)
