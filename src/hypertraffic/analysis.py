@@ -135,6 +135,8 @@ def classify_transition(ratios, tail: int = DEFAULT_TAIL,
                         tau_g: float = DEFAULT_TAU_GLOBAL,
                         tau_l: float = DEFAULT_TAU_LOCAL) -> str:
     """Finite-depth phase label from T_r/T along increasing depths."""
+    if tail < 1:
+        raise ValueError(f"tail must be >= 1, got {tail}")
     ratios = list(ratios)
     if len(ratios) < tail:
         raise TooFewDepths(f"need at least {tail} ratios, got {len(ratios)}")
@@ -194,6 +196,10 @@ def sweep(spec: FamilySpec, betas, depths, r: int,
     depths = tuple(int(n) for n in depths)
     if list(depths) != sorted(set(depths)):
         raise ValueError("depths must be strictly ascending")
+    if r < 0:
+        raise ValueError(f"r must be >= 0, got {r}")
+    if tail < 1:
+        raise ValueError(f"tail must be >= 1, got {tail}")
     if any(n <= r for n in depths):
         raise ValueError(f"all depths must exceed r={r}")
     if list(betas) != sorted(set(betas)):

@@ -108,7 +108,9 @@ def cmd_analyze(args):
     g, _ = _load_graph(args.graph)
     spheres = [len(layer) for layer in g.layers]
     if len(spheres) >= 3:
-        window = args.window if args.window else analysis.default_window(spheres)
+        window = args.window
+        if window is None:
+            window = analysis.default_window(spheres)
         est = analysis.growth_exponent(spheres, window)
     else:
         # too few spheres for any ratio window; constant balls grow at rate 0

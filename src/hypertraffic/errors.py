@@ -47,7 +47,8 @@ class InvalidRate(HypertrafficError):
 
 
 class SigmaOverflow(HypertrafficError):
-    """Geodesic counts exceeded the checked float64 range; use exact=True."""
+    """Geodesic counts exceeded the checked float64 range; geodesic_field()
+    gives exact big-integer counts."""
 
 
 class EmptyBoundary(HypertrafficError):

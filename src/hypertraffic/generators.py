@@ -110,7 +110,7 @@ def gen_tessellation(p: int, q: int, depth: int,
     and reflection about the root as symmetries."""
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    edges, _, symmetries = tessellation.build_ball(p, q, depth, node_cap=node_cap)
+    edges, symmetries = tessellation.build_ball(p, q, depth, node_cap=node_cap)
     return build_graph(edges, 0, symmetries)
 
 

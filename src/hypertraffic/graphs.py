@@ -70,8 +70,7 @@ class Graph:
     ascending. symmetries holds permutations of the node ids as read-only
     int64 arrays, each checked by build_graph to be an automorphism that
     fixes the root; generators supply them where they know the graph's
-    symmetry, and other graphs carry none.
-    Instances are immutable and safe to share across workers.
+    symmetry, and other graphs carry none. Instances are immutable.
     """
 
     node_count: int
@@ -91,16 +90,19 @@ class Graph:
 
 
 def _bfs(adjacency, source, n):
+    """(dist, order): hop distances from `source` over nodes 0..n-1, -1 where
+    unreached, and the reached nodes in visiting order, so dist never
+    decreases along order. Neighbours are visited in adjacency order."""
     dist = [-1] * n
     dist[source] = 0
-    queue = [source]
-    for u in queue:  # the loop also visits the nodes appended while it runs
+    order = [source]
+    for u in order:  # the loop also visits the nodes appended while it runs
         du = dist[u] + 1
         for w in adjacency[u]:
             if dist[w] < 0:
                 dist[w] = du
-                queue.append(w)
-    return dist
+                order.append(w)
+    return dist, order
 
 
 def check_node_cap(edges, root, node_cap: int) -> None:
@@ -166,7 +168,7 @@ def build_graph(edges, root, symmetries=()) -> Graph:
         neighbor_sets[v].add(u)
     adjacency = tuple(tuple(sorted(s)) for s in neighbor_sets)
 
-    dist = _bfs(adjacency, root, n)
+    dist, _ = _bfs(adjacency, root, n)
     if -1 in dist:
         missing = [v for v in range(n) if dist[v] < 0]
         raise DisconnectedGraph(
@@ -190,13 +192,13 @@ def distances_from(g: Graph, source: int) -> DistanceRow:
     """Exact BFS distances from `source` to every node."""
     if not 0 <= source < g.node_count:
         raise IndexError(f"source {source} out of range")
-    return DistanceRow(source=source, dist=tuple(_bfs(g.adjacency, source, g.node_count)))
+    return DistanceRow(source=source, dist=tuple(_bfs(g.adjacency, source, g.node_count)[0]))
 
 
 def gromov_product(g: Graph, y: int, z: int, base: int) -> HalfInteger:
     """(y,z)_base = (d(base,y) + d(base,z) - d(y,z)) / 2, exactly."""
-    db = _bfs(g.adjacency, base, g.node_count)
-    dy = _bfs(g.adjacency, y, g.node_count)
+    db, _ = _bfs(g.adjacency, base, g.node_count)
+    dy, _ = _bfs(g.adjacency, y, g.node_count)
     return HalfInteger(db[y] + db[z] - dy[z])
 
 
@@ -205,7 +207,7 @@ def distance_matrix(g: Graph) -> np.ndarray:
     n = g.node_count
     out = np.empty((n, n), dtype=np.int32)
     for s in range(n):
-        out[s] = _bfs(g.adjacency, s, n)
+        out[s] = _bfs(g.adjacency, s, n)[0]
     return out
 
 

@@ -2,7 +2,7 @@
 
 Floats are printed with 17 significant digits (round-trip exact), keys keep
 insertion order, and lines end with a bare newline, so identical inputs give
-identical bytes regardless of platform or worker count.
+identical bytes regardless of platform.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import deque
 
 from .errors import NotAutomorphism, NotHyperbolic, SizeOverflow
-from .graphs import DEFAULT_NODE_CAP
+from .graphs import DEFAULT_NODE_CAP, _bfs
 
 
 class TessellationMap:
@@ -31,18 +31,18 @@ class TessellationMap:
         self.nxt = []     # next half-edge around its face (outer cycle if face -1)
         self.prv = []
         self.face = []    # face id, -1 for the outer boundary
-        self.degree = []  # vertex -> current edge count
+        self.adj = []     # vertex -> neighbours, in edge creation order
         self.bnd_in = []  # vertex -> boundary half-edge pointing into it, -1 if interior
         self.face_count = 0
 
     @property
     def vertex_count(self):
-        return len(self.degree)
+        return len(self.adj)
 
     def _new_vertex(self):
-        self.degree.append(0)
+        self.adj.append([])
         self.bnd_in.append(-1)
-        return len(self.degree) - 1
+        return len(self.adj) - 1
 
     def _new_edge(self, u, v):
         h = len(self.org)
@@ -50,8 +50,8 @@ class TessellationMap:
         self.nxt += [-1, -1]
         self.prv += [-1, -1]
         self.face += [-1, -1]
-        self.degree[u] += 1
-        self.degree[v] += 1
+        self.adj[u].append(v)
+        self.adj[v].append(u)
         return h
 
     def _link(self, a, b):
@@ -82,12 +82,12 @@ class TessellationMap:
         p, q = self.p, self.q
         run = [h0]
         while len(run) < p:
-            if self.degree[self._head(run[-1])] < q:
+            if len(self.adj[self._head(run[-1])]) < q:
                 break
             run.append(self.nxt[run[-1]])
         if len(run) < p:
             while len(run) < p:
-                if self.degree[self.org[run[0]]] < q:
+                if len(self.adj[self.org[run[0]]]) < q:
                     break
                 run.insert(0, self.prv[run[0]])
         length = len(run)
@@ -140,27 +140,6 @@ class TessellationMap:
         """Close faces around v until its wheel of q faces is complete."""
         while self.bnd_in[v] != -1:
             self.close_face(self.bnd_in[v])
-
-    def adjacency(self):
-        adj = [[] for _ in range(self.vertex_count)]
-        for h in range(0, len(self.org), 2):
-            u, v = self.org[h], self.org[h + 1]
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
-
-    def vertex_depths(self, adj):
-        """BFS depth from the root over `adj`, the current adjacency()."""
-        dist = [-1] * self.vertex_count
-        dist[0] = 0
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return dist
 
     def root_symmetry(self, image, reflect, depths, depth):
         """Vertex map of the root-fixing map automorphism taking dart 1 to `image`.
@@ -236,10 +215,11 @@ class TessellationMap:
         rim_heads = [self._head(h) for h in range(n_half) if self.face[h] == -1]
         rim_set = set(rim_heads)
         assert len(rim_heads) == len(rim_set)
+        degree = [len(a) for a in self.adj]
         for v in range(self.vertex_count):
-            assert 0 < self.degree[v] <= self.q
+            assert 0 < degree[v] <= self.q
             if self.bnd_in[v] == -1:
-                assert self.degree[v] == self.q
+                assert degree[v] == self.q
                 assert v not in rim_set
             else:
                 h = self.bnd_in[v]
@@ -251,7 +231,7 @@ class TessellationMap:
         incoming = [0] * self.vertex_count
         for h in range(n_half):
             incoming[self._head(h)] += 1
-        assert incoming == self.degree
+        assert incoming == degree
         seen = [False] * n_half
         for h in range(n_half):
             if seen[h]:
@@ -265,7 +245,7 @@ class TessellationMap:
                 cur = self.nxt[cur] ^ 1
                 if cur == h:
                     break
-            assert length == self.degree[self._head(h)]
+            assert length == degree[self._head(h)]
 
         # Euler characteristic of a disk
         assert self.vertex_count - edge_count + self.face_count == 1
@@ -278,23 +258,23 @@ def check_hyperbolic(p: int, q: int):
         raise NotHyperbolic(f"({p}-2)({q}-2) = {(p - 2) * (q - 2)} is not > 4")
 
 
-def build_ball(p: int, q: int, depth: int, node_cap: int = DEFAULT_NODE_CAP, audit: bool = True):
+def build_ball(p: int, q: int, depth: int, node_cap: int = DEFAULT_NODE_CAP):
     """Edges of the radius-`depth` ball around a root vertex, BFS-relabeled.
 
-    Returns (edges, node_count, symmetries); the root is vertex 0.
-    symmetries holds two root-fixing automorphisms of the ball as permutations
-    of its labels: the rotation by one face about the root and a reflection,
-    which generate the dihedral group of order 2q. Saturates every vertex
-    closer than `depth` to the root, then truncates to the ball.
+    Returns (edges, symmetries); the root is vertex 0 and labels count up in
+    BFS order. symmetries holds two root-fixing automorphisms of the ball as
+    permutations of its labels: the rotation by one face about the root and
+    a reflection, which generate the dihedral group of order 2q. Saturates
+    every vertex closer than `depth` to the root, audits the half-edge map,
+    then truncates to the ball.
     """
     check_hyperbolic(p, q)
     if depth == 0:
-        return [], 1, ((0,), (0,))
+        return [], ((0,), (0,))
     tmap = TessellationMap(p, q)
     tmap.bootstrap()
     while True:
-        adj = tmap.adjacency()
-        depths = tmap.vertex_depths(adj)
+        depths, _ = _bfs(tmap.adj, 0, tmap.vertex_count)
         pending = [
             v
             for v in range(tmap.vertex_count)
@@ -308,28 +288,20 @@ def build_ball(p: int, q: int, depth: int, node_cap: int = DEFAULT_NODE_CAP, aud
                 raise SizeOverflow(
                     f"tessellation ({p},{q}) depth {depth} exceeds node cap {node_cap}"
                 )
-    if audit:
-        tmap.audit()
+    tmap.audit()
 
-    keep = [v for v in range(tmap.vertex_count) if depths[v] <= depth]
+    # labels follow a BFS that takes neighbours in map-id order; it reaches
+    # vertices depth by depth, so the ball is a prefix of its order
+    _, order = _bfs([sorted(a) for a in tmap.adj], 0, tmap.vertex_count)
+    keep = [v for v in order if depths[v] <= depth]
+    relabel = {v: i for i, v in enumerate(keep)}
 
-    relabel = {0: 0}
-    order = deque([0])
-    while order:
-        u = order.popleft()
-        for w in sorted(adj[u]):
-            if depths[w] <= depth and w not in relabel:
-                relabel[w] = len(relabel)
-                order.append(w)
-    assert len(relabel) == len(keep)
-
-    edges = set()
-    for u in keep:
-        for w in adj[u]:
-            if depths[w] <= depth:
-                nu, nw = relabel[u], relabel[w]
-                if nu < nw:
-                    edges.add((nu, nw))
+    edges = sorted({
+        (relabel[u], relabel[w])
+        for u in keep
+        for w in tmap.adj[u]
+        if w in relabel and relabel[u] < relabel[w]
+    })
 
     symmetries = []
     for image, reflect in ((tmap.nxt[1] ^ 1, False), (1, True)):
@@ -342,4 +314,4 @@ def build_ball(p: int, q: int, depth: int, node_cap: int = DEFAULT_NODE_CAP, aud
                 f"({p},{q}) depth {depth} dart walk does not permute the ball"
             )
         symmetries.append(tuple(perm))
-    return sorted(edges), len(keep), tuple(symmetries)
+    return edges, tuple(symmetries)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyBoundary, InvalidRate, SigmaOverflow
-from .graphs import DistanceRow, Graph
+from .graphs import DistanceRow, Graph, _bfs
 
 _SIGMA_LIMIT = 2.0**53
 _BATCH_SLOTS = 1 << 14  # slots (source x node) per batch of the walk
@@ -116,23 +116,10 @@ class GeodesicField:
 def geodesic_field(g: Graph, source: int) -> GeodesicField:
     if not 0 <= source < g.node_count:
         raise IndexError(f"source {source} out of range")
-    n = g.node_count
-    dist = [-1] * n
-    sigma = [0] * n
-    md = [0] * n
-    dist[source] = 0
+    dist, order = _bfs(g.adjacency, source, g.node_count)
+    sigma = [0] * g.node_count
     sigma[source] = 1
-    md[source] = g.depth[source]
-    order = [source]
-    head = 0
-    while head < len(order):
-        v = order[head]
-        head += 1
-        for w in g.adjacency[v]:
-            if dist[w] < 0:
-                dist[w] = dist[v] + 1
-                md[w] = g.depth[w]
-                order.append(w)
+    md = list(g.depth)
     for v in order[1:]:
         target = dist[v] - 1
         best = md[v]
@@ -297,7 +284,7 @@ def pair_census(g: Graph, n: int) -> np.ndarray:
 @dataclass(frozen=True)
 class TrafficReport:
     """Traffic totals at depth n: T, the prefix vector T_r, and the per-h
-    histogram (pair counts and rate mass); node_loads filled in separately."""
+    histogram (pair counts and rate mass)."""
 
     n: int
     rate: object
@@ -305,7 +292,6 @@ class TrafficReport:
     T_r: tuple
     h_counts: tuple
     h_mass: tuple
-    node_loads: tuple = None
 
     def ratio(self, r: int) -> float:
         return self.T_r[r] / self.T

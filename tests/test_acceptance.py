@@ -315,7 +315,7 @@ def test_criterion_8_tessellation_structural_audit():
     ok = True
     details = []
     for p, q in ((5, 4), (4, 5), (7, 3)):
-        build_ball(p, q, 6, audit=True)  # face sizes, rim, rotations, Euler
+        build_ball(p, q, 6)  # audits face sizes, rim, rotations, Euler
         g = gen_tessellation(p, q, 6)
         for v in range(g.node_count):
             if g.depth[v] <= 4 and len(g.adjacency[v]) != q:

@@ -168,6 +168,12 @@ class TestClassify:
     def test_custom_thresholds(self):
         assert classify_transition([0.1, 0.12, 0.15], tau_g=0.1) == GLOBAL
 
+    @pytest.mark.parametrize("tail", [0, -2])
+    def test_tail_below_one(self, tail):
+        # ratios[-0:] is the whole series and ratios[2:] drops the head
+        with pytest.raises(ValueError, match="tail must be >= 1"):
+            classify_transition([0.30, 0.38, 0.41, 0.43], tail=tail)
+
 
 class TestSweep:
     def test_tree_grid(self):
@@ -209,6 +215,11 @@ class TestSweep:
             sweep(spec, [1.5], [2, 3], 3)  # depth <= r
         with pytest.raises(ValueError):
             sweep(spec, [0.5, 1.5], [3, 4], 0)  # beta <= 1
+        with pytest.raises(ValueError, match="r must be >= 0"):
+            sweep(spec, [1.5], [3, 4, 5], -1)  # T_r[-1] would read T
+        for tail in (0, -2):
+            with pytest.raises(ValueError, match="tail must be >= 1"):
+                sweep(spec, [1.5], [3, 4, 5], 0, tail=tail)
 
     def test_polynomial_control_keeps_core(self):
         spec = FamilySpec(variant="tree", k=2, depth=0)

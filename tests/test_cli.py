@@ -125,6 +125,17 @@ class TestAnalyze:
                    "--out", str(rep)) == 0
         assert json.loads(rep.read_text())["T"] == 1.0
 
+    @pytest.mark.parametrize("window", ["0", "1"])
+    def test_window_below_two_exit_3(self, tmp_path, capsys, window):
+        gfile = tmp_path / "t.json"
+        run("generate", "--family", "tree", "--k", "3", "--depth", "4",
+            "--out", str(gfile))
+        out = tmp_path / "a.json"
+        assert run("analyze", "--graph", str(gfile), "--window", window,
+                   "--out", str(out)) == 3
+        assert f"window {window} not in [2, 4]" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTraffic:
     def test_report_and_loads(self, tmp_path, capsys):
@@ -205,6 +216,18 @@ class TestSweep:
                 "--out", str(out), "--summary-out", str(summ))
             files[threads] = out.read_bytes() + summ.read_bytes()
         assert files["1"] == files["3"]
+
+    @pytest.mark.parametrize("flag,value", [("--r", "-1"), ("--tail", "0"), ("--tail", "-2")])
+    def test_negative_r_or_tail_below_one_exit_3(self, tmp_path, capsys, flag, value):
+        args = {"--r": "0", "--tail": "3", flag: value}
+        out = tmp_path / "s.csv"
+        code = run("sweep", "--family", "tree", "--k", "2",
+                   "--beta-min", "1.2", "--beta-max", "2.0", "--steps", "3",
+                   "--depths", "3,4,5", "--r", args["--r"], "--tail", args["--tail"],
+                   "--out", str(out))
+        assert code == 3
+        assert f"{flag[2:]} must be >= " in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTreeOracle:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from hypertraffic.generators import (
     gen_tessellation,
     load_edge_list,
 )
-from hypertraffic.graphs import four_point_delta, graph_to_json_dict
+from hypertraffic.graphs import _bfs, four_point_delta, graph_to_json_dict
 from hypertraffic.serialize import dumps
 from hypertraffic.tessellation import TessellationMap, build_ball
 
@@ -30,6 +31,23 @@ from hypertraffic.tessellation import TessellationMap, build_ball
 GROWTH_54 = 2.296630262886537
 # (4,5) spheres are 5*Fibonacci(2t), ratio (3+sqrt(5))/2
 GROWTH_45 = (3.0 + math.sqrt(5.0)) / 2.0
+
+# sha256 of a generated ball's graph JSON bytes followed by its symmetry
+# lists: any change to the builder's labels, edges or symmetries shows here
+BALL_DIGESTS = [
+    ((5, 4, 0), "73e1fbdd53d7ad1925d947809d8db506056341eb456d7718ff5a0b9e2354fa02"),
+    ((5, 4, 1), "11ac9f744c554eb568c0059a1380bc536eb0ae7151196f38b3532da9ad1b387f"),
+    ((5, 4, 8), "10fc041359c63a2cac68b12584ddf521a5f61291cfaa368357b7c1cb390cc413"),
+    ((7, 3, 0), "73e1fbdd53d7ad1925d947809d8db506056341eb456d7718ff5a0b9e2354fa02"),
+    ((7, 3, 1), "112c0085c6db3169005c734efe2ec445351f3bd1fecbc71cb711284afb062eda"),
+    ((7, 3, 9), "62ddec93febf92a3b31fdb0225f4cba434244c016a9afc5ac4ef13d0b6a38f13"),
+    ((4, 5, 0), "73e1fbdd53d7ad1925d947809d8db506056341eb456d7718ff5a0b9e2354fa02"),
+    ((4, 5, 1), "8af955352c67c0d489de2977c7c24b6d44d5fd5aa8bb274d67eedaeb4b8dfece"),
+    ((4, 5, 6), "71d759d366fb55213e9c55370cef46f14ca2eb23201c23cf985e4a6d1b2a3b91"),
+    ((3, 7, 0), "73e1fbdd53d7ad1925d947809d8db506056341eb456d7718ff5a0b9e2354fa02"),
+    ((3, 7, 1), "2e26666e021efe4b56022a7c6a72f7bc3bd744ce886f2bf08ea01a9565c993a5"),
+    ((3, 7, 7), "02f638b146a5ff219748de161ac5dbdf602776f8da63b5b859a004f1ee5fc546"),
+]
 
 
 class TestKaryTree:
@@ -95,7 +113,7 @@ class TestTessellation:
         # the builder's own structural audit: faces are p-cycles, rim is
         # simple, rotations close, Euler characteristic of a disk
         for p, q in [(5, 4), (4, 5), (7, 3), (3, 7)]:
-            build_ball(p, q, 3, audit=True)
+            build_ball(p, q, 3)
 
     def test_known_layer_counts(self):
         # hand-counted small layers
@@ -105,6 +123,15 @@ class TestTessellation:
         assert [len(l) for l in g45.layers] == [1, 5, 15, 40]
         g37 = gen_tessellation(3, 7, 3)
         assert [len(l) for l in g37.layers] == [1, 7, 21, 56]
+        # deeper, exact integer recurrences of the sphere sizes for k >= 1
+        s = [len(l) for l in gen_tessellation(5, 4, 9).layers]
+        assert s[-3:] == [780, 1792, 4116]
+        for k in range(1, len(s) - 4):
+            assert s[k + 4] == 2 * s[k + 3] + 2 * s[k + 1] - s[k]
+        for p, q in [(4, 5), (3, 7)]:
+            s = [len(l) for l in gen_tessellation(p, q, 7).layers]
+            for k in range(1, len(s) - 2):
+                assert s[k + 2] == 3 * s[k + 1] - s[k]
 
     def test_growth_ratio_convergence(self):
         g = gen_tessellation(5, 4, 8)
@@ -126,6 +153,14 @@ class TestTessellation:
         a = dumps(graph_to_json_dict(gen_tessellation(5, 4, 4)))
         b = dumps(graph_to_json_dict(gen_tessellation(5, 4, 4)))
         assert a == b
+
+    @pytest.mark.parametrize(
+        "pqd,digest", BALL_DIGESTS, ids=[f"{p}-{q}-d{d}" for (p, q, d), _ in BALL_DIGESTS]
+    )
+    def test_output_pinned(self, pqd, digest):
+        g = gen_tessellation(*pqd)
+        text = dumps(graph_to_json_dict(g)) + dumps([s.tolist() for s in g.symmetries])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_size_cap(self):
         with pytest.raises(SizeOverflow):
@@ -153,7 +188,7 @@ class TestTessellation:
         tmap.bootstrap()
         for v in range(5):
             tmap.saturate(v)
-        depths = tmap.vertex_depths(tmap.adjacency())
+        depths, _ = _bfs(tmap.adj, 0, tmap.vertex_count)
         rotation = tmap.nxt[1] ^ 1
         assert tmap.root_symmetry(rotation, False, depths, 1)[0] == 0
         with pytest.raises(NotAutomorphism):

@@ -13,6 +13,7 @@ from hypertraffic.errors import (
 from hypertraffic.generators import gen_grid, gen_kary_tree
 from hypertraffic.graphs import (
     HalfInteger,
+    _bfs,
     build_graph,
     distances_from,
     four_point_delta,
@@ -153,6 +154,30 @@ class TestDistances:
         g = build_graph(PATH3, 0)
         with pytest.raises(IndexError):
             distances_from(g, 99)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_bfs_order(self, seed):
+        # raw neighbour lists, unsorted and with nodes the source cannot reach
+        rng = random.Random(seed)
+        n = rng.randint(1, 15)
+        adjacency = [[] for _ in range(n)]
+        for _ in range(rng.randint(0, 2 * n)):
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u != v:
+                adjacency[u].append(v)
+                adjacency[v].append(u)
+        source = rng.randrange(n)
+        dist, order = _bfs(adjacency, source, n)
+        assert order[0] == source and dist[source] == 0
+        assert sorted(order) == [v for v in range(n) if dist[v] >= 0]
+        steps = [dist[w] - dist[v] for v, w in zip(order, order[1:])]
+        assert set(steps) <= {0, 1}
+        for v in order[1:]:  # one hop further than some neighbour
+            assert min(dist[w] for w in adjacency[v] if dist[w] >= 0) == dist[v] - 1
+        for v in range(n):  # unreached nodes read -1 and have no reached neighbour
+            if dist[v] < 0:
+                assert dist[v] == -1
+                assert all(dist[w] == -1 for w in adjacency[v])
 
 
 class TestGromovProduct:
