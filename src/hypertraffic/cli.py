@@ -107,7 +107,8 @@ def cmd_generate(args):
 def cmd_analyze(args):
     g, _ = _load_graph(args.graph)
     spheres = [len(layer) for layer in g.layers]
-    if len(spheres) >= 3:
+    if args.window is not None or len(spheres) >= 3:
+        # an explicit window is checked against [2, ratios] on every graph
         window = args.window
         if window is None:
             window = analysis.default_window(spheres)

@@ -9,7 +9,13 @@ import numpy as np
 
 from . import tessellation
 from .errors import EvenSide, ParseError, SizeOverflow
-from .graphs import DEFAULT_NODE_CAP, Graph, build_graph, check_node_cap
+from .graphs import (
+    DEFAULT_NODE_CAP,
+    Graph,
+    build_graph,
+    check_node_cap,
+    with_found_symmetries,
+)
 
 
 @dataclass(frozen=True)
@@ -143,7 +149,8 @@ def gen_grid(side: int, node_cap: int = DEFAULT_NODE_CAP) -> Graph:
 def load_edge_list(text: str, node_cap: int = DEFAULT_NODE_CAP) -> Graph:
     """Parse whitespace-separated "u v" pairs; '#' starts a comment, and a
     "# root R" comment sets the root (default 0). An id at or above node_cap
-    raises SizeOverflow before the graph is built."""
+    raises SizeOverflow before the graph is built. The graph carries the
+    root-fixing automorphisms graphs.find_symmetries verifies."""
     root = 0
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -169,7 +176,7 @@ def load_edge_list(text: str, node_cap: int = DEFAULT_NODE_CAP) -> Graph:
             raise ParseError(f"non-integer token in {raw!r}", lineno) from None
         edges.extend(zip(values[0::2], values[1::2]))
     check_node_cap(edges, root, node_cap)
-    return build_graph(edges, root)
+    return with_found_symmetries(build_graph(edges, root))
 
 
 def family_graph(spec: FamilySpec, depth: int | None = None,

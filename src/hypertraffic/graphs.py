@@ -6,7 +6,7 @@ metric layer involves no floating point at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import total_ordering
 
 import numpy as np
@@ -23,6 +23,8 @@ DEFAULT_NODE_CAP = 1 << 24
 FOUR_POINT_CAP = 300
 SLIM_CAP = 64
 GEODESIC_ENUM_CAP = 20000
+_SEARCH_BUDGET = 1 << 25  # node+edge visits a symmetry search may spend
+_MATCH_PASSES = 16  # a match and its check, in Python, priced as refinement rounds
 
 
 @total_ordering
@@ -68,9 +70,10 @@ class Graph:
 
     adjacency[v] is sorted ascending; layers[t] lists the nodes at depth t,
     ascending. symmetries holds permutations of the node ids as read-only
-    int64 arrays, each checked by build_graph to be an automorphism that
-    fixes the root; generators supply them where they know the graph's
-    symmetry, and other graphs carry none. Instances are immutable.
+    int64 arrays, each checked by _check_symmetry to be an automorphism that
+    fixes the root. Generators supply them where they know the graph's
+    symmetry, the loaders attach those find_symmetries verifies, and graphs
+    built directly carry none. Instances are immutable.
     """
 
     node_count: int
@@ -188,6 +191,225 @@ def build_graph(edges, root, symmetries=()) -> Graph:
     )
 
 
+def _orbit_labels(n: int, symmetries) -> np.ndarray:
+    """Smallest node id in each node's orbit under the group `symmetries`
+    generate: the components of the graph joining each node to its images,
+    found by hooking each component's root onto the smaller root across an
+    edge, then pointer jumping until every label is a root. Any maps of the
+    nodes into themselves work, as edges, not only permutations."""
+    label = np.arange(n)
+    if not symmetries:
+        return label
+    src = np.tile(label, len(symmetries))
+    dst = np.concatenate(symmetries)
+    while True:
+        a, b = label[src], label[dst]
+        if np.array_equal(a, b):
+            return label
+        np.minimum.at(label, a, b)
+        np.minimum.at(label, b, a)
+        while not np.array_equal(jumped := label[label], label):
+            label = jumped
+
+
+class _SearchStopped(Exception):
+    """The symmetry search ran out of budget or met a hash collision."""
+
+
+def _mix64(x: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer: a fixed, well-spread 64-bit hash."""
+    x = x.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+class _Refiner:
+    """Colour refinement of one graph, counting its work in node+edge visits.
+
+    Colourings are int64 arrays of dense ranks 0..k-1. Each round recolours
+    a node by the rank of its signature, its colour and the multiset of its
+    neighbours' colours, keyed by a 64-bit sum of hashes. Ranks depend only
+    on the set of signatures present, so two copies refined in lockstep
+    keep comparable colour names. Every round checks that the nodes it
+    gives one colour had one colour and have equal sorted neighbour
+    colours, and stops the search on a hash collision, so the partitions
+    are exact.
+    """
+
+    def __init__(self, g: Graph):
+        n = g.node_count
+        self.n = n
+        self.degree = np.fromiter(map(len, g.adjacency), dtype=np.int64, count=n)
+        self.indptr = np.concatenate(([0], np.cumsum(self.degree)))
+        self.src = np.repeat(np.arange(n, dtype=np.int64), self.degree)
+        self.dst = np.fromiter(
+            (w for adj in g.adjacency for w in adj), dtype=np.int64, count=self.src.size
+        )
+        self.offset = np.arange(self.src.size) - self.indptr[self.src]
+        # colours never exceed n: hashes of neighbour colours, then of own colours
+        self.hash = _mix64(np.arange(2 * n + 2))
+        self.cost = n + self.src.size // 2
+        self.work = 0
+
+    def spend(self, passes=1):
+        """Count passes over the graph, or stop the search if they would
+        take the work past _SEARCH_BUDGET."""
+        if self.work + passes * self.cost > _SEARCH_BUDGET:
+            raise _SearchStopped
+        self.work += passes * self.cost
+
+    def _round(self, colour):
+        nbr = colour[self.dst]
+        key = np.add.reduceat(self.hash[nbr], self.indptr[:-1]) + self.hash[self.n + 1 + colour]
+        _, first, new = np.unique(key, return_index=True, return_inverse=True)
+        rep = first[new]
+        # a class must share its old colour and its sorted neighbour colours
+        base = self.src * (self.n + 1)
+        seq = np.sort(base + nbr) - base
+        if not (
+            np.array_equal(colour[rep], colour)
+            and np.array_equal(self.degree[rep], self.degree)
+            and np.array_equal(seq[self.indptr[rep][self.src] + self.offset], seq)
+        ):
+            raise _SearchStopped
+        return new
+
+    def refine(self, colour):
+        """The coarsest equitable refinement of `colour`."""
+        k = int(colour.max()) + 1
+        while True:
+            self.spend()
+            new = self._round(colour)
+            new_k = int(new.max()) + 1
+            if new_k == k:
+                return new
+            colour, k = new, new_k
+
+    def individualize(self, colour, node):
+        """Give `node` a colour of its own, then refine."""
+        colour = colour.copy()
+        colour[node] = colour.max() + 1
+        return self.refine(colour)
+
+
+def _match(g: Graph, a, b, start: int):
+    """A bijection that sends each node of colour c under colouring `a` to a
+    node of colour c under `b`, built by BFS from the root: the unmatched
+    neighbours of a matched pair are paired in colour order, ties broken by
+    id in `a` and by id counted cyclically from `start` in `b`. None if some
+    pair's unmatched neighbours differ in colours.
+
+    Where every colour is one node this is the only such bijection; on a
+    tree refined to equitable colourings it is an automorphism whenever one
+    exists, without a discrete partition. The cyclic tie-break makes one
+    match on a star turn all the leaves at once rather than swap two.
+    """
+    adj = g.adjacency
+    n = g.node_count
+    a = a.tolist()
+    b = b.tolist()
+    perm = [-1] * n
+    used = [False] * n
+    perm[g.root] = g.root
+    used[g.root] = True
+    queue = [g.root]
+    for u in queue:  # the loop also visits the nodes appended while it runs
+        ours = sorted((a[x], x) for x in adj[u] if perm[x] < 0)
+        theirs = sorted((b[y], (y - start) % n, y) for y in adj[perm[u]] if not used[y])
+        if [c for c, _ in ours] != [c for c, _, _ in theirs]:
+            return None
+        for (_, x), (_, _, y) in zip(ours, theirs):
+            perm[x] = y
+            used[y] = True
+            queue.append(x)
+    return perm
+
+
+def find_symmetries(g: Graph) -> tuple:
+    """(symmetries, work): root-fixing automorphisms of g found by
+    individualization-refinement, and the node+edge visits spent.
+
+    Nodes are coloured by root depth and refined to an equitable partition.
+    An automorphism fixing the root keeps each of its cells, so the orbits
+    are never coarser than the cells. For each cell that is not yet one
+    orbit, its smallest id v0 is individualized in one copy and each
+    candidate w outside v0's orbit in another, and both are refined. Where
+    _match then gives no automorphism, both copies individualize the
+    smallest id of their first cell with more than one node and try again,
+    down to a discrete partition. Each candidate goes through
+    _check_symmetry and is dropped if it fails, so the result never rests on
+    the search. The search stops when the orbits equal the cells, or when
+    the next pass over the graph would take the work past _SEARCH_BUDGET;
+    it returns the verified generators found so far, possibly none.
+    """
+    n = g.node_count
+    if n < 3:  # a root-fixing permutation of at most two nodes fixes both
+        return (), 0
+    refiner = _Refiner(g)
+    edges = g.edge_list()
+    neighbor_sets = [set(a) for a in g.adjacency]
+    found = []
+
+    def automorphism(a, b, start):
+        """A checked automorphism sending colour classes of a onto those of
+        b, or None once the copies' cell sizes differ or a discrete pairing
+        fails the check."""
+        while np.array_equal(sizes := np.bincount(a), np.bincount(b)):
+            refiner.spend(_MATCH_PASSES)
+            if sizes.size == n:
+                perm = np.empty(n, dtype=np.int64)
+                perm[b] = np.arange(n)
+                perm = perm[a]
+            else:
+                perm = _match(g, a, b, start)
+            if perm is not None:
+                try:
+                    return _check_symmetry(perm, g.root, edges, neighbor_sets)
+                except NotAutomorphism:
+                    pass
+            if sizes.size == n:
+                return None
+            cell = np.argmax(sizes > 1)
+            a = refiner.individualize(a, np.flatnonzero(a == cell)[0])
+            b = refiner.individualize(b, np.flatnonzero(b == cell)[0])
+        return None
+
+    try:
+        colour = refiner.refine(np.array(g.depth, dtype=np.int64))
+        cells = int(colour.max()) + 1
+        labels = np.arange(n)
+        sizes = np.bincount(colour)
+        by_cell = np.lexsort((np.arange(n), colour, -sizes[colour]))
+        ends = np.cumsum(np.sort(sizes)[::-1]).tolist()
+        for lo, hi in zip([0] + ends[:-1], ends):
+            members = by_cell[lo:hi].tolist()
+            if all(labels[w] == labels[members[0]] for w in members):
+                continue
+            fixed = refiner.individualize(colour, members[0])
+            for w in members[1:]:
+                if labels[w] == labels[members[0]]:
+                    continue
+                perm = automorphism(fixed, refiner.individualize(colour, w), w)
+                if perm is None:
+                    continue
+                found.append(perm)
+                # joining each node to its label keeps the orbits found so far
+                labels = _orbit_labels(n, (labels, perm))
+                if np.count_nonzero(labels == np.arange(n)) == cells:
+                    return tuple(found), refiner.work
+    except _SearchStopped:
+        pass
+    return tuple(found), refiner.work
+
+
+def with_found_symmetries(g: Graph) -> Graph:
+    """g carrying the root-fixing automorphisms that find_symmetries verifies."""
+    return replace(g, symmetries=find_symmetries(g)[0])
+
+
 def distances_from(g: Graph, source: int) -> DistanceRow:
     """Exact BFS distances from `source` to every node."""
     if not 0 <= source < g.node_count:
@@ -215,6 +437,9 @@ def four_point_delta(g: Graph, cap: int = FOUR_POINT_CAP) -> HalfInteger:
     """Max over quadruples of (largest pair-sum - second largest) / 2.
 
     O(n^2) distance table plus an O(n^4) scan, so refuses graphs above `cap`.
+    The quantity is symmetric in its four points and invariant under
+    automorphisms, so x ranges over the smallest id of each orbit of
+    g.symmetries and y over every other node.
     """
     n = g.node_count
     if n > cap:
@@ -222,10 +447,13 @@ def four_point_delta(g: Graph, cap: int = FOUR_POINT_CAP) -> HalfInteger:
     if n < 4:
         return HalfInteger(0)
     d = distance_matrix(g)
+    reps = np.flatnonzero(_orbit_labels(n, g.symmetries) == np.arange(n)).tolist()
     best = 0
-    for x in range(n):
+    for x in reps:
         dx = d[x]
-        for y in range(x + 1, n):
+        for y in range(n):
+            if y == x:
+                continue
             dy = d[y]
             s1 = dx[y] + d          # d(x,y) + d(z,w)
             s2 = dx[:, None] + dy[None, :]  # d(x,z) + d(y,w)
@@ -325,7 +553,9 @@ def _json_int(value, what: str) -> int:
 
 
 def graph_from_json_dict(doc, node_cap: int = DEFAULT_NODE_CAP) -> tuple[Graph, dict | None]:
-    """Rebuild a Graph from its JSON form; depths and layers are recomputed.
+    """Rebuild a Graph from its JSON form; depths and layers are recomputed,
+    and the graph carries the root-fixing automorphisms find_symmetries
+    verifies.
 
     The document must be an object with integer root, node_count and edge
     endpoints; anything else raises MalformedEdge, and an id at or above
@@ -353,4 +583,4 @@ def graph_from_json_dict(doc, node_cap: int = DEFAULT_NODE_CAP) -> tuple[Graph, 
         raise MalformedEdge(
             f"file claims {node_count} nodes but edges imply {g.node_count}"
         )
-    return g, doc.get("family")
+    return with_found_symmetries(g), doc.get("family")

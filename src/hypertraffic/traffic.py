@@ -7,10 +7,12 @@ single integer census over (distance, h) pairs serves every rate function.
 
 The census and the node loads walk one source per orbit of the graph's
 checked root-fixing symmetries (the dihedral group about the root for
-tessellation balls, D4 for grids, the odometer for trees) and weight each
-row by its orbit size: in exact integers for the census, and for loads
-followed by a mean over each node orbit. A graph without symmetries, such as
-any loaded graph, walks every source and sums its loads in boundary order.
+tessellation balls, D4 for grids, the odometer for trees, and whatever
+graphs.find_symmetries verifies for a loaded graph) and weight each row by
+its orbit size: in exact integers for the census, and for loads followed by
+a mean over each node orbit. A graph without symmetries, such as one built
+directly by build_graph, walks every source and sums its loads in boundary
+order.
 
 Determinism: one batched BFS walks many boundary sources together on a single
 thread. Each source sees its frontier in ascending node order, exactly as a
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyBoundary, InvalidRate, SigmaOverflow
-from .graphs import DistanceRow, Graph, _bfs
+from .graphs import DistanceRow, Graph, _bfs, _orbit_labels
 
 _SIGMA_LIMIT = 2.0**53
 _BATCH_SLOTS = 1 << 14  # slots (source x node) per batch of the walk
@@ -231,25 +233,11 @@ def boundary_nodes(g: Graph, n: int) -> tuple:
     return g.layers[n]
 
 
-def _orbit_labels(g: Graph) -> np.ndarray:
-    """Smallest node id in each node's orbit under the group g.symmetries
-    generate, by min-label propagation with pointer jumping."""
-    label = np.arange(g.node_count)
-    while True:
-        new = label
-        for s in g.symmetries:
-            new = np.minimum(new, new[s])
-        new = new[new]
-        if np.array_equal(new, label):
-            return label
-        label = new
-
-
 def _boundary_orbits(g: Graph, boundary: np.ndarray):
     """(label, orbit_size, reps): every node's orbit label, the size of each
     boundary orbit indexed by its label, and those labels ascending, which
     are the smallest ids of the boundary orbits and the only sources walked."""
-    label = _orbit_labels(g)
+    label = _orbit_labels(g.node_count, g.symmetries)
     orbit_size = np.bincount(label[boundary], minlength=g.node_count)
     return label, orbit_size, np.flatnonzero(orbit_size)
 

@@ -136,6 +136,18 @@ class TestAnalyze:
         assert f"window {window} not in [2, 4]" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("window", ["-5", "1", "2"])
+    def test_window_checked_on_few_spheres(self, tmp_path, capsys, window):
+        # a depth-1 tree has 2 spheres, so no window fits its one ratio
+        gfile = tmp_path / "t.json"
+        run("generate", "--family", "tree", "--k", "3", "--depth", "1",
+            "--out", str(gfile))
+        out = tmp_path / "a.json"
+        assert run("analyze", "--graph", str(gfile), "--window", window,
+                   "--out", str(out)) == 3
+        assert f"window {window} not in [2, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTraffic:
     def test_report_and_loads(self, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -10,7 +11,7 @@ from hypertraffic.errors import (
     MalformedEdge,
     NotAutomorphism,
 )
-from hypertraffic.generators import gen_grid, gen_kary_tree
+from hypertraffic.generators import gen_grid, gen_kary_tree, gen_tessellation
 from hypertraffic.graphs import (
     HalfInteger,
     _bfs,
@@ -124,9 +125,12 @@ class TestSymmetries:
         with pytest.raises(NotAutomorphism, match="edges"):
             build_graph(CYCLE4, 0, [(0, 2, 1, 3)])
 
-    def test_loaded_graphs_carry_none(self):
-        g, _ = graph_from_json_dict(graph_to_json_dict(build_graph(CYCLE4, 0, [self.MIRROR])))
-        assert g.symmetries == ()
+    def test_loaded_graphs_carry_found_symmetries(self):
+        # the loader finds the mirror; a graph built directly carries none
+        g, _ = graph_from_json_dict(graph_to_json_dict(build_graph(CYCLE4, 0)))
+        assert [s.tolist() for s in g.symmetries] == [list(self.MIRROR)]
+        assert not g.symmetries[0].flags.writeable
+        assert build_graph(CYCLE4, 0).symmetries == ()
 
 
 class TestDistances:
@@ -226,6 +230,25 @@ class TestFourPointDelta:
         g = gen_grid(5)
         with pytest.raises(GraphTooLarge):
             four_point_delta(g, cap=10)
+
+    def test_orbit_scan_equals_plain_scan(self):
+        """Taking x over orbit representatives gives the full scan's delta on
+        the graphs the tests hand to four_point_delta, generated or loaded.
+        test_four_point_delta_bounded pins the (5,4) ball at depth 5 to the
+        full scan's value."""
+
+        def loaded(g):
+            return graph_from_json_dict(graph_to_json_dict(g))[0]
+
+        cases = [gen_kary_tree(k, d) for k, d in ((2, 3), (3, 2), (2, 4), (4, 2))]
+        cases += [loaded(gen_kary_tree(3, 4)), gen_grid(5), loaded(build_graph(DIAMOND, 0))]
+        cases += [loaded(cycle(n)) for n in range(4, 9)]
+        cases += [gen_tessellation(5, 4, d) for d in (3, 4)]
+        cases += [loaded(gen_tessellation(4, 5, 3))]
+        for g in cases:
+            assert g.symmetries
+            plain = dataclasses.replace(g, symmetries=())
+            assert four_point_delta(g) == four_point_delta(plain), g.node_count
 
 
 class TestSlimDelta:

@@ -13,6 +13,7 @@ from hypertraffic.analysis import tree_closed_forms
 from hypertraffic.errors import EmptyBoundary, InvalidRate, NotAutomorphism, SigmaOverflow
 from hypertraffic.generators import _odometer, gen_grid, gen_kary_tree, gen_tessellation
 from hypertraffic.graphs import (
+    _orbit_labels,
     build_graph,
     graph_from_json_dict,
     graph_to_json_dict,
@@ -427,20 +428,30 @@ class TestOrbitCensus:
         walked = []
         for d in (5, 6, 7, 8):
             g = gen_tessellation(5, 4, d)
-            labels = traffic._orbit_labels(g)[list(g.layers[d])]
+            labels = _orbit_labels(g.node_count, g.symmetries)[list(g.layers[d])]
             walked.append(len(set(labels.tolist())))
         assert walked == [19, 43, 98, 225]
 
     def test_trees_and_grids_walk_one_source_per_orbit(self):
         for g, walked in ((gen_kary_tree(3, 3), [1, 1, 1, 1]), (gen_grid(5), [1, 1, 2, 1, 1])):
-            labels = traffic._orbit_labels(g)
+            labels = _orbit_labels(g.node_count, g.symmetries)
             assert [len(set(labels[list(layer)].tolist())) for layer in g.layers] == walked
 
-    def test_graphs_without_symmetries_walk_every_source(self):
-        loaded, _ = graph_from_json_dict(graph_to_json_dict(gen_tessellation(5, 4, 3)))
-        for g in (DIAMOND, loaded):
-            assert g.symmetries == ()
-            assert np.array_equal(traffic._orbit_labels(g), np.arange(g.node_count))
+    def test_loaded_ball_walks_as_few_sources_as_generated(self):
+        """A ball read from JSON carries the symmetries the loader finds, so
+        each layer walks as few sources as the generated ball; a graph built
+        directly carries none and walks every source."""
+        ball = gen_tessellation(5, 4, 3)
+        loaded, _ = graph_from_json_dict(graph_to_json_dict(ball))
+        assert loaded == ball and loaded.symmetries
+
+        def walked(g):
+            labels = _orbit_labels(g.node_count, g.symmetries)
+            return [len(set(labels[list(layer)].tolist())) for layer in g.layers]
+
+        assert walked(loaded) == walked(ball) == [1, 1, 2, 4]
+        assert DIAMOND.symmetries == ()
+        assert walked(DIAMOND) == [1, 2, 1]
 
 
 def _load_graphs(family):
@@ -499,7 +510,7 @@ class TestOrbitLoads:
     def test_odometer_has_one_orbit_per_layer(self, k, depth, root_degree):
         g = gen_kary_tree(k, depth, root_degree)
         (odometer,) = g.symmetries
-        labels = traffic._orbit_labels(g)
+        labels = _orbit_labels(g.node_count, g.symmetries)
         for layer in g.layers:
             assert set(labels[list(layer)].tolist()) == {layer[0]}
             # one cycle: the layer's first node returns after |layer| steps
