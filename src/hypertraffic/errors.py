@@ -26,6 +26,10 @@ class NotAutomorphism(HypertrafficError):
     dart walk did not close into one."""
 
 
+class CorruptMap(HypertrafficError):
+    """A tessellation's half-edge map broke one of its structural invariants."""
+
+
 class NotHyperbolic(HypertrafficError):
     """Tessellation parameters violate (p-2)(q-2) > 4."""
 

@@ -7,7 +7,8 @@ metric layer involves no floating point at all.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import total_ordering
+from functools import cached_property, total_ordering
+from itertools import chain
 
 import numpy as np
 
@@ -86,6 +87,17 @@ class Graph:
     @property
     def max_depth(self) -> int:
         return len(self.layers) - 1
+
+    @cached_property
+    def csr(self) -> tuple:
+        """(degree, indptr, indices), read-only int64 arrays built on first
+        use: the neighbours of v are indices[indptr[v]:indptr[v + 1]]."""
+        degree = np.fromiter(map(len, self.adjacency), dtype=np.int64, count=self.node_count)
+        indices = np.fromiter(chain.from_iterable(self.adjacency), dtype=np.int64)
+        arrays = (degree, np.concatenate(([0], np.cumsum(degree))), indices)
+        for arr in arrays:
+            arr.flags.writeable = False
+        return arrays
 
     def edge_list(self) -> list[tuple[int, int]]:
         """Sorted list of (u, v) with u < v."""
@@ -191,6 +203,21 @@ def build_graph(edges, root, symmetries=()) -> Graph:
     )
 
 
+def induced_ball(g: Graph, n: int) -> Graph:
+    """The subgraph induced on the nodes at depth <= n, renumbered in id
+    order, with g's symmetries restricted to it and checked again by
+    build_graph: a root-fixing automorphism preserves depth, so it maps the
+    ball onto itself. Trees and tessellation balls number their nodes in BFS
+    order, so their ball of depth D restricted to n is the ball of depth n."""
+    if n >= g.max_depth:
+        return g
+    inside = np.array(g.depth) <= n
+    new = np.cumsum(inside) - 1  # the ball's ids of the nodes inside it
+    ids, keep = new.tolist(), inside.tolist()
+    edges = [(ids[u], ids[w]) for u, w in g.edge_list() if keep[u] and keep[w]]
+    return build_graph(edges, ids[g.root], [new[s[inside]] for s in g.symmetries])
+
+
 def _orbit_labels(n: int, symmetries) -> np.ndarray:
     """Smallest node id in each node's orbit under the group `symmetries`
     generate: the components of the graph joining each node to its images,
@@ -242,12 +269,8 @@ class _Refiner:
     def __init__(self, g: Graph):
         n = g.node_count
         self.n = n
-        self.degree = np.fromiter(map(len, g.adjacency), dtype=np.int64, count=n)
-        self.indptr = np.concatenate(([0], np.cumsum(self.degree)))
+        self.degree, self.indptr, self.dst = g.csr
         self.src = np.repeat(np.arange(n, dtype=np.int64), self.degree)
-        self.dst = np.fromiter(
-            (w for adj in g.adjacency for w in adj), dtype=np.int64, count=self.src.size
-        )
         self.offset = np.arange(self.src.size) - self.indptr[self.src]
         # colours never exceed n: hashes of neighbour colours, then of own colours
         self.hash = _mix64(np.arange(2 * n + 2))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .errors import NotAutomorphism, NotHyperbolic, SizeOverflow
+from .errors import CorruptMap, NotAutomorphism, NotHyperbolic, SizeOverflow
 from .graphs import DEFAULT_NODE_CAP, _bfs
 
 
@@ -94,13 +94,14 @@ class TessellationMap:
         fid = self.face_count
         self.face_count += 1
         for h in run:
-            assert self.face[h] == -1
+            if self.face[h] != -1:
+                raise CorruptMap(f"half-edge {h} of face {fid} already bounds face {self.face[h]}")
             self.face[h] = fid
 
         if length == p:
             # face closes entirely along existing boundary edges
-            assert self.org[run[0]] == self._head(run[-1])
-            assert self.nxt[run[-1]] == run[0]
+            if self.org[run[0]] != self._head(run[-1]) or self.nxt[run[-1]] != run[0]:
+                raise CorruptMap(f"the {p} rim edges of face {fid} do not close")
             for h in run:
                 self.bnd_in[self._head(h)] = -1
             return
@@ -181,9 +182,11 @@ class TessellationMap:
         return vmap
 
     def audit(self):
-        """Structural invariants of the half-edge disk; cheap, O(V + E)."""
+        """Structural invariants of the half-edge disk; cheap, O(V + E).
+        Raises CorruptMap naming the first one broken."""
         n_half = len(self.org)
-        assert n_half % 2 == 0
+        if n_half % 2:
+            raise CorruptMap(f"odd half-edge count {n_half}")
         edge_count = n_half // 2
 
         # every face is a closed p-cycle; the outer boundary splits into cycles
@@ -196,59 +199,70 @@ class TessellationMap:
             seen[h] = True
             cur = self.nxt[h]
             while cur != h:
-                assert not seen[cur]
+                if seen[cur]:
+                    raise CorruptMap(f"the face walk from half-edge {h} runs into {cur} again")
                 seen[cur] = True
                 cycle.append(cur)
                 cur = self.nxt[cur]
             fids = {self.face[x] for x in cycle}
-            assert len(fids) == 1
-            fid = fids.pop()
-            if fid >= 0:
-                assert len(cycle) == self.p
+            if len(fids) != 1:
+                raise CorruptMap(f"the face of half-edge {h} has face ids {sorted(fids)}")
+            if fids.pop() >= 0:
+                if len(cycle) != self.p:
+                    raise CorruptMap(f"the face of half-edge {h} has {len(cycle)} sides")
                 inner_faces += 1
             for x in cycle:
-                assert self.prv[self.nxt[x]] == self.nxt[self.prv[x]] == x
-                assert self.org[self.nxt[x]] == self._head(x)
-        assert inner_faces == self.face_count
+                if not self.prv[self.nxt[x]] == self.nxt[self.prv[x]] == x:
+                    raise CorruptMap(f"nxt and prv do not invert each other at half-edge {x}")
+                if self.org[self.nxt[x]] != self._head(x):
+                    raise CorruptMap(f"half-edge {self.nxt[x]} does not start where {x} ends")
+        if inner_faces != self.face_count:
+            raise CorruptMap(f"{inner_faces} face cycles for {self.face_count} faces")
 
         # rim vertices appear exactly once on the boundary; degrees within cap
         rim_heads = [self._head(h) for h in range(n_half) if self.face[h] == -1]
         rim_set = set(rim_heads)
-        assert len(rim_heads) == len(rim_set)
+        if len(rim_heads) != len(rim_set):
+            raise CorruptMap("the rim passes through a vertex twice")
         degree = [len(a) for a in self.adj]
         for v in range(self.vertex_count):
-            assert 0 < degree[v] <= self.q
-            if self.bnd_in[v] == -1:
-                assert degree[v] == self.q
-                assert v not in rim_set
-            else:
-                h = self.bnd_in[v]
-                assert self.face[h] == -1 and self._head(h) == v
+            if not 0 < degree[v] <= self.q:
+                raise CorruptMap(f"vertex {v} has degree {degree[v]}")
+            h = self.bnd_in[v]
+            if h == -1:
+                if degree[v] != self.q or v in rim_set:
+                    raise CorruptMap(f"vertex {v} is marked interior but lies on the rim")
+            elif self.face[h] != -1 or self._head(h) != v:
+                raise CorruptMap(f"bnd_in of vertex {v} is not a rim half-edge into it")
 
-        # rotating around any vertex visits each incident edge exactly once:
-        # every rotation cycle of incoming half-edges is as long as its
-        # vertex's degree, and each vertex has degree-many incoming ones
-        incoming = [0] * self.vertex_count
-        for h in range(n_half):
-            incoming[self._head(h)] += 1
-        assert incoming == degree
+        # rotating about a vertex visits each incident edge exactly once: the
+        # half-edges into each vertex form one rotation cycle, and their
+        # origins are the vertex's neighbour list
         seen = [False] * n_half
+        rotated = [False] * self.vertex_count
         for h in range(n_half):
             if seen[h]:
                 continue
-            length = 0
+            v = self._head(h)
+            origins = []
             cur = h
             while True:
-                assert not seen[cur]
+                if seen[cur]:
+                    raise CorruptMap(f"the rotation from half-edge {h} runs into {cur} again")
                 seen[cur] = True
-                length += 1
+                origins.append(self.org[cur])
                 cur = self.nxt[cur] ^ 1
                 if cur == h:
                     break
-            assert length == degree[self._head(h)]
+            if rotated[v] or sorted(origins) != sorted(self.adj[v]):
+                raise CorruptMap(f"the rotation about vertex {v} disagrees with its neighbour list")
+            rotated[v] = True
+        if not all(rotated):
+            raise CorruptMap(f"vertex {rotated.index(False)} has no half-edge into it")
 
         # Euler characteristic of a disk
-        assert self.vertex_count - edge_count + self.face_count == 1
+        if self.vertex_count - edge_count + self.face_count != 1:
+            raise CorruptMap("the map is not a disk: V - E + F != 1")
 
 
 def check_hyperbolic(p: int, q: int):

@@ -12,7 +12,8 @@ graphs.find_symmetries verifies for a loaded graph) and weight each row by
 its orbit size: in exact integers for the census, and for loads followed by
 a mean over each node orbit. A graph without symmetries, such as one built
 directly by build_graph, walks every source and sums its loads in boundary
-order.
+order. node_loads counts the census off its own walk, so a run that needs
+both walks each source once.
 
 Determinism: one batched BFS walks many boundary sources together on a single
 thread. Each source sees its frontier in ascending node order, exactly as a
@@ -150,30 +151,14 @@ def pair_h(field: GeodesicField, y: int) -> int:
 # batched multi-source BFS
 
 
-class _Arrays:
-    """CSR adjacency plus depth vector of a graph."""
-
-    def __init__(self, g: Graph):
-        self.n = g.node_count
-        self.degree = np.array([len(a) for a in g.adjacency], dtype=np.int64)
-        self.indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(self.degree, out=self.indptr[1:])
-        self.indices = np.fromiter(
-            (w for adj in g.adjacency for w in adj),
-            dtype=np.int64,
-            count=int(self.indptr[-1]),
-        )
-        self.depth = np.array(g.depth, dtype=np.int64)
-
-
-def _batches(arrs: _Arrays, boundary: np.ndarray):
+def _batches(g: Graph, boundary: np.ndarray):
     """Consecutive runs of boundary sources, about _BATCH_SLOTS slots each."""
-    size = max(1, _BATCH_SLOTS // arrs.n)
+    size = max(1, _BATCH_SLOTS // g.node_count)
     for i in range(0, boundary.size, size):
         yield boundary[i : i + size]
 
 
-def _walk(arrs: _Arrays, sources: np.ndarray, boundary: np.ndarray):
+def _walk(g: Graph, sources: np.ndarray, boundary: np.ndarray):
     """Level-synchronous BFS from every source in a batch at once.
 
     Row r of the batch walks from sources[r]; its state for node v sits at
@@ -189,7 +174,8 @@ def _walk(arrs: _Arrays, sources: np.ndarray, boundary: np.ndarray):
     node), and tgt[i] is reached from below[src[i]] by a BFS-DAG edge. Edges
     are listed by source slot, then in adjacency order.
     """
-    n = arrs.n
+    n = g.node_count
+    degree, indptr, indices = g.csr
     rows = sources.size
     dist = np.full(rows * n, -1, dtype=np.int64)
     start = np.arange(rows, dtype=np.int64) * n + sources
@@ -203,11 +189,11 @@ def _walk(arrs: _Arrays, sources: np.ndarray, boundary: np.ndarray):
     level = 0
     while frontier.size:
         node = frontier % n
-        lens = arrs.degree[node]
+        lens = degree[node]
         src = np.repeat(np.arange(frontier.size, dtype=np.int64), lens)
-        offset = arrs.indptr[node] - (np.cumsum(lens) - lens)
+        offset = indptr[node] - (np.cumsum(lens) - lens)
         pos = np.arange(src.size, dtype=np.int64) + offset[src]
-        nbr = arrs.indices[pos] + (frontier - node)[src]
+        nbr = indices[pos] + (frontier - node)[src]
         fresh = dist[nbr] < 0
         tgt = nbr[fresh]
         if tgt.size == 0:
@@ -233,13 +219,30 @@ def boundary_nodes(g: Graph, n: int) -> tuple:
     return g.layers[n]
 
 
-def _boundary_orbits(g: Graph, boundary: np.ndarray):
-    """(label, orbit_size, reps): every node's orbit label, the size of each
-    boundary orbit indexed by its label, and those labels ascending, which
-    are the smallest ids of the boundary orbits and the only sources walked."""
+def _boundary_orbits(g: Graph, n: int):
+    """(boundary, label, orbit_size, reps): the nodes at depth n, every
+    node's orbit label, the size of each boundary orbit indexed by its
+    label, and those labels ascending, which are the smallest ids of the
+    boundary orbits and the only sources walked."""
+    boundary = np.array(boundary_nodes(g, n), dtype=np.int64)
     label = _orbit_labels(g.node_count, g.symmetries)
     orbit_size = np.bincount(label[boundary], minlength=g.node_count)
-    return label, orbit_size, np.flatnonzero(orbit_size)
+    return boundary, label, orbit_size, np.flatnonzero(orbit_size)
+
+
+def _census_rows(depth: np.ndarray, n: int, boundary: np.ndarray, dist, levels):
+    """Each walked row's boundary targets counted by (distance, h), flat of
+    size (2n+1)(n+1) per row, where h, the least root depth on any geodesic,
+    is carried down the BFS-DAG levels of _walk."""
+    rows = dist.size // depth.size
+    md = np.tile(depth, rows)
+    for below, src, tgt, _ in levels:
+        np.minimum.at(md, tgt, md[below[src]])
+    width = n + 1
+    size = (2 * n + 1) * width
+    slots = (np.arange(rows) * depth.size)[:, None] + boundary
+    keys = dist[slots] * width + md[slots] + (np.arange(rows) * size)[:, None]
+    return np.bincount(keys.ravel(), minlength=rows * size).reshape(rows, size)
 
 
 def pair_census(g: Graph, n: int) -> np.ndarray:
@@ -249,24 +252,15 @@ def pair_census(g: Graph, n: int) -> np.ndarray:
     A root-fixing automorphism preserves both distance and root depth, so
     sources in one orbit of g.symmetries have equal rows: only the smallest
     id of each boundary orbit is walked, and its row counts orbit-size times.
+    node_loads returns the same census from its own walk.
     """
-    boundary = np.array(boundary_nodes(g, n), dtype=np.int64)
-    arrs = _Arrays(g)
-    _, orbit_size, reps = _boundary_orbits(g, boundary)
-    width = n + 1
-    size = (2 * n + 1) * width
-    total = np.zeros(size, dtype=np.int64)
-    for sources in _batches(arrs, reps):
-        rows = sources.size
-        dist, levels = _walk(arrs, sources, boundary)
-        md = np.tile(arrs.depth, rows)
-        for below, src, tgt, _ in levels:
-            np.minimum.at(md, tgt, md[below[src]])
-        slots = (np.arange(rows) * arrs.n)[:, None] + boundary
-        keys = dist[slots] * width + md[slots] + (np.arange(rows) * size)[:, None]
-        counts = np.bincount(keys.ravel(), minlength=rows * size).reshape(rows, size)
-        total += (counts * orbit_size[sources][:, None]).sum(0)
-    return total.reshape(2 * n + 1, width)
+    boundary, _, orbit_size, reps = _boundary_orbits(g, n)
+    depth = np.array(g.depth, dtype=np.int64)
+    total = np.zeros((2 * n + 1) * (n + 1), dtype=np.int64)
+    for sources in _batches(g, reps):
+        dist, levels = _walk(g, sources, boundary)
+        total += orbit_size[sources] @ _census_rows(depth, n, boundary, dist, levels)
+    return total.reshape(2 * n + 1, n + 1)
 
 
 @dataclass(frozen=True)
@@ -324,7 +318,9 @@ def traffic_totals(g: Graph, f, n: int,
 
 
 def node_loads(g: Graph, f, n: int, include_endpoints: bool = False) -> tuple:
-    """Per-node relay load with equal splitting across geodesics.
+    """(loads, census): per-node relay load with equal splitting across
+    geodesics, and the pair census read off the same walk, equal to
+    pair_census(g, n).
 
     load(v) = sum over ordered boundary pairs (x, y), x != y, v not an
     endpoint, of rate(d(x,y)) * sigma_xy(v) / sigma_xy; computed by one
@@ -337,11 +333,11 @@ def node_loads(g: Graph, f, n: int, include_endpoints: bool = False) -> tuple:
     is averaged over each node orbit. Without symmetries every factor and
     divisor is 1, and the loads sum every source in boundary order.
     """
-    boundary = np.array(boundary_nodes(g, n), dtype=np.int64)
-    arrs = _Arrays(g)
-    label, orbit_size, reps = _boundary_orbits(g, boundary)
+    boundary, label, orbit_size, reps = _boundary_orbits(g, n)
+    depth = np.array(g.depth, dtype=np.int64)
+    census = np.zeros((2 * n + 1) * (n + 1), dtype=np.int64)
     rates = rate_table(f, 2 * n)
-    nn = arrs.n
+    nn = g.node_count
     total = np.zeros(nn)
     carry = np.zeros(nn)
     acc = np.zeros(nn)
@@ -355,9 +351,10 @@ def node_loads(g: Graph, f, n: int, include_endpoints: bool = False) -> tuple:
         total = t
 
     done = 0
-    for sources in _batches(arrs, reps):
+    for sources in _batches(g, reps):
         rows = sources.size
-        dist, levels = _walk(arrs, sources, boundary)
+        dist, levels = _walk(g, sources, boundary)
+        census += orbit_size[sources] @ _census_rows(depth, n, boundary, dist, levels)
         start = np.arange(rows, dtype=np.int64) * nn + sources
         sigma = np.zeros(rows * nn)
         sigma[start] = 1.0
@@ -399,7 +396,7 @@ def node_loads(g: Graph, f, n: int, include_endpoints: bool = False) -> tuple:
                 acc = np.zeros(nn)
                 comp = np.zeros(nn)
     mean = np.bincount(label, weights=total)[label] / np.bincount(label)[label]
-    return tuple(float(x) for x in mean)
+    return tuple(float(x) for x in mean), census.reshape(2 * n + 1, n + 1)
 
 
 def core_radius(report: TrafficReport, epsilon: float) -> int:

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from hypertraffic import graphs, tessellation
 from hypertraffic.analysis import (
     GLOBAL,
     LOCAL,
@@ -15,9 +16,9 @@ from hypertraffic.analysis import (
     tree_distance_counts,
     tree_root_limit,
 )
-from hypertraffic.errors import EmptySphere, TooFewDepths, WindowTooLarge
-from hypertraffic.generators import FamilySpec, gen_grid, gen_kary_tree
-from hypertraffic.traffic import ExponentialRate, node_loads, traffic_totals
+from hypertraffic.errors import EmptySphere, HypertrafficError, TooFewDepths, WindowTooLarge
+from hypertraffic.generators import FamilySpec, family_graph, gen_grid, gen_kary_tree
+from hypertraffic.traffic import ExponentialRate, node_loads, pair_census, traffic_totals
 
 
 class TestGrowthExponent:
@@ -125,7 +126,7 @@ class TestTreeClosedForms:
             g = gen_kary_tree(k, n)
             rate = ExponentialRate(beta)
             rep = traffic_totals(g, rate, n)
-            loads = node_loads(g, rate, n)
+            loads = node_loads(g, rate, n)[0]
             closed = tree_closed_forms(k, beta, n)
             assert rep.T == pytest.approx(closed["T"], rel=1e-9)
             assert loads[0] / rep.T == pytest.approx(closed["P"], rel=1e-9)
@@ -227,3 +228,85 @@ class TestSweep:
         series = report.ratios_for(2.0)
         assert all(b > a for a, b in zip(series, series[1:]))
         assert series[-1] > 0.1
+
+
+def per_depth_sweep(spec, betas, depths, r, node_cap=graphs.DEFAULT_NODE_CAP):
+    """(cells, errors, spheres) computed the plain way: a graph built afresh
+    for every depth, its own census, and the spheres of the deepest graph
+    whose census succeeded."""
+    cells, errors, spheres = {}, {}, None
+    for n in depths:
+        try:
+            g = family_graph(spec, depth=n, node_cap=node_cap)
+            census = pair_census(g, n)
+        except HypertrafficError as exc:
+            errors[n] = str(exc)
+            continue
+        spheres = [len(layer) for layer in g.layers]
+        for b in betas:
+            rep = traffic_totals(g, ExponentialRate(b), n, census=census)
+            cells[(b, n)] = {"T": rep.T, "T_r": rep.T_r[r], "ratio": rep.T_r[r] / rep.T}
+    return cells, errors, spheres
+
+
+def counting(monkeypatch, module, name):
+    """Wrap module.name so each call is appended to the returned list."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+class TestOneGraphSweep:
+    BETAS = (1.3, 1.9, 2.5)
+
+    # (family, depths, node cap): the deepest depths exceed the cap, or lie
+    # beyond the grid's rim
+    CAPPED = {
+        "tess": (FamilySpec(variant="tessellation", p=5, q=4), (3, 4, 5, 6), 300),
+        "tree": (FamilySpec(variant="tree", k=3), (2, 3, 4, 5), 300),
+        "grid": (FamilySpec(variant="grid", side=5), (2, 3, 4, 5), 300),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CAPPED))
+    def test_capped_sweep_matches_per_depth_builds(self, name):
+        spec, depths, cap = self.CAPPED[name]
+        report = sweep(spec, self.BETAS, depths, 1, node_cap=cap)
+        cells, errors, spheres = per_depth_sweep(spec, self.BETAS, depths, 1, node_cap=cap)
+        assert errors  # the cap or the rim is reached
+        assert report.cells == cells
+        assert list(report.errors.items()) == list(errors.items())
+        assert list(report.growth.sphere_sizes) == spheres
+
+    def test_tessellation_ball_built_once(self, monkeypatch):
+        spec = FamilySpec(variant="tessellation", p=5, q=4)
+        calls = counting(monkeypatch, tessellation, "build_ball")
+        report = sweep(spec, self.BETAS, (3, 4, 5, 6), 2)
+        assert len(calls) == 1
+        cells, errors, spheres = per_depth_sweep(spec, self.BETAS, (3, 4, 5, 6), 2)
+        assert report.cells == cells and report.errors == errors == {}
+        assert list(report.growth.sphere_sizes) == spheres
+
+    def test_edge_list_read_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "cycle.txt"
+        path.write_text("".join(f"{i} {(i + 1) % 6}\n" for i in range(6)))
+        spec = FamilySpec(variant="edge_list", source=str(path))
+        calls = counting(monkeypatch, graphs, "find_symmetries")
+        report = sweep(spec, self.BETAS, (1, 2), 0)
+        assert len(calls) == 1
+        cells, errors, _ = per_depth_sweep(spec, self.BETAS, (1, 2), 0)
+        assert report.cells == cells and report.errors == errors == {}
+
+    def test_unparsable_edge_list_fails_every_depth(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("0 1 2\n")
+        spec = FamilySpec(variant="edge_list", source=str(path))
+        message = "line 1: odd token count in '0 1 2'"
+        with pytest.raises(HypertrafficError) as info:
+            sweep(spec, self.BETAS, (1, 2), 0)
+        assert str(info.value) == f"every depth failed: {message}; {message}"

@@ -1,11 +1,19 @@
 import hashlib
 import math
+import os
+import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hypertraffic import generators
+from hypertraffic import generators, tessellation
+from hypertraffic.cli import main
 from hypertraffic.errors import (
+    CorruptMap,
     EvenSide,
     MalformedEdge,
     NotAutomorphism,
@@ -21,9 +29,10 @@ from hypertraffic.generators import (
     gen_tessellation,
     load_edge_list,
 )
-from hypertraffic.graphs import _bfs, four_point_delta, graph_to_json_dict
+from hypertraffic.graphs import _bfs, four_point_delta, graph_to_json_dict, induced_ball
 from hypertraffic.serialize import dumps
 from hypertraffic.tessellation import TessellationMap, build_ball
+from hypertraffic.traffic import pair_census
 
 # growth rate of the (5,4) ball construction, largest root of
 # x^4 - 2x^3 - 2x + 1; frozen from the audited face expansion and
@@ -202,6 +211,100 @@ class TestTessellation:
         tmap.audit()
         assert tmap.vertex_count == 5
         assert tmap.face_count == 1
+
+
+# a (5,4) map grown by saturating its first twelve vertices, as a script so
+# that a python -O child can run it too
+GROW_MAP = """
+from hypertraffic.tessellation import TessellationMap
+tmap = TessellationMap(5, 4)
+tmap.bootstrap()
+for v in range(12):
+    tmap.saturate(v)
+"""
+
+
+def _grown_map():
+    scope = {}
+    exec(GROW_MAP, scope)
+    return scope["tmap"]
+
+
+def _corrupt(tmap, table_name, seed):
+    """Set one seeded entry of a map table to another in-range value."""
+    rng = random.Random(seed)
+    half_edges = range(len(tmap.org))
+    table, values = {
+        "nxt": (tmap.nxt, half_edges),
+        "prv": (tmap.prv, half_edges),
+        "face": (tmap.face, range(-1, tmap.face_count)),
+        "org": (tmap.org, range(tmap.vertex_count)),
+        "adj": (tmap.adj[rng.randrange(tmap.vertex_count)], range(tmap.vertex_count)),
+        "bnd_in": (tmap.bnd_in, range(-1, len(tmap.org))),
+    }[table_name]
+    i = rng.randrange(len(table))
+    table[i] = rng.choice([x for x in values if x != table[i]])
+
+
+class TestMapAudit:
+    def test_grown_map_passes(self):
+        tmap = _grown_map()
+        tmap.audit()
+        assert tmap.vertex_count > 50
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("table", ["nxt", "prv", "face", "org", "adj", "bnd_in"])
+    def test_one_corrupted_entry_raises(self, table, seed):
+        tmap = _grown_map()
+        _corrupt(tmap, table, seed)
+        with pytest.raises(CorruptMap):
+            tmap.audit()
+
+    def test_audit_raises_under_python_O(self):
+        # python -O strips assert statements, so the audit must not use them
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        script = GROW_MAP + textwrap.dedent("""
+            tmap.face[0] = 1  # half-edge 0 bounds face 0
+            tmap.audit()
+        """)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 1
+        assert "CorruptMap" in proc.stderr
+
+    def test_corrupt_map_exits_3(self, tmp_path, monkeypatch, capsys):
+        bootstrap = TessellationMap.bootstrap
+
+        def corrupted(tmap):
+            bootstrap(tmap)
+            tmap.face[0] = -1
+
+        monkeypatch.setattr(tessellation.TessellationMap, "bootstrap", corrupted)
+        assert main(["generate", "--family", "tess", "--p", "5", "--q", "4",
+                     "--depth", "2", "--out", str(tmp_path / "g.json")]) == 3
+        assert "face ids [-1, 0]" in capsys.readouterr().err
+
+
+class TestInducedBall:
+    @pytest.mark.parametrize("p,q,d_max", [(5, 4, 8), (7, 3, 9), (4, 5, 6), (3, 7, 7)])
+    def test_tessellation_census_of_every_smaller_ball(self, p, q, d_max):
+        big = gen_tessellation(p, q, d_max)
+        assert induced_ball(big, d_max) is big
+        for n in range(d_max):
+            ball = induced_ball(big, n)
+            assert np.array_equal(pair_census(ball, n), pair_census(gen_tessellation(p, q, n), n)), n
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_tree_restricts_to_the_smaller_tree(self, k):
+        big = gen_kary_tree(k, 6)
+        for n in range(1, 6):
+            ball, want = induced_ball(big, n), gen_kary_tree(k, n)
+            assert ball == want
+            assert len(ball.symmetries) == len(want.symmetries) == 1
+            assert np.array_equal(ball.symmetries[0], want.symmetries[0])
 
 
 class TestGrid:
