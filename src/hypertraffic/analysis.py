@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import (
     EmptySphere,
@@ -14,7 +15,6 @@ from .errors import (
     WindowTooLarge,
 )
 from .generators import FamilySpec, family_graph
-from .graphs import DEFAULT_NODE_CAP, induced_ball
 from .traffic import ExponentialRate, PolynomialRate, pair_census, traffic_totals
 
 GLOBAL, LOCAL, UNDECIDED = "GLOBAL", "LOCAL", "UNDECIDED"
@@ -187,12 +187,12 @@ def _empirical_crossing(betas, labels):
 def sweep(spec: FamilySpec, betas, depths, r: int,
           f_variant: str = "exponential",
           tail: int = DEFAULT_TAIL, tau_g: float = DEFAULT_TAU_GLOBAL,
-          tau_l: float = DEFAULT_TAU_LOCAL, node_cap: int = DEFAULT_NODE_CAP) -> TransitionReport:
+          tau_l: float = DEFAULT_TAU_LOCAL, node_cap: int = None) -> TransitionReport:
     """Grid of T_r/T over (beta, depth) with per-beta phase labels.
 
-    The family is built once, at the deepest depth; each depth takes its
-    ball from it, and one rate-independent pair census per depth serves the
-    beta grid. Cell failures are recorded, not fatal.
+    Graphs are built once per depth (once for a grid or an edge list) and
+    shared across the beta grid via the rate-independent pair census. Cell
+    failures are recorded, not fatal.
     """
     betas = tuple(float(b) for b in betas)
     depths = tuple(int(n) for n in depths)
@@ -217,27 +217,15 @@ def sweep(spec: FamilySpec, betas, depths, r: int,
     else:
         raise ValueError(f"unknown rate variant {f_variant!r}")
 
-    # the family is built once, at the deepest depth that builds: one that
-    # fails at depth n fails at every deeper one, and the ball of depth n is
-    # the subgraph of a deeper ball induced on depth <= n
-    failed = {}
-    for top in reversed(depths):
-        try:
-            family = family_graph(spec, depth=top, node_cap=node_cap)
-            break
-        except HypertrafficError as exc:
-            failed[top] = str(exc)
-
     cells = {}
     errors = {}
     deepest_graph = None
+    cap_kw = {} if node_cap is None else {"node_cap": node_cap}
+    # a failure is not cached, so each depth records it as a fresh build would
+    depthless = cache(lambda: family_graph(spec, **cap_kw))
     for n in depths:
-        if n in failed:
-            errors[n] = failed[n]
-            continue
         try:
-            # grids and edge lists have no depth: one graph serves every n
-            g = induced_ball(family, n) if spec.variant in ("tree", "tessellation") else family
+            g = family_graph(spec, depth=n, **cap_kw) if spec.has_depth else depthless()
             census = pair_census(g, n)
         except HypertrafficError as exc:
             errors[n] = str(exc)

@@ -142,10 +142,7 @@ def cmd_traffic(args):
     n = args.n if args.n is not None else g.max_depth
     if args.r is not None and not 0 <= args.r <= n:
         raise HypertrafficError(f"--r must be in [0, {n}], got {args.r}")
-    census = None
-    if args.loads_out:
-        loads, census = traffic.node_loads(g, rate, n, include_endpoints=args.include_endpoints)
-    report = traffic.traffic_totals(g, rate, n, census=census)
+    report = traffic.traffic_totals(g, rate, n)
     core = traffic.core_radius(report, args.epsilon)
     doc = {
         "n": n,
@@ -160,6 +157,9 @@ def cmd_traffic(args):
         line += f"  T_{args.r}/T {report.T_r[args.r] / report.T:.6f}"
     print(line)
     if args.loads_out:
+        loads = traffic.node_loads(
+            g, rate, n, include_endpoints=args.include_endpoints
+        )
         rows = [
             f"{v},{g.depth[v]},{serialize.fmt_float(loads[v])}"
             for v in range(g.node_count)
@@ -245,8 +245,8 @@ def cmd_tree_oracle(args):
             raise ValueError(
                 f"closed-form root share beta^-{2 * n} underflows to 0 at beta={args.beta}"
             )
-        loads, census = traffic.node_loads(g, rate, n)
-        rep = traffic.traffic_totals(g, rate, n, census=census)
+        rep = traffic.traffic_totals(g, rate, n)
+        loads = traffic.node_loads(g, rate, n)
         share = loads[g.root] / rep.T
         err_t = abs(rep.T - closed["T"]) / closed["T"]
         err_p = abs(share - closed["P"]) / closed["P"]

@@ -36,13 +36,18 @@ class FamilySpec:
     side: int | None = None
     source: str | None = None
 
+    @property
+    def has_depth(self) -> bool:
+        """False for a grid or an edge list: one graph serves every depth."""
+        return self.variant in ("tree", "tessellation")
+
     def descriptor(self) -> dict:
         out = {"variant": self.variant}
         for key in ("k", "root_degree", "p", "q", "side", "source"):
             val = getattr(self, key)
             if val is not None:
                 out[key] = val
-        if self.variant in ("tree", "tessellation"):
+        if self.has_depth:
             out["depth"] = self.depth
         return out
 

@@ -203,21 +203,6 @@ def build_graph(edges, root, symmetries=()) -> Graph:
     )
 
 
-def induced_ball(g: Graph, n: int) -> Graph:
-    """The subgraph induced on the nodes at depth <= n, renumbered in id
-    order, with g's symmetries restricted to it and checked again by
-    build_graph: a root-fixing automorphism preserves depth, so it maps the
-    ball onto itself. Trees and tessellation balls number their nodes in BFS
-    order, so their ball of depth D restricted to n is the ball of depth n."""
-    if n >= g.max_depth:
-        return g
-    inside = np.array(g.depth) <= n
-    new = np.cumsum(inside) - 1  # the ball's ids of the nodes inside it
-    ids, keep = new.tolist(), inside.tolist()
-    edges = [(ids[u], ids[w]) for u, w in g.edge_list() if keep[u] and keep[w]]
-    return build_graph(edges, ids[g.root], [new[s[inside]] for s in g.symmetries])
-
-
 def _orbit_labels(n: int, symmetries) -> np.ndarray:
     """Smallest node id in each node's orbit under the group `symmetries`
     generate: the components of the graph joining each node to its images,

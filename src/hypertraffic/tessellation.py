@@ -184,7 +184,8 @@ class TessellationMap:
     def audit(self):
         """Structural invariants of the half-edge disk; cheap, O(V + E).
         Raises CorruptMap naming the first one broken."""
-        n_half = len(self.org)
+        org, nxt, prv, face = self.org, self.nxt, self.prv, self.face
+        n_half = len(org)
         if n_half % 2:
             raise CorruptMap(f"odd half-edge count {n_half}")
         edge_count = n_half // 2
@@ -197,14 +198,14 @@ class TessellationMap:
                 continue
             cycle = [h]
             seen[h] = True
-            cur = self.nxt[h]
+            cur = nxt[h]
             while cur != h:
                 if seen[cur]:
                     raise CorruptMap(f"the face walk from half-edge {h} runs into {cur} again")
                 seen[cur] = True
                 cycle.append(cur)
-                cur = self.nxt[cur]
-            fids = {self.face[x] for x in cycle}
+                cur = nxt[cur]
+            fids = {face[x] for x in cycle}
             if len(fids) != 1:
                 raise CorruptMap(f"the face of half-edge {h} has face ids {sorted(fids)}")
             if fids.pop() >= 0:
@@ -212,15 +213,15 @@ class TessellationMap:
                     raise CorruptMap(f"the face of half-edge {h} has {len(cycle)} sides")
                 inner_faces += 1
             for x in cycle:
-                if not self.prv[self.nxt[x]] == self.nxt[self.prv[x]] == x:
+                if not prv[nxt[x]] == nxt[prv[x]] == x:
                     raise CorruptMap(f"nxt and prv do not invert each other at half-edge {x}")
-                if self.org[self.nxt[x]] != self._head(x):
-                    raise CorruptMap(f"half-edge {self.nxt[x]} does not start where {x} ends")
+                if org[nxt[x]] != org[x ^ 1]:
+                    raise CorruptMap(f"half-edge {nxt[x]} does not start where {x} ends")
         if inner_faces != self.face_count:
             raise CorruptMap(f"{inner_faces} face cycles for {self.face_count} faces")
 
         # rim vertices appear exactly once on the boundary; degrees within cap
-        rim_heads = [self._head(h) for h in range(n_half) if self.face[h] == -1]
+        rim_heads = [org[h ^ 1] for h in range(n_half) if face[h] == -1]
         rim_set = set(rim_heads)
         if len(rim_heads) != len(rim_set):
             raise CorruptMap("the rim passes through a vertex twice")
@@ -232,7 +233,7 @@ class TessellationMap:
             if h == -1:
                 if degree[v] != self.q or v in rim_set:
                     raise CorruptMap(f"vertex {v} is marked interior but lies on the rim")
-            elif self.face[h] != -1 or self._head(h) != v:
+            elif face[h] != -1 or org[h ^ 1] != v:
                 raise CorruptMap(f"bnd_in of vertex {v} is not a rim half-edge into it")
 
         # rotating about a vertex visits each incident edge exactly once: the
@@ -243,15 +244,15 @@ class TessellationMap:
         for h in range(n_half):
             if seen[h]:
                 continue
-            v = self._head(h)
+            v = org[h ^ 1]
             origins = []
             cur = h
             while True:
                 if seen[cur]:
                     raise CorruptMap(f"the rotation from half-edge {h} runs into {cur} again")
                 seen[cur] = True
-                origins.append(self.org[cur])
-                cur = self.nxt[cur] ^ 1
+                origins.append(org[cur])
+                cur = nxt[cur] ^ 1
                 if cur == h:
                     break
             if rotated[v] or sorted(origins) != sorted(self.adj[v]):

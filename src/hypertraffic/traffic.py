@@ -12,8 +12,7 @@ graphs.find_symmetries verifies for a loaded graph) and weight each row by
 its orbit size: in exact integers for the census, and for loads followed by
 a mean over each node orbit. A graph without symmetries, such as one built
 directly by build_graph, walks every source and sums its loads in boundary
-order. node_loads counts the census off its own walk, so a run that needs
-both walks each source once.
+order.
 
 Determinism: one batched BFS walks many boundary sources together on a single
 thread. Each source sees its frontier in ascending node order, exactly as a
@@ -219,30 +218,13 @@ def boundary_nodes(g: Graph, n: int) -> tuple:
     return g.layers[n]
 
 
-def _boundary_orbits(g: Graph, n: int):
-    """(boundary, label, orbit_size, reps): the nodes at depth n, every
-    node's orbit label, the size of each boundary orbit indexed by its
-    label, and those labels ascending, which are the smallest ids of the
-    boundary orbits and the only sources walked."""
-    boundary = np.array(boundary_nodes(g, n), dtype=np.int64)
+def _boundary_orbits(g: Graph, boundary: np.ndarray):
+    """(label, orbit_size, reps): every node's orbit label, the size of each
+    boundary orbit indexed by its label, and those labels ascending, which
+    are the smallest ids of the boundary orbits and the only sources walked."""
     label = _orbit_labels(g.node_count, g.symmetries)
     orbit_size = np.bincount(label[boundary], minlength=g.node_count)
-    return boundary, label, orbit_size, np.flatnonzero(orbit_size)
-
-
-def _census_rows(depth: np.ndarray, n: int, boundary: np.ndarray, dist, levels):
-    """Each walked row's boundary targets counted by (distance, h), flat of
-    size (2n+1)(n+1) per row, where h, the least root depth on any geodesic,
-    is carried down the BFS-DAG levels of _walk."""
-    rows = dist.size // depth.size
-    md = np.tile(depth, rows)
-    for below, src, tgt, _ in levels:
-        np.minimum.at(md, tgt, md[below[src]])
-    width = n + 1
-    size = (2 * n + 1) * width
-    slots = (np.arange(rows) * depth.size)[:, None] + boundary
-    keys = dist[slots] * width + md[slots] + (np.arange(rows) * size)[:, None]
-    return np.bincount(keys.ravel(), minlength=rows * size).reshape(rows, size)
+    return label, orbit_size, np.flatnonzero(orbit_size)
 
 
 def pair_census(g: Graph, n: int) -> np.ndarray:
@@ -252,15 +234,24 @@ def pair_census(g: Graph, n: int) -> np.ndarray:
     A root-fixing automorphism preserves both distance and root depth, so
     sources in one orbit of g.symmetries have equal rows: only the smallest
     id of each boundary orbit is walked, and its row counts orbit-size times.
-    node_loads returns the same census from its own walk.
     """
-    boundary, _, orbit_size, reps = _boundary_orbits(g, n)
+    boundary = np.array(boundary_nodes(g, n), dtype=np.int64)
     depth = np.array(g.depth, dtype=np.int64)
-    total = np.zeros((2 * n + 1) * (n + 1), dtype=np.int64)
+    _, orbit_size, reps = _boundary_orbits(g, boundary)
+    width = n + 1
+    size = (2 * n + 1) * width
+    total = np.zeros(size, dtype=np.int64)
     for sources in _batches(g, reps):
+        rows = sources.size
         dist, levels = _walk(g, sources, boundary)
-        total += orbit_size[sources] @ _census_rows(depth, n, boundary, dist, levels)
-    return total.reshape(2 * n + 1, n + 1)
+        md = np.tile(depth, rows)
+        for below, src, tgt, _ in levels:
+            np.minimum.at(md, tgt, md[below[src]])
+        slots = (np.arange(rows) * g.node_count)[:, None] + boundary
+        keys = dist[slots] * width + md[slots] + (np.arange(rows) * size)[:, None]
+        counts = np.bincount(keys.ravel(), minlength=rows * size).reshape(rows, size)
+        total += (counts * orbit_size[sources][:, None]).sum(0)
+    return total.reshape(2 * n + 1, width)
 
 
 @dataclass(frozen=True)
@@ -318,9 +309,7 @@ def traffic_totals(g: Graph, f, n: int,
 
 
 def node_loads(g: Graph, f, n: int, include_endpoints: bool = False) -> tuple:
-    """(loads, census): per-node relay load with equal splitting across
-    geodesics, and the pair census read off the same walk, equal to
-    pair_census(g, n).
+    """Per-node relay load with equal splitting across geodesics.
 
     load(v) = sum over ordered boundary pairs (x, y), x != y, v not an
     endpoint, of rate(d(x,y)) * sigma_xy(v) / sigma_xy; computed by one
@@ -333,9 +322,8 @@ def node_loads(g: Graph, f, n: int, include_endpoints: bool = False) -> tuple:
     is averaged over each node orbit. Without symmetries every factor and
     divisor is 1, and the loads sum every source in boundary order.
     """
-    boundary, label, orbit_size, reps = _boundary_orbits(g, n)
-    depth = np.array(g.depth, dtype=np.int64)
-    census = np.zeros((2 * n + 1) * (n + 1), dtype=np.int64)
+    boundary = np.array(boundary_nodes(g, n), dtype=np.int64)
+    label, orbit_size, reps = _boundary_orbits(g, boundary)
     rates = rate_table(f, 2 * n)
     nn = g.node_count
     total = np.zeros(nn)
@@ -354,7 +342,6 @@ def node_loads(g: Graph, f, n: int, include_endpoints: bool = False) -> tuple:
     for sources in _batches(g, reps):
         rows = sources.size
         dist, levels = _walk(g, sources, boundary)
-        census += orbit_size[sources] @ _census_rows(depth, n, boundary, dist, levels)
         start = np.arange(rows, dtype=np.int64) * nn + sources
         sigma = np.zeros(rows * nn)
         sigma[start] = 1.0
@@ -396,7 +383,7 @@ def node_loads(g: Graph, f, n: int, include_endpoints: bool = False) -> tuple:
                 acc = np.zeros(nn)
                 comp = np.zeros(nn)
     mean = np.bincount(label, weights=total)[label] / np.bincount(label)[label]
-    return tuple(float(x) for x in mean), census.reshape(2 * n + 1, n + 1)
+    return tuple(float(x) for x in mean)
 
 
 def core_radius(report: TrafficReport, epsilon: float) -> int:

@@ -65,7 +65,7 @@ def test_criterion_1_tree_oracle_equivalence():
             for n in depths:
                 g = gen_kary_tree(k, n)
                 rep = traffic_totals(g, rate, n)
-                loads = node_loads(g, rate, n)[0]
+                loads = node_loads(g, rate, n)
                 closed = tree_closed_forms(k, beta, n)
                 worst_t = max(worst_t, abs(rep.T - closed["T"]) / closed["T"])
                 share = loads[g.root] / rep.T
@@ -250,7 +250,7 @@ def test_criterion_6_small_graph_oracles():
         assert g.node_count <= 40, name
         want_t, want_tr, want_loads = brute_traffic(g, rate, n)
         rep = traffic_totals(g, rate, n)
-        loads = node_loads(g, rate, n)[0]
+        loads = node_loads(g, rate, n)
         worst = max(worst, abs(rep.T - want_t) / want_t)
         for got, want in zip(rep.T_r, want_tr):
             if want:

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from hypertraffic import graphs, tessellation
+from hypertraffic import generators, graphs
 from hypertraffic.analysis import (
     GLOBAL,
     LOCAL,
@@ -126,7 +126,7 @@ class TestTreeClosedForms:
             g = gen_kary_tree(k, n)
             rate = ExponentialRate(beta)
             rep = traffic_totals(g, rate, n)
-            loads = node_loads(g, rate, n)[0]
+            loads = node_loads(g, rate, n)
             closed = tree_closed_forms(k, beta, n)
             assert rep.T == pytest.approx(closed["T"], rel=1e-9)
             assert loads[0] / rep.T == pytest.approx(closed["P"], rel=1e-9)
@@ -262,7 +262,7 @@ def counting(monkeypatch, module, name):
     return calls
 
 
-class TestOneGraphSweep:
+class TestSweepBuilds:
     BETAS = (1.3, 1.9, 2.5)
 
     # (family, depths, node cap): the deepest depths exceed the cap, or lie
@@ -283,12 +283,12 @@ class TestOneGraphSweep:
         assert list(report.errors.items()) == list(errors.items())
         assert list(report.growth.sphere_sizes) == spheres
 
-    def test_tessellation_ball_built_once(self, monkeypatch):
-        spec = FamilySpec(variant="tessellation", p=5, q=4)
-        calls = counting(monkeypatch, tessellation, "build_ball")
-        report = sweep(spec, self.BETAS, (3, 4, 5, 6), 2)
+    def test_grid_built_once(self, monkeypatch):
+        spec = FamilySpec(variant="grid", side=7)
+        calls = counting(monkeypatch, generators, "gen_grid")
+        report = sweep(spec, self.BETAS, (1, 2, 3), 0)
         assert len(calls) == 1
-        cells, errors, spheres = per_depth_sweep(spec, self.BETAS, (3, 4, 5, 6), 2)
+        cells, errors, spheres = per_depth_sweep(spec, self.BETAS, (1, 2, 3), 0)
         assert report.cells == cells and report.errors == errors == {}
         assert list(report.growth.sphere_sizes) == spheres
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hypertraffic import generators, graphs, traffic
+from hypertraffic import generators, graphs
 from hypertraffic.cli import main
 from hypertraffic.errors import DisconnectedGraph, MalformedEdge, SizeOverflow
 from hypertraffic.generators import load_edge_list
@@ -169,26 +169,6 @@ class TestTraffic:
         assert lines[0] == "node,depth,load"
         assert len(lines) == 1 + doc_node_count(gfile)
 
-    def test_loads_walk_once(self, tmp_path, monkeypatch):
-        """--loads-out reads the census off the loads walk: no batch of
-        sources is walked twice, and the report bytes do not change."""
-        gfile = tmp_path / "t.json"
-        run("generate", "--family", "tess", "--p", "5", "--q", "4", "--depth", "4",
-            "--out", str(gfile))
-        monkeypatch.setattr(traffic, "_BATCH_SLOTS", 1)  # one source per batch
-        walks = []
-        walk = traffic._walk
-        monkeypatch.setattr(traffic, "_walk", lambda *a: walks.append(a) or walk(*a))
-        reports = []
-        for extra in ((), ("--loads-out", str(tmp_path / "l.csv"))):
-            walks.clear()
-            out = tmp_path / f"r{len(reports)}.json"
-            assert run("traffic", "--graph", str(gfile), "--beta", "1.2",
-                       "--out", str(out), *extra) == 0
-            reports.append((len(walks), out.read_bytes()))
-        assert reports[0] == reports[1]
-        assert reports[0][0] > 1
-
     def test_exactly_one_rate(self, tmp_path):
         gfile = tmp_path / "t.json"
         run("generate", "--family", "tree", "--k", "2", "--depth", "3",
@@ -274,15 +254,6 @@ class TestTreeOracle:
             fields = line.split(",")
             assert float(fields[5]) < 1e-9  # rel_err_T
             assert float(fields[6]) < 1e-9  # rel_err_P
-
-    def test_one_walk_per_depth(self, tmp_path, monkeypatch):
-        # a tree's odometer leaves one boundary orbit, so one batch per depth
-        walks = []
-        walk = traffic._walk
-        monkeypatch.setattr(traffic, "_walk", lambda *a: walks.append(a) or walk(*a))
-        assert run("tree-oracle", "--k", "3", "--beta", "2.0", "--n-max", "4",
-                   "--out", str(tmp_path / "o.csv")) == 0
-        assert len(walks) == 4
 
     @pytest.mark.parametrize("beta", ["1e200", "inf"])
     def test_underflowing_root_share_exit_3(self, tmp_path, capsys, beta):

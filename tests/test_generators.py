@@ -29,10 +29,9 @@ from hypertraffic.generators import (
     gen_tessellation,
     load_edge_list,
 )
-from hypertraffic.graphs import _bfs, four_point_delta, graph_to_json_dict, induced_ball
+from hypertraffic.graphs import _bfs, four_point_delta, graph_to_json_dict
 from hypertraffic.serialize import dumps
 from hypertraffic.tessellation import TessellationMap, build_ball
-from hypertraffic.traffic import pair_census
 
 # growth rate of the (5,4) ball construction, largest root of
 # x^4 - 2x^3 - 2x + 1; frozen from the audited face expansion and
@@ -286,25 +285,6 @@ class TestMapAudit:
         assert main(["generate", "--family", "tess", "--p", "5", "--q", "4",
                      "--depth", "2", "--out", str(tmp_path / "g.json")]) == 3
         assert "face ids [-1, 0]" in capsys.readouterr().err
-
-
-class TestInducedBall:
-    @pytest.mark.parametrize("p,q,d_max", [(5, 4, 8), (7, 3, 9), (4, 5, 6), (3, 7, 7)])
-    def test_tessellation_census_of_every_smaller_ball(self, p, q, d_max):
-        big = gen_tessellation(p, q, d_max)
-        assert induced_ball(big, d_max) is big
-        for n in range(d_max):
-            ball = induced_ball(big, n)
-            assert np.array_equal(pair_census(ball, n), pair_census(gen_tessellation(p, q, n), n)), n
-
-    @pytest.mark.parametrize("k", [2, 3])
-    def test_tree_restricts_to_the_smaller_tree(self, k):
-        big = gen_kary_tree(k, 6)
-        for n in range(1, 6):
-            ball, want = induced_ball(big, n), gen_kary_tree(k, n)
-            assert ball == want
-            assert len(ball.symmetries) == len(want.symmetries) == 1
-            assert np.array_equal(ball.symmetries[0], want.symmetries[0])
 
 
 class TestGrid:

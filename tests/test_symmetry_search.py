@@ -57,8 +57,8 @@ def assert_sound_and_exact(g):
     rate = ExponentialRate(1.3)
     for n in range(g.max_depth + 1):
         assert np.array_equal(pair_census(g, n), pair_census(plain, n)), n
-        got = np.array(node_loads(g, rate, n)[0])
-        want = np.array(node_loads(plain, rate, n)[0])
+        got = np.array(node_loads(g, rate, n))
+        want = np.array(node_loads(plain, rate, n))
         assert np.array_equal(got == 0, want == 0), n
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 

@@ -223,7 +223,7 @@ class TestBruteEquivalence:
         rate = ExponentialRate(1.7)
         want_t, want_tr, want_loads = brute_traffic(g, rate, n)
         rep = traffic_totals(g, rate, n)
-        loads = node_loads(g, rate, n)[0]
+        loads = node_loads(g, rate, n)
         assert rep.T == pytest.approx(want_t, rel=1e-12)
         for got, want in zip(rep.T_r, want_tr):
             assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
@@ -234,11 +234,11 @@ class TestBruteEquivalence:
 class TestNodeLoads:
     def test_depth1_binary(self):
         g = gen_kary_tree(2, 1)
-        loads = node_loads(g, ExponentialRate(2.0), 1)[0]
+        loads = node_loads(g, ExponentialRate(2.0), 1)
         assert loads == (0.5, 0.0, 0.0)
 
     def test_diamond_equal_split(self):
-        loads = node_loads(DIAMOND, ExponentialRate(2.0), 1)[0]
+        loads = node_loads(DIAMOND, ExponentialRate(2.0), 1)
         assert loads[0] == 0.25 and loads[3] == 0.25
 
     @pytest.mark.parametrize("k,depth,beta", [(2, 3, 1.5), (3, 2, 2.0)])
@@ -246,7 +246,7 @@ class TestNodeLoads:
         # unique geodesics: total interior load is sum of f(d) * (d - 1)
         g = gen_kary_tree(k, depth)
         rate = ExponentialRate(beta)
-        loads = node_loads(g, rate, depth)[0]
+        loads = node_loads(g, rate, depth)
         leaves = g.layers[depth]
         from oracles import bfs_dist
 
@@ -262,14 +262,14 @@ class TestNodeLoads:
         g = gen_kary_tree(3, 3)
         rate = ExponentialRate(1.4)
         rep = traffic_totals(g, rate, 3)
-        loads = node_loads(g, rate, 3)[0]
+        loads = node_loads(g, rate, 3)
         assert loads[0] == pytest.approx(rep.T_r[0], rel=1e-12)
 
     def test_include_endpoints_adds_boundary_term(self):
         g = gen_kary_tree(2, 2)
         rate = ExponentialRate(2.0)
-        bare = node_loads(g, rate, 2)[0]
-        full = node_loads(g, rate, 2, include_endpoints=True)[0]
+        bare = node_loads(g, rate, 2)
+        full = node_loads(g, rate, 2, include_endpoints=True)
         rep = traffic_totals(g, rate, 2)
         # each ordered pair (x != y) adds its rate at both endpoints
         diagonal = len(g.layers[2])  # rate 1 each
@@ -289,8 +289,8 @@ class TestScaleEquivariance:
             rep2 = traffic_totals(g, scaled, 2)
             assert rep2.T == c * rep1.T
             assert all(b == c * a for a, b in zip(rep1.T_r, rep2.T_r))
-            l1 = node_loads(g, base, 2)[0]
-            l2 = node_loads(g, scaled, 2)[0]
+            l1 = node_loads(g, base, 2)
+            l2 = node_loads(g, scaled, 2)
             assert all(b == c * a for a, b in zip(l1, l2))
             assert core_radius(rep1, 0.4) == core_radius(rep2, 0.4)
 
@@ -376,8 +376,7 @@ class TestDeterminism:
     @pytest.mark.parametrize("name,g,n_max", BRUTE_CASES, ids=[c[0] for c in BRUTE_CASES])
     def test_batch_sizes_bit_identical(self, name, g, n_max, monkeypatch):
         """One source per batch, an uneven split, and the whole boundary in one
-        batch give the same bits, and the census read off the loads walk is
-        the census; every n < max_depth stops rows early."""
+        batch give the same bits; every n < max_depth stops rows early."""
         rate = ExponentialRate(1.7)
         for n in range(1, g.max_depth + 1):
             size = len(g.layers[n])
@@ -387,10 +386,9 @@ class TestDeterminism:
                 monkeypatch.setattr(traffic, "_BATCH_SLOTS", batch * g.node_count)
                 census = pair_census(g, n)
                 rep = traffic_totals(g, rate, n, census=census)
-                results.append((census, rep, *node_loads(g, rate, n)))
-            census, rep, loads, _ = results[0]
-            for other_census, other_rep, other_loads, loads_census in results:
-                assert np.array_equal(loads_census, census)
+                results.append((census, rep, node_loads(g, rate, n)))
+            (census, rep, loads), *rest = results
+            for other_census, other_rep, other_loads in rest:
                 assert np.array_equal(census, other_census)
                 assert rep.T == other_rep.T and rep.T_r == other_rep.T_r
                 assert loads == other_loads
@@ -491,8 +489,8 @@ class TestOrbitLoads:
             plain = dataclasses.replace(g, symmetries=())
             for n in range(g.max_depth + 1):
                 for ends in (False, True):
-                    got = np.array(node_loads(g, rate, n, include_endpoints=ends)[0])
-                    want = np.array(node_loads(plain, rate, n, include_endpoints=ends)[0])
+                    got = np.array(node_loads(g, rate, n, include_endpoints=ends))
+                    want = np.array(node_loads(plain, rate, n, include_endpoints=ends))
                     assert np.array_equal(got == 0, want == 0), (g.node_count, n, ends)
                     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
@@ -505,7 +503,7 @@ class TestOrbitLoads:
         }
         for (name, n, ends), digest in PLAIN_LOAD_DIGESTS.items():
             plain = dataclasses.replace(graphs[name], symmetries=())
-            loads = np.array(node_loads(plain, ExponentialRate(1.3), n, include_endpoints=ends)[0])
+            loads = np.array(node_loads(plain, ExponentialRate(1.3), n, include_endpoints=ends))
             assert hashlib.sha256(loads.tobytes()).hexdigest()[:16] == digest, (name, n, ends)
 
     @pytest.mark.parametrize("k,depth,root_degree", [(2, 6, 2), (3, 4, 1), (3, 4, 5), (4, 3, 2)])
@@ -550,7 +548,7 @@ class TestDeepTree:
         assert np.array_equal(census, want)
         rate = ExponentialRate(2.0)
         rep = traffic_totals(g, rate, n, census=census)
-        share = node_loads(g, rate, n)[0][g.root] / rep.T
+        share = node_loads(g, rate, n)[g.root] / rep.T
         closed = tree_closed_forms(k, 2.0, n)
         assert rep.T == pytest.approx(closed["T"], rel=1e-9)
         assert share == pytest.approx(closed["P"], rel=1e-9)
