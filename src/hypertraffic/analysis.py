@@ -15,7 +15,8 @@ from .errors import (
     WindowTooLarge,
 )
 from .generators import FamilySpec, family_graph
-from .traffic import ExponentialRate, PolynomialRate, pair_census, traffic_totals
+from .graphs import DEFAULT_NODE_CAP
+from .traffic import ExponentialRate, pair_census, traffic_totals
 
 GLOBAL, LOCAL, UNDECIDED = "GLOBAL", "LOCAL", "UNDECIDED"
 
@@ -47,9 +48,16 @@ def default_window(sphere_sizes) -> int:
     return max(2, (len(sphere_sizes) - 1) // 2)
 
 
-def growth_exponent(sphere_sizes, window: int) -> GrowthEstimate:
+def growth_exponent(sphere_sizes, window: int = None) -> GrowthEstimate:
+    """Estimates over the trailing `window` ratios, default_window if None.
+    With no window given, fewer than 3 spheres leave no ratio window to fit,
+    and the ball grows at rate 0 (window 0)."""
     sizes = [int(s) for s in sphere_sizes]
     num_ratios = len(sizes) - 1
+    if window is None:
+        if num_ratios < 2:
+            return GrowthEstimate(tuple(sizes), e_slope=0.0, e_ratio=0.0, window=0)
+        window = default_window(sizes)
     if window < 2 or window > num_ratios:
         raise WindowTooLarge(
             f"window {window} not in [2, {num_ratios}] for {len(sizes)} spheres"
@@ -159,7 +167,7 @@ class TransitionReport:
     betas: tuple
     depths: tuple
     cells: dict        # (beta, n) -> {"T": .., "T_r": .., "ratio": ..}
-    errors: dict       # (beta, n) or n -> message
+    errors: dict       # n -> message
     growth: GrowthEstimate
     beta_c_pred: float
     labels: dict       # beta -> GLOBAL | LOCAL | UNDECIDED
@@ -184,15 +192,16 @@ def _empirical_crossing(betas, labels):
     return None
 
 
-def sweep(spec: FamilySpec, betas, depths, r: int,
-          f_variant: str = "exponential",
+def sweep(spec: FamilySpec, betas, depths, r: int, rate=ExponentialRate,
           tail: int = DEFAULT_TAIL, tau_g: float = DEFAULT_TAU_GLOBAL,
-          tau_l: float = DEFAULT_TAU_LOCAL, node_cap: int = None) -> TransitionReport:
+          tau_l: float = DEFAULT_TAU_LOCAL,
+          node_cap: int = DEFAULT_NODE_CAP) -> TransitionReport:
     """Grid of T_r/T over (beta, depth) with per-beta phase labels.
 
-    Graphs are built once per depth (once for a grid or an edge list) and
-    shared across the beta grid via the rate-independent pair census. Cell
-    failures are recorded, not fatal.
+    `rate(beta)` builds each rate, and checks its range, before any graph
+    is built. Graphs are built once per depth (once for a grid or an edge
+    list) and shared across the beta grid via the rate-independent pair
+    census. Depth failures are recorded, not fatal.
     """
     betas = tuple(float(b) for b in betas)
     depths = tuple(int(n) for n in depths)
@@ -206,48 +215,30 @@ def sweep(spec: FamilySpec, betas, depths, r: int,
         raise ValueError(f"all depths must exceed r={r}")
     if list(betas) != sorted(set(betas)):
         raise ValueError("betas must be strictly ascending")
-    if f_variant == "exponential":
-        make_rate = ExponentialRate
-        if any(b <= 1.0 for b in betas):
-            raise ValueError("exponential sweep needs all betas > 1")
-    elif f_variant == "polynomial":
-        make_rate = PolynomialRate
-        if any(b <= 0.0 for b in betas):
-            raise ValueError("polynomial sweep needs all exponents > 0")
-    else:
-        raise ValueError(f"unknown rate variant {f_variant!r}")
+    rates = [rate(b) for b in betas]
 
     cells = {}
     errors = {}
     deepest_graph = None
-    cap_kw = {} if node_cap is None else {"node_cap": node_cap}
     # a failure is not cached, so each depth records it as a fresh build would
-    depthless = cache(lambda: family_graph(spec, **cap_kw))
+    depthless = cache(lambda: family_graph(spec, node_cap=node_cap))
     for n in depths:
         try:
-            g = family_graph(spec, depth=n, **cap_kw) if spec.has_depth else depthless()
+            g = family_graph(spec, depth=n, node_cap=node_cap) if spec.has_depth else depthless()
             census = pair_census(g, n)
         except HypertrafficError as exc:
             errors[n] = str(exc)
             continue
         deepest_graph = g
-        for b in betas:
-            try:
-                rep = traffic_totals(g, make_rate(b), n, census=census)
-                cells[(b, n)] = {
-                    "T": rep.T,
-                    "T_r": rep.T_r[r],
-                    "ratio": rep.T_r[r] / rep.T,
-                }
-            except HypertrafficError as exc:
-                errors[(b, n)] = str(exc)
+        for b, f in zip(betas, rates):
+            rep = traffic_totals(g, f, n, census=census)
+            cells[(b, n)] = {"T": rep.T, "T_r": rep.T_r[r], "ratio": rep.T_r[r] / rep.T}
 
     if deepest_graph is None:
         detail = "; ".join(str(m) for m in errors.values()) or "no depths built"
         raise HypertrafficError(f"every depth failed: {detail}")
 
-    spheres = [len(layer) for layer in deepest_graph.layers]
-    growth = growth_exponent(spheres, default_window(spheres))
+    growth = growth_exponent([len(layer) for layer in deepest_graph.layers])
     pred = beta_c(growth.e_ratio)
 
     labels = {}

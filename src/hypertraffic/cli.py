@@ -107,17 +107,7 @@ def cmd_generate(args):
 def cmd_analyze(args):
     g, _ = _load_graph(args.graph)
     spheres = [len(layer) for layer in g.layers]
-    if args.window is not None or len(spheres) >= 3:
-        # an explicit window is checked against [2, ratios] on every graph
-        window = args.window
-        if window is None:
-            window = analysis.default_window(spheres)
-        est = analysis.growth_exponent(spheres, window)
-    else:
-        # too few spheres for any ratio window; constant balls grow at rate 0
-        est = analysis.GrowthEstimate(
-            sphere_sizes=tuple(spheres), e_slope=0.0, e_ratio=0.0, window=0
-        )
+    est = analysis.growth_exponent(spheres, args.window)
     pred = analysis.beta_c(est.e_ratio)
     try:
         delta = float(graphs.four_point_delta(g, cap=args.four_point_cap))
@@ -236,7 +226,8 @@ def cmd_sweep(args):
 
 
 def cmd_tree_oracle(args):
-    rate = traffic.ExponentialRate(args.beta)
+    if args.n_max < 1:
+        raise HypertrafficError(f"--n-max must be >= 1, got {args.n_max}")
     rows = []
     for n in range(1, args.n_max + 1):
         g = generators.gen_kary_tree(args.k, n, node_cap=_node_cap())
@@ -245,6 +236,8 @@ def cmd_tree_oracle(args):
             raise ValueError(
                 f"closed-form root share beta^-{2 * n} underflows to 0 at beta={args.beta}"
             )
+        # after the closed-form checks, so beta = inf reports its underflow
+        rate = traffic.ExponentialRate(args.beta)
         rep = traffic.traffic_totals(g, rate, n)
         loads = traffic.node_loads(g, rate, n)
         share = loads[g.root] / rep.T

@@ -46,7 +46,7 @@ class ParseError(HypertrafficError):
         self.line = line
 
 
-class InvalidRate(HypertrafficError):
+class InvalidRate(HypertrafficError, ValueError):
     """Rate function parameters are out of range."""
 
 

@@ -414,8 +414,12 @@ def find_symmetries(g: Graph) -> tuple:
 
 
 def with_found_symmetries(g: Graph) -> Graph:
-    """g carrying the root-fixing automorphisms that find_symmetries verifies."""
-    return replace(g, symmetries=find_symmetries(g)[0])
+    """g carrying the root-fixing automorphisms that find_symmetries verifies,
+    and the CSR arrays that the search built for g."""
+    found = replace(g, symmetries=find_symmetries(g)[0])
+    if "csr" in vars(g):
+        vars(found)["csr"] = g.csr
+    return found
 
 
 def distances_from(g: Graph, source: int) -> DistanceRow:

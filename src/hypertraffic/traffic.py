@@ -43,8 +43,8 @@ class ExponentialRate:
     beta: float
 
     def __post_init__(self):
-        if not self.beta > 1.0:
-            raise InvalidRate(f"beta must be > 1, got {self.beta}")
+        if not 1.0 < self.beta < math.inf:
+            raise InvalidRate(f"beta must be finite and > 1, got {self.beta}")
 
     def eval(self, d: int) -> float:
         return math.exp(-d * math.log(self.beta))
@@ -60,8 +60,8 @@ class PolynomialRate:
     alpha: float
 
     def __post_init__(self):
-        if not self.alpha > 0.0:
-            raise InvalidRate(f"alpha must be > 0, got {self.alpha}")
+        if not 0.0 < self.alpha < math.inf:
+            raise InvalidRate(f"alpha must be finite and > 0, got {self.alpha}")
 
     def eval(self, d: int) -> float:
         return (1.0 + d) ** -self.alpha
@@ -72,13 +72,20 @@ class PolynomialRate:
 
 @dataclass(frozen=True)
 class TableRate:
-    """R(d) = values[d], zero beyond the table; must be non-increasing."""
+    """R(d) = values[d], zero beyond the table; must be finite and
+    non-increasing with R(0) > 0, so every T, which counts the diagonal at
+    distance 0, is positive."""
 
     values: tuple
 
     def __post_init__(self):
         vals = tuple(float(v) for v in self.values)
         object.__setattr__(self, "values", vals)
+        bad = [v for v in vals if not math.isfinite(v)]
+        if bad:
+            raise InvalidRate(f"table rates must be finite, got {bad[0]}")
+        if not vals or vals[0] <= 0.0:
+            raise InvalidRate(f"table rate R(0) must be > 0, got {vals[0] if vals else 'none'}")
         if any(v < 0.0 for v in vals):
             raise InvalidRate("table rates must be non-negative")
         if any(b > a for a, b in zip(vals, vals[1:])):

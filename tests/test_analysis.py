@@ -16,9 +16,22 @@ from hypertraffic.analysis import (
     tree_distance_counts,
     tree_root_limit,
 )
-from hypertraffic.errors import EmptySphere, HypertrafficError, TooFewDepths, WindowTooLarge
+from hypertraffic import analysis
+from hypertraffic.errors import (
+    EmptySphere,
+    HypertrafficError,
+    InvalidRate,
+    TooFewDepths,
+    WindowTooLarge,
+)
 from hypertraffic.generators import FamilySpec, family_graph, gen_grid, gen_kary_tree
-from hypertraffic.traffic import ExponentialRate, node_loads, pair_census, traffic_totals
+from hypertraffic.traffic import (
+    ExponentialRate,
+    PolynomialRate,
+    node_loads,
+    pair_census,
+    traffic_totals,
+)
 
 
 class TestGrowthExponent:
@@ -56,6 +69,16 @@ class TestGrowthExponent:
     def test_default_window_is_trailing_half(self):
         assert default_window([1] * 9) == 4
         assert default_window([1, 2, 3]) == 2
+
+    def test_no_window_uses_default(self):
+        spheres = [1, 4, 12, 36, 108, 324, 972]
+        assert growth_exponent(spheres) == growth_exponent(spheres, default_window(spheres))
+
+    @pytest.mark.parametrize("spheres", [[1], [1, 2], [3, 7]])
+    def test_fewer_than_three_spheres_grow_at_rate_zero(self, spheres):
+        est = growth_exponent(spheres)
+        assert (est.window, est.e_ratio, est.e_slope) == (0, 0.0, 0.0)
+        assert est.sphere_sizes == tuple(spheres)
 
 
 class TestBetaC:
@@ -222,9 +245,26 @@ class TestSweep:
             with pytest.raises(ValueError, match="tail must be >= 1"):
                 sweep(spec, [1.5], [3, 4, 5], 0, tail=tail)
 
+    @pytest.mark.parametrize("rate,betas", [
+        (ExponentialRate, [0.5, 1.5]),
+        (ExponentialRate, [1.5, math.inf]),
+        (PolynomialRate, [-1.0, 2.0]),
+    ])
+    def test_rate_checked_before_any_graph(self, monkeypatch, rate, betas):
+        calls = counting(monkeypatch, analysis, "family_graph")
+        with pytest.raises(InvalidRate):
+            sweep(FamilySpec(variant="tree", k=2), betas, [3, 4], 0, rate=rate)
+        assert calls == []
+
+    def test_depth_one_tree_grows_at_rate_zero(self):
+        report = sweep(FamilySpec(variant="tree", k=2), [1.5, 2.0], [1], 0)
+        assert report.growth == growth_exponent([1, 2])
+        assert report.growth.window == 0 and report.beta_c_pred == 1.0
+        assert report.errors == {} and len(report.cells) == 2
+
     def test_polynomial_control_keeps_core(self):
         spec = FamilySpec(variant="tree", k=2, depth=0)
-        report = sweep(spec, [2.0], [3, 4, 5, 6], 0, f_variant="polynomial")
+        report = sweep(spec, [2.0], [3, 4, 5, 6], 0, rate=PolynomialRate)
         series = report.ratios_for(2.0)
         assert all(b > a for a, b in zip(series, series[1:]))
         assert series[-1] > 0.1

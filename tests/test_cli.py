@@ -1,9 +1,10 @@
 import json
+import math
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hypertraffic import generators, graphs
@@ -196,6 +197,24 @@ class TestTraffic:
                    "--out", str(out)) == 0
         assert json.loads(out.read_text())["rate"]["variant"] == "table"
 
+    @pytest.mark.parametrize("flag,message", [
+        ("--table=0", "table rate R(0) must be > 0, got 0.0"),
+        ("--table=0,0,0", "table rate R(0) must be > 0, got 0.0"),
+        ("--table=inf", "table rates must be finite, got inf"),
+        ("--table=1,nan", "table rates must be finite, got nan"),
+        ("--beta=inf", "beta must be finite and > 1, got inf"),
+        ("--alpha=inf", "alpha must be finite and > 0, got inf"),
+    ])
+    def test_bad_rate_flag_exit_3(self, tmp_path, capsys, flag, message):
+        gfile = tmp_path / "t.json"
+        run("generate", "--family", "tree", "--k", "2", "--depth", "2",
+            "--out", str(gfile))
+        capsys.readouterr()
+        out = tmp_path / "r.json"
+        assert run("traffic", "--graph", str(gfile), flag, "--out", str(out)) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 def doc_node_count(gfile):
     return json.loads(gfile.read_text())["node_count"]
@@ -241,6 +260,32 @@ class TestSweep:
         assert f"{flag[2:]} must be >= " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("family", ["tree", "star"])
+    def test_two_sphere_sweep_matches_analyze(self, tmp_path, family):
+        # a depth-1 ball has no ratio window: both commands report rate 0
+        gfile = tmp_path / "g.json"
+        if family == "tree":
+            run("generate", "--family", "tree", "--k", "2", "--depth", "1",
+                "--out", str(gfile))
+            flags = ("--family", "tree", "--k", "2")
+        else:
+            efile = tmp_path / "star.txt"
+            efile.write_text("0 1\n0 2\n")
+            gfile.write_text(json.dumps(
+                {"format": GRAPH_FORMAT, "root": 0, "node_count": 3, "edges": [[0, 1], [0, 2]]}
+            ))
+            flags = ("--family", "edges", "--path", str(efile))
+        summ = tmp_path / "s.json"
+        assert run("sweep", *flags, "--beta-min", "1.2", "--beta-max", "2.0",
+                   "--steps", "3", "--depths", "1", "--r", "0",
+                   "--out", str(tmp_path / "s.csv"), "--summary-out", str(summ)) == 0
+        analyzed = tmp_path / "a.json"
+        assert run("analyze", "--graph", str(gfile), "--out", str(analyzed)) == 0
+        swept, analyzed = json.loads(summ.read_text()), json.loads(analyzed.read_text())
+        keys = ("spheres", "window", "e_ratio", "e_slope", "beta_c_pred")
+        assert {k: swept[k] for k in keys} == {k: analyzed[k] for k in keys}
+        assert swept["window"] == 0 and swept["errors"] == {}
+
 
 class TestTreeOracle:
     def test_table(self, tmp_path):
@@ -261,6 +306,15 @@ class TestTreeOracle:
         assert run("tree-oracle", "--k", "2", "--beta", beta, "--n-max", "2",
                    "--out", str(tmp_path / "o.csv")) == 3
         assert "underflows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_max", ["0", "-3"])
+    def test_n_max_below_one_exit_3(self, tmp_path, capsys, n_max):
+        # checked before any rate, so a bad beta cannot pass unseen either
+        out = tmp_path / "o.csv"
+        assert run("tree-oracle", "--k", "2", "--beta", "0.5", f"--n-max={n_max}",
+                   "--out", str(out)) == 3
+        assert f"--n-max must be >= 1, got {n_max}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bytes_match_the_unreduced_engine(self, tmp_path):
         # recorded before node loads were orbit-reduced, when every leaf of
@@ -378,6 +432,12 @@ VALID_DOCS = st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=
         "edges": [[i, i + 1] for i in range(8)] + [[u, v] for u, v in chords if u != v],
     }
 )
+# any float a rate flag can carry, nan, infinities and zeros included, and
+# tables of one to four of them
+RATE_FLAGS = st.tuples(st.sampled_from(["--beta", "--alpha"]), st.floats().map(repr)) | st.tuples(
+    st.just("--table"),
+    st.lists(st.floats(), min_size=1, max_size=4).map(lambda vs: ",".join(map(repr, vs))),
+)
 EDGE_LINES = st.lists(
     st.tuples(NODE_IDS, NODE_IDS).map(lambda e: f"{e[0]} {e[1]}")
     | NODE_IDS.map(lambda r: f"# root {r}")
@@ -421,6 +481,20 @@ class TestExitCodeContract:
                              "--out", str(Path(tmp) / "s.csv"),
                              "--summary-out", str(Path(tmp) / "s.json"))
         assert code in (0, 2, 3)
+
+    @SETTINGS
+    @given(rate=RATE_FLAGS)
+    @example(rate=("--table", "0.0"))
+    @example(rate=("--beta", repr(math.inf)))
+    def test_traffic_on_any_rate(self, rate):
+        flag, value = rate
+        with tempfile.TemporaryDirectory() as tmp:
+            gfile = Path(tmp) / "g.json"
+            gfile.write_text(json.dumps(graph_to_json_dict(generators.gen_kary_tree(2, 2))))
+            code = exit_code("traffic", "--graph", str(gfile), f"{flag}={value}",
+                             "--out", str(Path(tmp) / "r.json"),
+                             "--loads-out", str(Path(tmp) / "l.csv"))
+        assert code in (0, 3)
 
     # small k and n-max give trees under the node cap, and the bounded beta
     # range reaches the betas whose closed-form root share underflows

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import random
 
 import pytest
@@ -11,8 +12,9 @@ from hypertraffic.errors import (
     MalformedEdge,
     NotAutomorphism,
 )
-from hypertraffic.generators import gen_grid, gen_kary_tree, gen_tessellation
+from hypertraffic.generators import gen_grid, gen_kary_tree, gen_tessellation, load_edge_list
 from hypertraffic.graphs import (
+    Graph,
     HalfInteger,
     _bfs,
     build_graph,
@@ -23,6 +25,7 @@ from hypertraffic.graphs import (
     gromov_product,
     slim_delta_exact,
 )
+from hypertraffic.traffic import pair_census
 from oracles import floyd_warshall
 
 PATH3 = [(0, 1), (1, 2)]
@@ -131,6 +134,28 @@ class TestSymmetries:
         assert [s.tolist() for s in g.symmetries] == [list(self.MIRROR)]
         assert not g.symmetries[0].flags.writeable
         assert build_graph(CYCLE4, 0).symmetries == ()
+
+    def test_loaders_build_the_csr_once(self, monkeypatch):
+        # the symmetry search builds the CSR and the loaded graph keeps it
+        builds = []
+        real = Graph.csr.func
+
+        def counted(g):
+            builds.append(g.node_count)
+            return real(g)
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(Graph, "csr")
+        monkeypatch.setattr(Graph, "csr", prop)
+        ball = gen_tessellation(5, 4, 5)
+        doc = graph_to_json_dict(ball)
+        text = "\n".join(f"{u} {v}" for u, v in ball.edge_list())
+        for load in (lambda: graph_from_json_dict(doc)[0], lambda: load_edge_list(text)):
+            builds.clear()
+            g = load()
+            assert g.symmetries
+            pair_census(g, g.max_depth)
+            assert builds == [ball.node_count]
 
 
 class TestDistances:

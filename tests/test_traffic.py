@@ -81,6 +81,21 @@ class TestRates:
         with pytest.raises(InvalidRate):
             TableRate((0.5, 1.0))  # increasing
 
+    @pytest.mark.parametrize("make,value,message", [
+        (ExponentialRate, math.inf, "beta must be finite and > 1, got inf"),
+        (ExponentialRate, math.nan, "beta must be finite and > 1, got nan"),
+        (PolynomialRate, math.inf, "alpha must be finite and > 0, got inf"),
+        (TableRate, (math.inf,), "table rates must be finite, got inf"),
+        (TableRate, (1.0, math.nan), "table rates must be finite, got nan"),
+        (TableRate, (0.0,), r"table rate R\(0\) must be > 0, got 0.0"),
+        (TableRate, (0.0, 0.0), r"table rate R\(0\) must be > 0, got 0.0"),
+        (TableRate, (), r"table rate R\(0\) must be > 0, got none"),
+    ])
+    def test_invalid_names_the_value(self, make, value, message):
+        with pytest.raises(InvalidRate, match=message):
+            make(value)
+        assert issubclass(InvalidRate, ValueError)
+
     def test_non_increasing(self):
         f = PolynomialRate(2.0)
         vals = [rate_eval(f, d) for d in range(10)]
