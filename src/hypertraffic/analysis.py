@@ -232,7 +232,7 @@ def sweep(spec: FamilySpec, betas, depths, r: int, rate=ExponentialRate,
         deepest_graph = g
         for b, f in zip(betas, rates):
             rep = traffic_totals(g, f, n, census=census)
-            cells[(b, n)] = {"T": rep.T, "T_r": rep.T_r[r], "ratio": rep.T_r[r] / rep.T}
+            cells[(b, n)] = {"T": rep.T, "T_r": rep.T_r[r], "ratio": rep.ratio(r)}
 
     if deepest_graph is None:
         detail = "; ".join(str(m) for m in errors.values()) or "no depths built"

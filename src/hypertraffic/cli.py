@@ -92,7 +92,17 @@ def _rate_from_args(args):
         return traffic.ExponentialRate(args.beta)
     if args.alpha is not None:
         return traffic.PolynomialRate(args.alpha)
-    return traffic.TableRate(tuple(float(v) for v in args.table.split(",")))
+    return traffic.TableRate(_numbers("--table", args.table, float))
+
+
+def _numbers(flag, text, kind):
+    """The comma-separated values of `flag` as `kind`, or an error naming it."""
+    try:
+        return [kind(v) for v in text.split(",")]
+    except ValueError:
+        raise HypertrafficError(
+            f"{flag} takes comma-separated {kind.__name__}s, got {text!r}"
+        ) from None
 
 
 def cmd_generate(args):
@@ -144,7 +154,7 @@ def cmd_traffic(args):
     serialize.write_text(args.out, serialize.dumps(doc) + "\n")
     line = f"T {serialize.fmt_float(report.T)}  core radius {core} at epsilon {args.epsilon}"
     if args.r is not None:
-        line += f"  T_{args.r}/T {report.T_r[args.r] / report.T:.6f}"
+        line += f"  T_{args.r}/T {report.ratio(args.r):.6f}"
     print(line)
     if args.loads_out:
         loads = traffic.node_loads(
@@ -169,7 +179,7 @@ def _beta_grid(lo, hi, steps):
 def cmd_sweep(args):
     spec = _family_from_args(args, need_depth=False)
     betas = _beta_grid(args.beta_min, args.beta_max, args.steps)
-    depths = [int(x) for x in args.depths.split(",")]
+    depths = _numbers("--depths", args.depths, int)
     report = analysis.sweep(
         spec, betas, depths, args.r,
         tail=args.tail, tau_g=args.tau_global, tau_l=args.tau_local,

@@ -55,6 +55,10 @@ class SigmaOverflow(HypertrafficError):
     gives exact big-integer counts."""
 
 
+class TrafficOverflow(HypertrafficError):
+    """Traffic totals exceeded the float64 range."""
+
+
 class EmptyBoundary(HypertrafficError):
     """No nodes at the requested traffic depth."""
 

@@ -1,13 +1,15 @@
 """Immutable rooted graphs with BFS layering and hyperbolic metric primitives.
 
-Distances are exact integers and Gromov products exact half-integers, so the
-metric layer involves no floating point at all.
+Distances are exact integers, and Gromov products and the four-point delta
+exact half-integers held as fractions.Fraction, so the metric layer involves
+no floating point at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property, total_ordering
+from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -26,37 +28,6 @@ SLIM_CAP = 64
 GEODESIC_ENUM_CAP = 20000
 _SEARCH_BUDGET = 1 << 25  # node+edge visits a symmetry search may spend
 _MATCH_PASSES = 16  # a match and its check, in Python, priced as refinement rounds
-
-
-@total_ordering
-@dataclass(frozen=True)
-class HalfInteger:
-    """Exact half-integer stored as twice its value."""
-
-    twice_value: int
-
-    @property
-    def value(self) -> float:
-        return self.twice_value / 2.0
-
-    def __float__(self) -> float:
-        return self.twice_value / 2.0
-
-    def _twice(self, other):
-        if isinstance(other, HalfInteger):
-            return other.twice_value
-        return 2.0 * other
-
-    def __eq__(self, other):
-        return self.twice_value == self._twice(other)
-
-    def __lt__(self, other):
-        return self.twice_value < self._twice(other)
-
-    def __repr__(self):
-        if self.twice_value % 2 == 0:
-            return str(self.twice_value // 2)
-        return f"{self.twice_value}/2"
 
 
 @dataclass(frozen=True)
@@ -429,11 +400,11 @@ def distances_from(g: Graph, source: int) -> DistanceRow:
     return DistanceRow(source=source, dist=tuple(_bfs(g.adjacency, source, g.node_count)[0]))
 
 
-def gromov_product(g: Graph, y: int, z: int, base: int) -> HalfInteger:
+def gromov_product(g: Graph, y: int, z: int, base: int) -> Fraction:
     """(y,z)_base = (d(base,y) + d(base,z) - d(y,z)) / 2, exactly."""
     db, _ = _bfs(g.adjacency, base, g.node_count)
     dy, _ = _bfs(g.adjacency, y, g.node_count)
-    return HalfInteger(db[y] + db[z] - dy[z])
+    return Fraction(db[y] + db[z] - dy[z], 2)
 
 
 def distance_matrix(g: Graph) -> np.ndarray:
@@ -445,7 +416,7 @@ def distance_matrix(g: Graph) -> np.ndarray:
     return out
 
 
-def four_point_delta(g: Graph, cap: int = FOUR_POINT_CAP) -> HalfInteger:
+def four_point_delta(g: Graph, cap: int = FOUR_POINT_CAP) -> Fraction:
     """Max over quadruples of (largest pair-sum - second largest) / 2.
 
     O(n^2) distance table plus an O(n^4) scan, so refuses graphs above `cap`.
@@ -457,7 +428,7 @@ def four_point_delta(g: Graph, cap: int = FOUR_POINT_CAP) -> HalfInteger:
     if n > cap:
         raise GraphTooLarge(f"{n} nodes exceeds four-point cap {cap}")
     if n < 4:
-        return HalfInteger(0)
+        return Fraction(0)
     d = distance_matrix(g)
     reps = np.flatnonzero(_orbit_labels(n, g.symmetries) == np.arange(n)).tolist()
     best = 0
@@ -476,7 +447,7 @@ def four_point_delta(g: Graph, cap: int = FOUR_POINT_CAP) -> HalfInteger:
             top = int(gap.max())
             if top > best:
                 best = top
-    return HalfInteger(best)
+    return Fraction(best, 2)
 
 
 def _enumerate_geodesics(adjacency, dist_from_u, u, v, limit):

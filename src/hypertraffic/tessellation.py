@@ -15,8 +15,6 @@ vertex first so the construction is also deterministic step by step.
 
 from __future__ import annotations
 
-from collections import deque
-
 from .errors import CorruptMap, NotAutomorphism, NotHyperbolic, SizeOverflow
 from .graphs import DEFAULT_NODE_CAP, _bfs
 
@@ -85,11 +83,10 @@ class TessellationMap:
             if len(self.adj[self._head(run[-1])]) < q:
                 break
             run.append(self.nxt[run[-1]])
-        if len(run) < p:
-            while len(run) < p:
-                if len(self.adj[self.org[run[0]]]) < q:
-                    break
-                run.insert(0, self.prv[run[0]])
+        while len(run) < p:
+            if len(self.adj[self.org[run[0]]]) < q:
+                break
+            run.insert(0, self.prv[run[0]])
         length = len(run)
         fid = self.face_count
         self.face_count += 1
@@ -158,9 +155,9 @@ class TessellationMap:
             raise NotAutomorphism(f"dart {image} does not point into the root")
         vmap = [-1] * self.vertex_count
         vmap[0] = 0
-        queue = deque([(1, image)])
-        while queue:
-            h, g = start = queue.popleft()
+        queue = [(1, image)]
+        for start in queue:  # the loop also visits the darts appended while it runs
+            h, g = start
             for _ in range(self.q):
                 u, w = self.org[h], self.org[g]
                 if vmap[u] < 0:
@@ -277,11 +274,12 @@ def build_ball(p: int, q: int, depth: int, node_cap: int = DEFAULT_NODE_CAP):
     """Edges of the radius-`depth` ball around a root vertex, BFS-relabeled.
 
     Returns (edges, symmetries); the root is vertex 0 and labels count up in
-    BFS order. symmetries holds two root-fixing automorphisms of the ball as
-    permutations of its labels: the rotation by one face about the root and
-    a reflection, which generate the dihedral group of order 2q. Saturates
-    every vertex closer than `depth` to the root, audits the half-edge map,
-    then truncates to the ball.
+    BFS order. symmetries holds the images of the labels under two root-fixing
+    map automorphisms, -1 where one leaves the ball: the rotation by one face
+    about the root and a reflection, which generate the dihedral group of
+    order 2q. build_graph raises NotAutomorphism unless each is an
+    automorphism of the ball. Saturates every vertex closer than `depth` to
+    the root, audits the half-edge map, then truncates to the ball.
     """
     check_hyperbolic(p, q)
     if depth == 0:
@@ -321,12 +319,5 @@ def build_ball(p: int, q: int, depth: int, node_cap: int = DEFAULT_NODE_CAP):
     symmetries = []
     for image, reflect in ((tmap.nxt[1] ^ 1, False), (1, True)):
         vmap = tmap.root_symmetry(image, reflect, depths, depth)
-        perm = [-1] * len(keep)
-        for v in keep:
-            perm[relabel[v]] = relabel.get(vmap[v], -1)
-        if -1 in perm or len(set(perm)) != len(perm):
-            raise NotAutomorphism(
-                f"({p},{q}) depth {depth} dart walk does not permute the ball"
-            )
-        symmetries.append(tuple(perm))
+        symmetries.append(tuple(relabel.get(vmap[v], -1) for v in keep))
     return edges, tuple(symmetries)

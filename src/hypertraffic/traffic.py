@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyBoundary, InvalidRate, SigmaOverflow
+from .errors import EmptyBoundary, InvalidRate, SigmaOverflow, TrafficOverflow
 from .graphs import DistanceRow, Graph, _bfs, _orbit_labels
 
 _SIGMA_LIMIT = 2.0**53
@@ -157,13 +157,6 @@ def pair_h(field: GeodesicField, y: int) -> int:
 # batched multi-source BFS
 
 
-def _batches(g: Graph, boundary: np.ndarray):
-    """Consecutive runs of boundary sources, about _BATCH_SLOTS slots each."""
-    size = max(1, _BATCH_SLOTS // g.node_count)
-    for i in range(0, boundary.size, size):
-        yield boundary[i : i + size]
-
-
 def _walk(g: Graph, sources: np.ndarray, boundary: np.ndarray):
     """Level-synchronous BFS from every source in a batch at once.
 
@@ -202,8 +195,6 @@ def _walk(g: Graph, sources: np.ndarray, boundary: np.ndarray):
         nbr = indices[pos] + (frontier - node)[src]
         fresh = dist[nbr] < 0
         tgt = nbr[fresh]
-        if tgt.size == 0:
-            break
         src = src[fresh]
         mark[tgt] = True
         new = np.flatnonzero(mark)
@@ -225,13 +216,19 @@ def boundary_nodes(g: Graph, n: int) -> tuple:
     return g.layers[n]
 
 
-def _boundary_orbits(g: Graph, boundary: np.ndarray):
-    """(label, orbit_size, reps): every node's orbit label, the size of each
-    boundary orbit indexed by its label, and those labels ascending, which
-    are the smallest ids of the boundary orbits and the only sources walked."""
-    label = _orbit_labels(g.node_count, g.symmetries)
+def _walks(g: Graph, boundary: np.ndarray, label: np.ndarray):
+    """Walk the smallest id of each boundary orbit under the orbit labels
+    `label`, ascending, in batches of about _BATCH_SLOTS slots.
+
+    Yields (sources, orbit_size, dist, levels) per batch: the batch's
+    sources, the size of each source's boundary orbit, and _walk's result.
+    """
     orbit_size = np.bincount(label[boundary], minlength=g.node_count)
-    return label, orbit_size, np.flatnonzero(orbit_size)
+    reps = np.flatnonzero(orbit_size)
+    size = max(1, _BATCH_SLOTS // g.node_count)
+    for i in range(0, reps.size, size):
+        sources = reps[i : i + size]
+        yield (sources, orbit_size[sources], *_walk(g, sources, boundary))
 
 
 def pair_census(g: Graph, n: int) -> np.ndarray:
@@ -244,20 +241,19 @@ def pair_census(g: Graph, n: int) -> np.ndarray:
     """
     boundary = np.array(boundary_nodes(g, n), dtype=np.int64)
     depth = np.array(g.depth, dtype=np.int64)
-    _, orbit_size, reps = _boundary_orbits(g, boundary)
+    label = _orbit_labels(g.node_count, g.symmetries)
     width = n + 1
     size = (2 * n + 1) * width
     total = np.zeros(size, dtype=np.int64)
-    for sources in _batches(g, reps):
+    for sources, orbit_size, dist, levels in _walks(g, boundary, label):
         rows = sources.size
-        dist, levels = _walk(g, sources, boundary)
         md = np.tile(depth, rows)
         for below, src, tgt, _ in levels:
             np.minimum.at(md, tgt, md[below[src]])
         slots = (np.arange(rows) * g.node_count)[:, None] + boundary
         keys = dist[slots] * width + md[slots] + (np.arange(rows) * size)[:, None]
         counts = np.bincount(keys.ravel(), minlength=rows * size).reshape(rows, size)
-        total += (counts * orbit_size[sources][:, None]).sum(0)
+        total += (counts * orbit_size[:, None]).sum(0)
     return total.reshape(2 * n + 1, width)
 
 
@@ -280,6 +276,19 @@ class TrafficReport:
         return {eps: core_radius(self, eps) for eps in epsilons}
 
 
+def _fsum(terms, n: int) -> float:
+    """math.fsum of non-negative traffic terms at depth n; raises
+    TrafficOverflow where the sum passes float64's range, since every such
+    sum is at most T."""
+    try:
+        total = math.fsum(terms)
+    except OverflowError:  # a partial sum passed float64's range
+        total = math.inf
+    if total == math.inf:
+        raise TrafficOverflow(f"T at depth {n} overflows float64; the rates are too large")
+    return total
+
+
 def traffic_totals(g: Graph, f, n: int,
                    census: np.ndarray = None) -> TrafficReport:
     """T and T_r over ordered boundary pairs, diagonal included.
@@ -290,7 +299,8 @@ def traffic_totals(g: Graph, f, n: int,
     """
     if census is None:
         census = pair_census(g, n)
-    rates = rate_table(f, census.shape[0] - 1)
+    # Python floats, so a product past float64's range is inf without a warning
+    rates = rate_table(f, census.shape[0] - 1).tolist()
 
     h_counts = []
     h_mass = []
@@ -301,9 +311,9 @@ def traffic_totals(g: Graph, f, n: int,
         (nz,) = col.nonzero()
         h_counts.append(int(col.sum()))
         cell_terms = [float(col[d]) * rates[d] for d in nz]
-        h_mass.append(math.fsum(cell_terms))
+        h_mass.append(_fsum(cell_terms, n))
         terms.extend(cell_terms)
-        t_r.append(math.fsum(terms))
+        t_r.append(_fsum(terms, n))
     total = t_r[-1]
     return TrafficReport(
         n=n,
@@ -313,6 +323,14 @@ def traffic_totals(g: Graph, f, n: int,
         h_counts=tuple(h_counts),
         h_mass=tuple(h_mass),
     )
+
+
+def _kahan(total, carry, x):
+    """One compensated add: (total + x, the new compensation term). Arrays
+    are added elementwise and never changed in place."""
+    y = x - carry
+    t = total + y
+    return t, (t - total) - y
 
 
 def node_loads(g: Graph, f, n: int, include_endpoints: bool = False) -> tuple:
@@ -330,25 +348,13 @@ def node_loads(g: Graph, f, n: int, include_endpoints: bool = False) -> tuple:
     divisor is 1, and the loads sum every source in boundary order.
     """
     boundary = np.array(boundary_nodes(g, n), dtype=np.int64)
-    label, orbit_size, reps = _boundary_orbits(g, boundary)
+    label = _orbit_labels(g.node_count, g.symmetries)
     rates = rate_table(f, 2 * n)
     nn = g.node_count
-    total = np.zeros(nn)
-    carry = np.zeros(nn)
-    acc = np.zeros(nn)
-    comp = np.zeros(nn)
-
-    def fold(part):
-        nonlocal total, carry
-        y = part - carry
-        t = total + y
-        carry = (t - total) - y
-        total = t
-
+    total = carry = acc = comp = np.zeros(nn)
     done = 0
-    for sources in _batches(g, reps):
+    for sources, orbit_size, dist, levels in _walks(g, boundary, label):
         rows = sources.size
-        dist, levels = _walk(g, sources, boundary)
         start = np.arange(rows, dtype=np.int64) * nn + sources
         sigma = np.zeros(rows * nn)
         sigma[start] = 1.0
@@ -375,20 +381,17 @@ def node_loads(g: Graph, f, n: int, include_endpoints: bool = False) -> tuple:
             ends = weight.reshape(rows, nn)[:, boundary]
             delta.flat[start] = [math.fsum(row) for row in ends]
             delta[:, boundary] += ends
-        delta *= orbit_size[sources][:, None]
+        delta *= orbit_size[:, None]
         # Kahan sum over each group of _KAHAN_GROUP sources in boundary
         # order, then a compensated fold of the group sums
         for row in delta:
-            y = row - comp
-            t = acc + y
-            comp = (t - acc) - y
-            acc = t
+            acc, comp = _kahan(acc, comp, row)
             done += 1
-            if done % _KAHAN_GROUP == 0 or done == reps.size:
-                fold(acc)
-                fold(-comp)
-                acc = np.zeros(nn)
-                comp = np.zeros(nn)
+            if done % _KAHAN_GROUP == 0:
+                total, carry = _kahan(*_kahan(total, carry, acc), -comp)
+                acc = comp = np.zeros(nn)
+    if done % _KAHAN_GROUP:
+        total, carry = _kahan(*_kahan(total, carry, acc), -comp)
     mean = np.bincount(label, weights=total)[label] / np.bincount(label)[label]
     return tuple(float(x) for x in mean)
 
@@ -399,6 +402,6 @@ def core_radius(report: TrafficReport, epsilon: float) -> int:
         raise ValueError(f"epsilon must be in (0,1), got {epsilon}")
     threshold = 1.0 - epsilon
     for r in range(report.n + 1):
-        if report.T_r[r] / report.T >= threshold:
+        if report.ratio(r) >= threshold:
             return r
     return report.n

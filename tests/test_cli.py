@@ -7,7 +7,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from hypertraffic import generators, graphs
+from hypertraffic import generators, graphs, traffic
+from hypertraffic.analysis import classify_transition
 from hypertraffic.cli import main
 from hypertraffic.errors import DisconnectedGraph, MalformedEdge, SizeOverflow
 from hypertraffic.generators import load_edge_list
@@ -46,6 +47,17 @@ class TestGenerate:
         doc = json.loads(out.read_text())
         g, family = graph_from_json_dict(doc)
         assert dumps(graph_to_json_dict(g, family=family)) + "\n" == out.read_text()
+
+    def test_root_degree(self, tmp_path):
+        out = tmp_path / "t.json"
+        assert run("generate", "--family", "tree", "--k", "2", "--depth", "3",
+                   "--root-degree", "3", "--out", str(out)) == 0
+        doc = json.loads(out.read_text())
+        assert doc["node_count"] == 1 + 3 + 6 + 12
+        assert doc["family"]["root_degree"] == 3
+        g, _ = graph_from_json_dict(doc)
+        assert len(g.adjacency[g.root]) == 3
+        assert [len(g.adjacency[v]) for v in g.layers[1]] == [3, 3, 3]
 
     def test_grid(self, tmp_path):
         out = tmp_path / "g.json"
@@ -114,6 +126,15 @@ class TestAnalyze:
         run("analyze", "--graph", str(gfile), "--out", str(out))
         assert json.loads(out.read_text())["delta_four_point"] is None
 
+    @pytest.mark.parametrize("cap,delta", [("8", None), ("9", 2.0)])
+    def test_four_point_cap_flag(self, tmp_path, cap, delta):
+        gfile = tmp_path / "g.json"
+        run("generate", "--family", "grid", "--side", "3", "--out", str(gfile))
+        out = tmp_path / "a.json"
+        assert run("analyze", "--graph", str(gfile), "--four-point-cap", cap,
+                   "--out", str(out)) == 0
+        assert json.loads(out.read_text())["delta_four_point"] == delta
+
     def test_single_node_graph_is_total(self, tmp_path):
         gfile = tmp_path / "g.json"
         run("generate", "--family", "grid", "--side", "1", "--out", str(gfile))
@@ -170,6 +191,50 @@ class TestTraffic:
         assert lines[0] == "node,depth,load"
         assert len(lines) == 1 + doc_node_count(gfile)
 
+    def test_n_flag(self, tmp_path, capsys):
+        gfile = tmp_path / "t.json"
+        run("generate", "--family", "tree", "--k", "2", "--depth", "4",
+            "--out", str(gfile))
+        out = tmp_path / "r.json"
+        loads = tmp_path / "l.csv"
+        assert run("traffic", "--graph", str(gfile), "--beta", "1.5", "--n", "2",
+                   "--out", str(out), "--loads-out", str(loads)) == 0
+        g, _ = graph_from_json_dict(json.loads(gfile.read_text()))
+        rate = traffic.ExponentialRate(1.5)
+        rep = traffic.traffic_totals(g, rate, 2)
+        doc = json.loads(out.read_text())
+        assert (doc["n"], doc["T"], doc["T_r"]) == (2, rep.T, list(rep.T_r))
+        assert read_loads(loads) == list(traffic.node_loads(g, rate, 2))
+        capsys.readouterr()
+        assert run("traffic", "--graph", str(gfile), "--beta", "1.5", "--n", "5",
+                   "--out", str(out)) == 3
+        assert "no nodes at depth 5" in capsys.readouterr().err
+
+    def test_include_endpoints(self, tmp_path):
+        gfile = tmp_path / "g.json"
+        run("generate", "--family", "tess", "--p", "5", "--q", "4", "--depth", "3",
+            "--out", str(gfile))
+        plain, ends = tmp_path / "plain.csv", tmp_path / "ends.csv"
+        for flags, loads in (((), plain), (("--include-endpoints",), ends)):
+            assert run("traffic", "--graph", str(gfile), "--beta", "1.3", *flags,
+                       "--out", str(tmp_path / "r.json"), "--loads-out", str(loads)) == 0
+        g, _ = graph_from_json_dict(json.loads(gfile.read_text()))
+        rate = traffic.ExponentialRate(1.3)
+        assert read_loads(ends) == list(traffic.node_loads(g, rate, 3, include_endpoints=True))
+        assert read_loads(ends) != read_loads(plain)
+
+    @pytest.mark.parametrize("table", ["4e307,4e307,4e307", "1e308,1e308"])
+    def test_overflowing_table_exit_3(self, tmp_path, capsys, table):
+        gfile = tmp_path / "t.json"
+        run("generate", "--family", "tree", "--k", "2", "--depth", "2",
+            "--out", str(gfile))
+        capsys.readouterr()
+        out = tmp_path / "r.json"
+        assert run("traffic", "--graph", str(gfile), "--table", table,
+                   "--out", str(out), "--loads-out", str(tmp_path / "l.csv")) == 3
+        assert "T at depth 2 overflows float64" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_exactly_one_rate(self, tmp_path):
         gfile = tmp_path / "t.json"
         run("generate", "--family", "tree", "--k", "2", "--depth", "3",
@@ -204,6 +269,8 @@ class TestTraffic:
         ("--table=1,nan", "table rates must be finite, got nan"),
         ("--beta=inf", "beta must be finite and > 1, got inf"),
         ("--alpha=inf", "alpha must be finite and > 0, got inf"),
+        ("--table=", "--table takes comma-separated floats, got ''"),
+        ("--table=1,x", "--table takes comma-separated floats, got '1,x'"),
     ])
     def test_bad_rate_flag_exit_3(self, tmp_path, capsys, flag, message):
         gfile = tmp_path / "t.json"
@@ -218,6 +285,11 @@ class TestTraffic:
 
 def doc_node_count(gfile):
     return json.loads(gfile.read_text())["node_count"]
+
+
+def read_loads(path):
+    """The load column of a loads CSV, in node order."""
+    return [float(line.split(",")[2]) for line in path.read_text().splitlines()[1:]]
 
 
 class TestSweep:
@@ -259,6 +331,40 @@ class TestSweep:
         assert code == 3
         assert f"{flag[2:]} must be >= " in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("depths", ["3,x", "", "3,,4"])
+    def test_bad_depths_exit_3(self, tmp_path, capsys, depths):
+        out = tmp_path / "s.csv"
+        assert run("sweep", "--family", "tree", "--k", "2",
+                   "--beta-min", "1.2", "--beta-max", "2.0", "--steps", "3",
+                   f"--depths={depths}", "--r", "0", "--out", str(out)) == 3
+        assert capsys.readouterr().err == (
+            f"error: --depths takes comma-separated ints, got {depths!r}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tau_g,tau_l,labels", [
+        ("0.25", "0.05", ["UNDECIDED", "UNDECIDED", "LOCAL"]),
+        ("0.01", "0.99", ["LOCAL", "LOCAL", "LOCAL"]),
+        ("0.01", "0.0", ["UNDECIDED", "UNDECIDED", "UNDECIDED"]),
+    ])
+    def test_tau_flags(self, tmp_path, tau_g, tau_l, labels):
+        out = tmp_path / "s.csv"
+        summ = tmp_path / "s.json"
+        assert run("sweep", "--family", "tree", "--k", "2",
+                   "--beta-min", "1.2", "--beta-max", "2.0", "--steps", "3",
+                   "--depths", "3,4,5", "--r", "0",
+                   "--tau-global", tau_g, "--tau-local", tau_l,
+                   "--out", str(out), "--summary-out", str(summ)) == 0
+        doc = json.loads(summ.read_text())
+        assert (doc["tau_global"], doc["tau_local"]) == (float(tau_g), float(tau_l))
+        assert list(doc["labels"].values()) == labels
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        for beta, label in doc["labels"].items():
+            ratios = [float(row[8]) for row in rows if row[3] == beta]
+            assert [row[9] for row in rows if row[3] == beta] == [label] * 3
+            assert classify_transition(ratios, tail=doc["tail"], tau_g=float(tau_g),
+                                       tau_l=float(tau_l)) == label
 
     @pytest.mark.parametrize("family", ["tree", "star"])
     def test_two_sphere_sweep_matches_analyze(self, tmp_path, family):
@@ -486,6 +592,8 @@ class TestExitCodeContract:
     @given(rate=RATE_FLAGS)
     @example(rate=("--table", "0.0"))
     @example(rate=("--beta", repr(math.inf)))
+    @example(rate=("--table", "4e307,4e307,4e307"))
+    @example(rate=("--table", "1e308,1e308"))
     def test_traffic_on_any_rate(self, rate):
         flag, value = rate
         with tempfile.TemporaryDirectory() as tmp:

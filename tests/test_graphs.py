@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,6 @@ from hypertraffic.errors import (
 from hypertraffic.generators import gen_grid, gen_kary_tree, gen_tessellation, load_edge_list
 from hypertraffic.graphs import (
     Graph,
-    HalfInteger,
     _bfs,
     build_graph,
     distances_from,
@@ -235,7 +235,7 @@ class TestGromovProduct:
         z = rng.randrange(g.node_count)
         p = gromov_product(g, y, z, base)
         assert p == gromov_product(g, z, y, base)
-        assert p.twice_value >= 0
+        assert p >= 0
         d_base = distances_from(g, base).dist
         assert p <= min(d_base[y], d_base[z])
 
@@ -297,17 +297,21 @@ class TestSlimDelta:
 
 
 class TestHalfInteger:
+    """Gromov products and the four-point delta are exact half-integers."""
+
     def test_exact_representation(self):
-        h = HalfInteger(5)
-        assert h.value == 2.5
-        assert float(h) == 2.5
-        assert h == 2.5
-        assert h < 3
-        assert HalfInteger(4) == 2
+        p = gromov_product(cycle(5), 2, 3, 0)  # (2 + 2 - 1) / 2
+        assert p == Fraction(3, 2)
+        assert float(p) == 1.5
+        assert p == 1.5
+        assert p < 2
+        assert four_point_delta(cycle(5)) == Fraction(1, 2)
 
     def test_repr(self):
-        assert repr(HalfInteger(5)) == "5/2"
-        assert repr(HalfInteger(4)) == "2"
+        p = gromov_product(cycle(5), 2, 3, 0)
+        assert repr(p) == "Fraction(3, 2)"
+        assert str(p) == "3/2"
+        assert str(four_point_delta(cycle(4))) == "1"
 
 
 class TestJson:

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,13 @@ from hypothesis import strategies as st
 
 from hypertraffic import traffic
 from hypertraffic.analysis import tree_closed_forms
-from hypertraffic.errors import EmptyBoundary, InvalidRate, NotAutomorphism, SigmaOverflow
+from hypertraffic.errors import (
+    EmptyBoundary,
+    InvalidRate,
+    NotAutomorphism,
+    SigmaOverflow,
+    TrafficOverflow,
+)
 from hypertraffic.generators import _odometer, gen_grid, gen_kary_tree, gen_tessellation
 from hypertraffic.graphs import (
     _orbit_labels,
@@ -193,6 +200,14 @@ class TestTrafficTotals:
     def test_empty_boundary(self):
         with pytest.raises(EmptyBoundary):
             traffic_totals(DIAMOND, ExponentialRate(2.0), 7)
+
+    @pytest.mark.parametrize("values", [(4e307,) * 3, (1e308,) * 2])
+    def test_overflow_is_named(self, values):
+        # finite terms whose sum passes float64's range, and a term past it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrafficOverflow, match="overflows float64"):
+                traffic_totals(gen_kary_tree(2, 2), TableRate(values), 2)
 
     def test_histogram_consistent(self):
         g = gen_tessellation(5, 4, 3)
