@@ -93,21 +93,6 @@ def beta_c(e: float) -> float:
     return math.e ** (e / 2.0)
 
 
-def tree_distance_counts(k: int, n: int, p: int) -> int:
-    """Number of leaves at distance p from a fixed leaf of the rooted k-ary
-    tree of depth n: 1 at p = 0, (k-1)k^(r-1) at p = 2r, else 0."""
-    if k < 2 or n < 1:
-        raise ValueError("need k >= 2 and n >= 1")
-    if p == 0:
-        return 1
-    if p % 2 != 0:
-        return 0
-    r = p // 2
-    if not 1 <= r <= n:
-        return 0
-    return (k - 1) * k ** (r - 1)
-
-
 def tree_closed_forms(k: int, beta: float, n: int) -> dict:
     """Exact total traffic T and root share P for the rooted k-ary tree.
 
@@ -128,16 +113,6 @@ def tree_closed_forms(k: int, beta: float, n: int) -> dict:
     total = float(k**n) * denom
     share = (k - 1) * float(k ** (n - 1)) * beta ** (-2.0 * n) / denom
     return {"T": total, "P": share}
-
-
-def tree_root_limit(k: int, beta: float) -> float:
-    """Limit of the root's traffic share: 1 - beta^2/k below sqrt(k), else 0."""
-    if k < 2:
-        raise ValueError("need k >= 2")
-    if not beta > 1.0:
-        raise ValueError(f"beta must be > 1, got {beta}")
-    b2 = beta * beta
-    return 1.0 - b2 / k if b2 < k else 0.0
 
 
 def classify_transition(ratios, tail: int = DEFAULT_TAIL,
@@ -175,13 +150,6 @@ class TransitionReport:
     tail: int = DEFAULT_TAIL
     tau_g: float = DEFAULT_TAU_GLOBAL
     tau_l: float = DEFAULT_TAU_LOCAL
-
-    def ratios_for(self, beta) -> list:
-        return [
-            self.cells[(beta, n)]["ratio"]
-            for n in self.depths
-            if (beta, n) in self.cells
-        ]
 
 
 def _empirical_crossing(betas, labels):

@@ -50,13 +50,9 @@ class InvalidRate(HypertrafficError, ValueError):
     """Rate function parameters are out of range."""
 
 
-class SigmaOverflow(HypertrafficError):
-    """Geodesic counts exceeded the checked float64 range; geodesic_field()
-    gives exact big-integer counts."""
-
-
 class TrafficOverflow(HypertrafficError):
-    """Traffic totals exceeded the float64 range."""
+    """Traffic totals, geodesic counts or node loads exceeded the float64
+    range."""
 
 
 class EmptyBoundary(HypertrafficError):

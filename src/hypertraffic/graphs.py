@@ -1,14 +1,13 @@
-"""Immutable rooted graphs with BFS layering and hyperbolic metric primitives.
+"""Immutable rooted graphs with BFS layering, root-fixing symmetries, the
+four-point delta and the graph JSON format.
 
-Distances are exact integers, and Gromov products and the four-point delta
-exact half-integers held as fractions.Fraction, so the metric layer involves
-no floating point at all.
+Distances are exact integers and the four-point delta an exact half-integer
+held as fractions.Fraction, so the metric layer involves no floating point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 
@@ -24,16 +23,8 @@ from .errors import (
 
 DEFAULT_NODE_CAP = 1 << 24
 FOUR_POINT_CAP = 300
-SLIM_CAP = 64
-GEODESIC_ENUM_CAP = 20000
 _SEARCH_BUDGET = 1 << 25  # node+edge visits a symmetry search may spend
 _MATCH_PASSES = 16  # a match and its check, in Python, priced as refinement rounds
-
-
-@dataclass(frozen=True)
-class DistanceRow:
-    source: int
-    dist: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -393,20 +384,6 @@ def with_found_symmetries(g: Graph) -> Graph:
     return found
 
 
-def distances_from(g: Graph, source: int) -> DistanceRow:
-    """Exact BFS distances from `source` to every node."""
-    if not 0 <= source < g.node_count:
-        raise IndexError(f"source {source} out of range")
-    return DistanceRow(source=source, dist=tuple(_bfs(g.adjacency, source, g.node_count)[0]))
-
-
-def gromov_product(g: Graph, y: int, z: int, base: int) -> Fraction:
-    """(y,z)_base = (d(base,y) + d(base,z) - d(y,z)) / 2, exactly."""
-    db, _ = _bfs(g.adjacency, base, g.node_count)
-    dy, _ = _bfs(g.adjacency, y, g.node_count)
-    return Fraction(db[y] + db[z] - dy[z], 2)
-
-
 def distance_matrix(g: Graph) -> np.ndarray:
     """All-pairs distances as an int32 matrix (one BFS per node)."""
     n = g.node_count
@@ -424,6 +401,8 @@ def four_point_delta(g: Graph, cap: int = FOUR_POINT_CAP) -> Fraction:
     automorphisms, so x ranges over the smallest id of each orbit of
     g.symmetries and y over every other node.
     """
+    from fractions import Fraction  # on first use: it loads decimal, which nothing else needs
+
     n = g.node_count
     if n > cap:
         raise GraphTooLarge(f"{n} nodes exceeds four-point cap {cap}")
@@ -448,70 +427,6 @@ def four_point_delta(g: Graph, cap: int = FOUR_POINT_CAP) -> Fraction:
             if top > best:
                 best = top
     return Fraction(best, 2)
-
-
-def _enumerate_geodesics(adjacency, dist_from_u, u, v, limit):
-    """All geodesic node-paths u -> v, via the BFS predecessor DAG."""
-    paths = []
-    stack = [(v, (v,))]
-    while stack:
-        node, suffix = stack.pop()
-        if node == u:
-            paths.append(suffix)
-            if len(paths) > limit:
-                raise GraphTooLarge(
-                    f"more than {limit} geodesics between {u} and {v}"
-                )
-            continue
-        target = dist_from_u[node] - 1
-        for w in adjacency[node]:
-            if dist_from_u[w] == target:
-                stack.append((w, (w,) + suffix))
-    return paths
-
-
-def slim_delta_exact(g: Graph, cap: int = SLIM_CAP, geodesic_limit: int = GEODESIC_ENUM_CAP) -> float:
-    """Minimal delta for which every geodesic triangle is delta-slim.
-
-    Enumerates every geodesic between every pair and every side choice, so it
-    is exponential in the worst case; guarded by `cap` on the node count.
-    """
-    n = g.node_count
-    if n > cap:
-        raise GraphTooLarge(f"{n} nodes exceeds slim-triangle cap {cap}")
-    if n < 3:
-        return 0.0
-    d = distance_matrix(g)
-    dist_rows = [list(d[s]) for s in range(n)]
-
-    geos = {}
-    far = {}  # (u,v) -> per-node max over geodesics of dist(node, geodesic)
-    for u in range(n):
-        for v in range(u + 1, n):
-            paths = _enumerate_geodesics(g.adjacency, dist_rows[u], u, v, geodesic_limit)
-            geos[(u, v)] = paths
-            worst = np.zeros(n, dtype=np.int32)
-            for path in paths:
-                np.maximum(worst, d[:, list(path)].min(axis=1), out=worst)
-            far[(u, v)] = worst
-
-    def pair(a, b):
-        return (a, b) if a < b else (b, a)
-
-    # For a side [a,b] opposite vertex c, independent geodesic choices for the
-    # other two sides let max over choices of min(d(p, [c,a]), d(p, [c,b]))
-    # factor into min(far[(c,a)][p], far[(c,b)][p]).
-    best = 0
-    for x in range(n):
-        for y in range(x + 1, n):
-            for z in range(y + 1, n):
-                for a, b, c in ((y, z, x), (x, z, y), (x, y, z)):
-                    reach = np.minimum(far[pair(c, a)], far[pair(c, b)])
-                    for path in geos[pair(a, b)]:
-                        val = int(reach[list(path)].max())
-                        if val > best:
-                            best = val
-    return float(best)
 
 
 GRAPH_FORMAT = "hypertraffic-graph-v1"

@@ -28,10 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyBoundary, InvalidRate, SigmaOverflow, TrafficOverflow
-from .graphs import DistanceRow, Graph, _bfs, _orbit_labels
+from .errors import EmptyBoundary, InvalidRate, TrafficOverflow
+from .graphs import Graph, _orbit_labels
 
-_SIGMA_LIMIT = 2.0**53
 _BATCH_SLOTS = 1 << 14  # slots (source x node) per batch of the walk
 _KAHAN_GROUP = 64
 
@@ -98,59 +97,8 @@ class TableRate:
         return {"variant": "table", "values": list(self.values)}
 
 
-def rate_eval(f, d: int) -> float:
-    if d < 0:
-        raise ValueError(f"distance must be >= 0, got {d}")
-    return f.eval(d)
-
-
 def rate_table(f, max_d: int) -> np.ndarray:
-    return np.array([rate_eval(f, d) for d in range(max_d + 1)], dtype=np.float64)
-
-
-@dataclass(frozen=True)
-class GeodesicField:
-    """Per-source geodesic data: distances, path counts, min depth on paths.
-
-    sigma values are exact Python integers; mindepth[v] is the smallest root
-    depth seen on any geodesic from source to v, endpoints included.
-    """
-
-    source: int
-    dist: DistanceRow
-    sigma: tuple
-    mindepth: tuple
-
-
-def geodesic_field(g: Graph, source: int) -> GeodesicField:
-    if not 0 <= source < g.node_count:
-        raise IndexError(f"source {source} out of range")
-    dist, order = _bfs(g.adjacency, source, g.node_count)
-    sigma = [0] * g.node_count
-    sigma[source] = 1
-    md = list(g.depth)
-    for v in order[1:]:
-        target = dist[v] - 1
-        best = md[v]
-        s = 0
-        for u in g.adjacency[v]:
-            if dist[u] == target:
-                s += sigma[u]
-                if md[u] < best:
-                    best = md[u]
-        sigma[v] = s
-        md[v] = best
-    return GeodesicField(
-        source=source,
-        dist=DistanceRow(source=source, dist=tuple(dist)),
-        sigma=tuple(sigma),
-        mindepth=tuple(md),
-    )
-
-
-def pair_h(field: GeodesicField, y: int) -> int:
-    """Minimal root depth over all geodesics from field.source to y."""
-    return field.mindepth[y]
+    return np.array([f.eval(d) for d in range(max_d + 1)], dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +111,7 @@ def _walk(g: Graph, sources: np.ndarray, boundary: np.ndarray):
     Row r of the batch walks from sources[r]; its state for node v sits at
     slot r * n + v of flat arrays, so one numpy call serves the whole batch
     while the frontier stays sparse. A row leaves the frontier at the level
-    that reaches its last boundary node: boundary values are final there, and
-    stopping also keeps sigma within exact float64 range on graphs much
-    deeper than the traffic depth.
+    that reaches its last boundary node: boundary values are final there.
 
     Returns (dist, levels): dist per slot (-1 if never reached) and, per
     level t >= 1, (below, src, tgt, new). below are the level t-1 slots that
@@ -259,21 +205,15 @@ def pair_census(g: Graph, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TrafficReport:
-    """Traffic totals at depth n: T, the prefix vector T_r, and the per-h
-    histogram (pair counts and rate mass)."""
+    """Traffic totals at depth n: T and the prefix vector T_r."""
 
     n: int
     rate: object
     T: float
     T_r: tuple
-    h_counts: tuple
-    h_mass: tuple
 
     def ratio(self, r: int) -> float:
         return self.T_r[r] / self.T
-
-    def core_radius_for(self, epsilons) -> dict:
-        return {eps: core_radius(self, eps) for eps in epsilons}
 
 
 def _fsum(terms, n: int) -> float:
@@ -302,27 +242,14 @@ def traffic_totals(g: Graph, f, n: int,
     # Python floats, so a product past float64's range is inf without a warning
     rates = rate_table(f, census.shape[0] - 1).tolist()
 
-    h_counts = []
-    h_mass = []
     terms = []  # ordered by (h, then d); prefixes give T_r
     t_r = []
     for h in range(n + 1):
         col = census[:, h]
         (nz,) = col.nonzero()
-        h_counts.append(int(col.sum()))
-        cell_terms = [float(col[d]) * rates[d] for d in nz]
-        h_mass.append(_fsum(cell_terms, n))
-        terms.extend(cell_terms)
+        terms.extend(float(col[d]) * rates[d] for d in nz)
         t_r.append(_fsum(terms, n))
-    total = t_r[-1]
-    return TrafficReport(
-        n=n,
-        rate=f,
-        T=total,
-        T_r=tuple(t_r),
-        h_counts=tuple(h_counts),
-        h_mass=tuple(h_mass),
-    )
+    return TrafficReport(n=n, rate=f, T=t_r[-1], T_r=tuple(t_r))
 
 
 def _kahan(total, carry, x):
@@ -346,6 +273,10 @@ def node_loads(g: Graph, f, n: int, include_endpoints: bool = False) -> tuple:
     orbit Gv at v: each walked row is scaled by its orbit size, and the sum
     is averaged over each node orbit. Without symmetries every factor and
     divisor is 1, and the loads sum every source in boundary order.
+
+    The body runs under one floating-point error scope: a geodesic count or
+    a load past float64's range raises TrafficOverflow. Counts past 2^53
+    round, and each ratio of counts then carries a float64 rounding error.
     """
     boundary = np.array(boundary_nodes(g, n), dtype=np.int64)
     label = _orbit_labels(g.node_count, g.symmetries)
@@ -353,46 +284,49 @@ def node_loads(g: Graph, f, n: int, include_endpoints: bool = False) -> tuple:
     nn = g.node_count
     total = carry = acc = comp = np.zeros(nn)
     done = 0
-    for sources, orbit_size, dist, levels in _walks(g, boundary, label):
-        rows = sources.size
-        start = np.arange(rows, dtype=np.int64) * nn + sources
-        sigma = np.zeros(rows * nn)
-        sigma[start] = 1.0
-        for below, src, tgt, _ in levels:
-            np.add.at(sigma, tgt, sigma[below[src]])
-        if float(sigma.max()) >= _SIGMA_LIMIT:
-            raise SigmaOverflow(
-                "geodesic counts exceed exact float64 range; "
-                "use geodesic_field() for exact big-integer counts"
-            )
-        weight = np.zeros((rows, nn))
-        weight[:, boundary] = rates[dist.reshape(rows, nn)[:, boundary]]
-        weight.flat[start] = 0.0
-        weight = weight.ravel()
-        delta = np.zeros(rows * nn)
-        coef = np.zeros(rows * nn)
-        for below, src, tgt, new in reversed(levels):
-            coef[new] = (weight[new] + delta[new]) / sigma[new]
-            sums = np.bincount(src, weights=coef[tgt], minlength=below.size)
-            delta[below] = sigma[below] * sums
-        delta[start] = 0.0
-        delta = delta.reshape(rows, nn)
-        if include_endpoints:
-            ends = weight.reshape(rows, nn)[:, boundary]
-            delta.flat[start] = [math.fsum(row) for row in ends]
-            delta[:, boundary] += ends
-        delta *= orbit_size[:, None]
-        # Kahan sum over each group of _KAHAN_GROUP sources in boundary
-        # order, then a compensated fold of the group sums
-        for row in delta:
-            acc, comp = _kahan(acc, comp, row)
-            done += 1
-            if done % _KAHAN_GROUP == 0:
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for sources, orbit_size, dist, levels in _walks(g, boundary, label):
+                rows = sources.size
+                start = np.arange(rows, dtype=np.int64) * nn + sources
+                sigma = np.zeros(rows * nn)
+                sigma[start] = 1.0
+                for below, src, tgt, _ in levels:
+                    np.add.at(sigma, tgt, sigma[below[src]])
+                weight = np.zeros((rows, nn))
+                weight[:, boundary] = rates[dist.reshape(rows, nn)[:, boundary]]
+                weight.flat[start] = 0.0
+                weight = weight.ravel()
+                delta = np.zeros(rows * nn)
+                coef = np.zeros(rows * nn)
+                for below, src, tgt, new in reversed(levels):
+                    coef[new] = (weight[new] + delta[new]) / sigma[new]
+                    sums = np.bincount(src, weights=coef[tgt], minlength=below.size)
+                    delta[below] = sigma[below] * sums
+                delta[start] = 0.0
+                delta = delta.reshape(rows, nn)
+                if include_endpoints:
+                    ends = weight.reshape(rows, nn)[:, boundary]
+                    delta.flat[start] = [_fsum(row, n) for row in ends]
+                    delta[:, boundary] += ends
+                delta *= orbit_size[:, None]
+                # Kahan sum over each group of _KAHAN_GROUP sources in boundary
+                # order, then a compensated fold of the group sums; an inf
+                # that np.bincount let through turns into inf - inf here
+                for row in delta:
+                    acc, comp = _kahan(acc, comp, row)
+                    done += 1
+                    if done % _KAHAN_GROUP == 0:
+                        total, carry = _kahan(*_kahan(total, carry, acc), -comp)
+                        acc = comp = np.zeros(nn)
+            if done % _KAHAN_GROUP:
                 total, carry = _kahan(*_kahan(total, carry, acc), -comp)
-                acc = comp = np.zeros(nn)
-    if done % _KAHAN_GROUP:
-        total, carry = _kahan(*_kahan(total, carry, acc), -comp)
-    mean = np.bincount(label, weights=total)[label] / np.bincount(label)[label]
+            mean = np.bincount(label, weights=total)[label] / np.bincount(label)[label]
+    except FloatingPointError as exc:
+        raise TrafficOverflow(
+            f"node loads at depth {n} overflow float64 ({exc}); "
+            "the geodesic counts or the rates are too large"
+        ) from None
     return tuple(float(x) for x in mean)
 
 

@@ -1,12 +1,21 @@
 """Independent brute-force oracles used to pin engine results.
 
 Everything here recomputes from first principles (no shared code paths with
-the engine beyond the Graph container): Floyd-Warshall distances, explicit
-enumeration of every geodesic path, and traffic/load accumulation path by
-path with equal splitting.
+the engine beyond the Graph container and its error types): Floyd-Warshall
+distances, explicit enumeration of every geodesic path, traffic/load
+accumulation path by path with equal splitting, exact geodesic fields in
+Python integers, exact Brandes loads in fractions, Gromov products, the
+slim-triangle delta, and the k-ary tree closed forms.
 """
 
 import math
+from collections import defaultdict
+from dataclasses import dataclass
+from fractions import Fraction
+
+import numpy as np
+
+from hypertraffic.errors import GraphTooLarge
 
 
 def floyd_warshall(g):
@@ -92,3 +101,145 @@ def brute_traffic(g, rate, n):
 
 def brute_pair_h(g, x, y):
     return min(min(g.depth[v] for v in p) for p in all_geodesics(g, x, y))
+
+
+@dataclass(frozen=True)
+class DistanceRow:
+    source: int
+    dist: tuple
+
+
+@dataclass(frozen=True)
+class GeodesicField:
+    """Per-source geodesic data: distances, path counts, min depth on paths.
+
+    sigma values are exact Python integers; mindepth[v] is the smallest root
+    depth seen on any geodesic from source to v, endpoints included.
+    """
+
+    source: int
+    dist: DistanceRow
+    sigma: tuple
+    mindepth: tuple
+
+
+def geodesic_field(g, source):
+    if not 0 <= source < g.node_count:
+        raise IndexError(f"source {source} out of range")
+    dist = bfs_dist(g, source)
+    sigma = [0] * g.node_count
+    sigma[source] = 1
+    md = list(g.depth)
+    for v in sorted((v for v in range(g.node_count) if dist[v] > 0), key=dist.__getitem__):
+        preds = [u for u in g.adjacency[v] if dist[u] == dist[v] - 1]
+        sigma[v] = sum(sigma[u] for u in preds)
+        md[v] = min([md[v]] + [md[u] for u in preds])
+    return GeodesicField(
+        source=source,
+        dist=DistanceRow(source=source, dist=tuple(dist)),
+        sigma=tuple(sigma),
+        mindepth=tuple(md),
+    )
+
+
+def pair_h(field, y):
+    """Minimal root depth over all geodesics from field.source to y."""
+    return field.mindepth[y]
+
+
+def exact_loads(g, rate, n, include_endpoints=False):
+    """Brandes node loads over the ordered boundary pairs x != y at depth n,
+    as exact Fractions.
+
+    v lies on a geodesic from x to y iff d_x(v) + d_y(v) = d(x, y), and then
+    takes R(d(x, y)) * sigma_x(v) * sigma_y(v) / sigma_x(y), where
+    R(d) = Fraction(rate.eval(d)) is the float rate taken exactly. The
+    endpoints, which take R each, count only with include_endpoints.
+    """
+    fields = {x: geodesic_field(g, x) for x in g.layers[n]}
+    dist = {x: np.array(f.dist.dist) for x, f in fields.items()}
+    # integer numerators summed per (node, denominator); one Fraction each at the end
+    acc = [defaultdict(int) for _ in range(g.node_count)]
+    for x, fx in fields.items():
+        for y, fy in fields.items():
+            if x == y:
+                continue
+            d = fx.dist.dist[y]
+            rate_d = Fraction(rate.eval(d))
+            den = rate_d.denominator * fx.sigma[y]
+            for v in np.flatnonzero(dist[x] + dist[y] == d).tolist():
+                if include_endpoints or v not in (x, y):
+                    acc[v][den] += rate_d.numerator * fx.sigma[v] * fy.sigma[v]
+    return [sum((Fraction(num, den) for den, num in row.items()), Fraction(0)) for row in acc]
+
+
+def gromov_product(g, y, z, base):
+    """(y,z)_base = (d(base,y) + d(base,z) - d(y,z)) / 2, exactly."""
+    db = bfs_dist(g, base)
+    return Fraction(db[y] + db[z] - bfs_dist(g, y)[z], 2)
+
+
+def slim_delta_exact(g, cap=64):
+    """Minimal delta for which every geodesic triangle is delta-slim.
+
+    Enumerates every geodesic between every pair and every side choice, so it
+    is exponential in the worst case; guarded by `cap` on the node count.
+    """
+    n = g.node_count
+    if n > cap:
+        raise GraphTooLarge(f"{n} nodes exceeds slim-triangle cap {cap}")
+    if n < 3:
+        return 0.0
+    d = np.array([bfs_dist(g, s) for s in range(n)])
+
+    geos = {}
+    far = {}  # (u,v) -> per-node max over geodesics of dist(node, geodesic)
+    for u in range(n):
+        for v in range(u + 1, n):
+            paths = all_geodesics(g, u, v)
+            geos[(u, v)] = paths
+            worst = np.zeros(n, dtype=d.dtype)
+            for path in paths:
+                np.maximum(worst, d[:, list(path)].min(axis=1), out=worst)
+            far[(u, v)] = worst
+
+    def pair(a, b):
+        return (a, b) if a < b else (b, a)
+
+    # For a side [a,b] opposite vertex c, independent geodesic choices for the
+    # other two sides let max over choices of min(d(p, [c,a]), d(p, [c,b]))
+    # factor into min(far[(c,a)][p], far[(c,b)][p]).
+    best = 0
+    for x in range(n):
+        for y in range(x + 1, n):
+            for z in range(y + 1, n):
+                for a, b, c in ((y, z, x), (x, z, y), (x, y, z)):
+                    reach = np.minimum(far[pair(c, a)], far[pair(c, b)])
+                    for path in geos[pair(a, b)]:
+                        best = max(best, int(reach[list(path)].max()))
+    return float(best)
+
+
+def tree_distance_counts(k, n, p):
+    """Number of leaves at distance p from a fixed leaf of the rooted k-ary
+    tree of depth n: 1 at p = 0, (k-1)k^(r-1) at p = 2r, else 0."""
+    if k < 2 or n < 1:
+        raise ValueError("need k >= 2 and n >= 1")
+    if p == 0:
+        return 1
+    if p % 2 != 0:
+        return 0
+    r = p // 2
+    if not 1 <= r <= n:
+        return 0
+    return (k - 1) * k ** (r - 1)
+
+
+def tree_root_limit(k, beta):
+    """Limit of the root's traffic share: 1 - beta^2/k below sqrt(k), else 0."""
+    if k < 2:
+        raise ValueError("need k >= 2")
+    if not beta > 1.0:
+        raise ValueError(f"beta must be > 1, got {beta}")
+    b2 = beta * beta
+    return 1.0 - b2 / k if b2 < k else 0.0

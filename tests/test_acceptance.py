@@ -27,17 +27,15 @@ from hypertraffic.analysis import (
 )
 from hypertraffic.cli import main as cli_main
 from hypertraffic.generators import gen_grid, gen_kary_tree, gen_tessellation
-from hypertraffic.graphs import build_graph, four_point_delta, slim_delta_exact
+from hypertraffic.graphs import build_graph, four_point_delta
 from hypertraffic.tessellation import build_ball
 from hypertraffic.traffic import (
     ExponentialRate,
-    geodesic_field,
     node_loads,
     pair_census,
-    pair_h,
     traffic_totals,
 )
-from oracles import bfs_dist, brute_traffic
+from oracles import bfs_dist, brute_traffic, geodesic_field, pair_h, slim_delta_exact
 
 PHI2 = (3.0 + math.sqrt(5.0)) / 2.0
 

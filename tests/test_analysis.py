@@ -13,8 +13,6 @@ from hypertraffic.analysis import (
     growth_exponent,
     sweep,
     tree_closed_forms,
-    tree_distance_counts,
-    tree_root_limit,
 )
 from hypertraffic import analysis
 from hypertraffic.errors import (
@@ -32,6 +30,7 @@ from hypertraffic.traffic import (
     pair_census,
     traffic_totals,
 )
+from oracles import tree_distance_counts, tree_root_limit
 
 
 class TestGrowthExponent:
@@ -122,6 +121,12 @@ class TestTreeDistanceCounts:
         total = sum(tree_distance_counts(k, n, p) for p in range(2 * n + 1))
         assert total == k**n
 
+    @pytest.mark.parametrize("k,n", [(2, 1), (2, 5), (3, 4), (4, 3)])
+    def test_census_distance_marginal(self, k, n):
+        # every one of the k^n leaves sees the same distance counts
+        marginal = pair_census(gen_kary_tree(k, n), n).sum(axis=1)
+        assert marginal.tolist() == [k**n * tree_distance_counts(k, n, d) for d in range(2 * n + 1)]
+
 
 class TestTreeClosedForms:
     def test_binary_depth2(self):
@@ -206,12 +211,12 @@ class TestSweep:
         assert report.beta_c_pred == pytest.approx(2.0, rel=1e-12)
         assert report.labels[2.5] == LOCAL
         # subcritical ratios stay above the limit and drift down toward it
-        series = report.ratios_for(1.5)
+        series = [report.cells[(1.5, n)]["ratio"] for n in report.depths]
         limit = tree_root_limit(4, 1.5)
         assert all(a > b > limit for a, b in zip(series, series[1:]))
         assert series[-1] == pytest.approx(limit, abs=0.02)
         # supercritical ratios collapse
-        assert report.ratios_for(2.5)[-1] < 0.05
+        assert report.cells[(2.5, 5)]["ratio"] < 0.05
 
     def test_ratios_non_increasing_in_beta(self):
         spec = FamilySpec(variant="tessellation", p=5, q=4, depth=0)
@@ -265,7 +270,7 @@ class TestSweep:
     def test_polynomial_control_keeps_core(self):
         spec = FamilySpec(variant="tree", k=2, depth=0)
         report = sweep(spec, [2.0], [3, 4, 5, 6], 0, rate=PolynomialRate)
-        series = report.ratios_for(2.0)
+        series = [report.cells[(2.0, n)]["ratio"] for n in report.depths]
         assert all(b > a for a, b in zip(series, series[1:]))
         assert series[-1] > 0.1
 

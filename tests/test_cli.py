@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import hypertraffic
 from hypertraffic import generators, graphs, traffic
 from hypertraffic.analysis import classify_transition
 from hypertraffic.cli import main
@@ -234,6 +238,16 @@ class TestTraffic:
                    "--out", str(out), "--loads-out", str(tmp_path / "l.csv")) == 3
         assert "T at depth 2 overflows float64" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_loads_past_2_53_exit_0(self, tmp_path):
+        # binom(60, 30) > 2^53 geodesics join opposite boundary nodes at n = 30
+        gfile = tmp_path / "grid.json"
+        run("generate", "--family", "grid", "--side", "41", "--out", str(gfile))
+        loads = tmp_path / "l.csv"
+        assert run("traffic", "--graph", str(gfile), "--beta", "1.5", "--n", "30",
+                   "--out", str(tmp_path / "r.json"), "--loads-out", str(loads)) == 0
+        g, _ = graph_from_json_dict(json.loads(gfile.read_text()))
+        assert read_loads(loads) == list(traffic.node_loads(g, traffic.ExponentialRate(1.5), 30))
 
     def test_exactly_one_rate(self, tmp_path):
         gfile = tmp_path / "t.json"
@@ -615,3 +629,14 @@ class TestExitCodeContract:
             code = exit_code("tree-oracle", f"--k={k}", f"--n-max={n_max}", f"--beta={beta!r}",
                              "--out", str(Path(tmp) / "o.csv"))
         assert code in (0, 2, 3)
+
+
+def test_cli_import_leaves_fractions_unloaded():
+    """fractions (and the decimal module it pulls in) loads only when
+    four_point_delta runs, not at every command's start."""
+    src = str(Path(hypertraffic.__file__).resolve().parents[1])
+    code = "import sys, hypertraffic.cli; print('fractions' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

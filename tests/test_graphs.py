@@ -18,15 +18,12 @@ from hypertraffic.graphs import (
     Graph,
     _bfs,
     build_graph,
-    distances_from,
     four_point_delta,
     graph_from_json_dict,
     graph_to_json_dict,
-    gromov_product,
-    slim_delta_exact,
 )
 from hypertraffic.traffic import pair_census
-from oracles import floyd_warshall
+from oracles import floyd_warshall, gromov_product, slim_delta_exact
 
 PATH3 = [(0, 1), (1, 2)]
 CYCLE4 = [(0, 1), (1, 2), (2, 3), (3, 0)]
@@ -158,31 +155,36 @@ class TestSymmetries:
             assert builds == [ball.node_count]
 
 
+def engine_dist(g, source):
+    """Distances from graphs._bfs, the package's one scalar BFS."""
+    return _bfs(g.adjacency, source, g.node_count)[0]
+
+
 class TestDistances:
     def test_four_cycle(self):
         g = build_graph(CYCLE4, 0)
-        assert distances_from(g, 0).dist == (0, 1, 2, 1)
+        assert engine_dist(g, 0) == [0, 1, 2, 1]
 
     def test_path_reverse(self):
         g = build_graph(PATH3, 0)
-        assert distances_from(g, 2).dist == (2, 1, 0)
+        assert engine_dist(g, 2) == [2, 1, 0]
 
     def test_binary_tree_leftmost_leaf(self):
         # hand BFS on the 7-node tree: nodes 0; 1,2; 3,4,5,6
         g = gen_kary_tree(2, 2)
-        assert distances_from(g, 3).dist == (2, 1, 3, 0, 2, 4, 4)
+        assert engine_dist(g, 3) == [2, 1, 3, 0, 2, 4, 4]
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_floyd_warshall(self, seed):
         g = random_connected_graph(seed)
         oracle = floyd_warshall(g)
         for s in range(g.node_count):
-            assert list(distances_from(g, s).dist) == oracle[s]
+            assert engine_dist(g, s) == oracle[s]
 
     def test_source_out_of_range(self):
         g = build_graph(PATH3, 0)
         with pytest.raises(IndexError):
-            distances_from(g, 99)
+            engine_dist(g, 99)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_bfs_order(self, seed):
@@ -236,7 +238,7 @@ class TestGromovProduct:
         p = gromov_product(g, y, z, base)
         assert p == gromov_product(g, z, y, base)
         assert p >= 0
-        d_base = distances_from(g, base).dist
+        d_base = engine_dist(g, base)
         assert p <= min(d_base[y], d_base[z])
 
 
@@ -297,20 +299,22 @@ class TestSlimDelta:
 
 
 class TestHalfInteger:
-    """Gromov products and the four-point delta are exact half-integers."""
+    """The four-point delta is an exact half-integer, and so are the Gromov
+    products of the oracle."""
 
     def test_exact_representation(self):
-        p = gromov_product(cycle(5), 2, 3, 0)  # (2 + 2 - 1) / 2
-        assert p == Fraction(3, 2)
-        assert float(p) == 1.5
-        assert p == 1.5
-        assert p < 2
-        assert four_point_delta(cycle(5)) == Fraction(1, 2)
+        p = four_point_delta(cycle(5))
+        assert p == Fraction(1, 2)
+        assert float(p) == 0.5
+        assert p == 0.5
+        assert p < 1
+        assert gromov_product(cycle(5), 2, 3, 0) == Fraction(3, 2)  # (2 + 2 - 1) / 2
 
     def test_repr(self):
-        p = gromov_product(cycle(5), 2, 3, 0)
-        assert repr(p) == "Fraction(3, 2)"
-        assert str(p) == "3/2"
+        p = four_point_delta(cycle(5))
+        assert type(p) is Fraction
+        assert repr(p) == "Fraction(1, 2)"
+        assert str(p) == "1/2"
         assert str(four_point_delta(cycle(4))) == "1"
 
 

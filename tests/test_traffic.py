@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from hypertraffic.errors import (
     EmptyBoundary,
     InvalidRate,
     NotAutomorphism,
-    SigmaOverflow,
     TrafficOverflow,
 )
 from hypertraffic.generators import _odometer, gen_grid, gen_kary_tree, gen_tessellation
@@ -24,22 +24,27 @@ from hypertraffic.graphs import (
     build_graph,
     graph_from_json_dict,
     graph_to_json_dict,
-    gromov_product,
-    slim_delta_exact,
 )
 from hypertraffic.traffic import (
     ExponentialRate,
     PolynomialRate,
     TableRate,
     core_radius,
-    geodesic_field,
     node_loads,
     pair_census,
-    pair_h,
-    rate_eval,
+    rate_table,
     traffic_totals,
 )
-from oracles import brute_pair_h, brute_traffic
+from oracles import (
+    bfs_dist,
+    brute_pair_h,
+    brute_traffic,
+    exact_loads,
+    geodesic_field,
+    gromov_product,
+    pair_h,
+    slim_delta_exact,
+)
 
 DIAMOND = build_graph([(0, 1), (0, 2), (1, 3), (2, 3)], 0)
 
@@ -71,12 +76,12 @@ def diamond_chain(arms=27):
 
 class TestRates:
     def test_exponential(self):
-        assert rate_eval(ExponentialRate(2.0), 4) == 0.0625
-        assert rate_eval(ExponentialRate(2.0), 0) == 1.0
-        assert rate_eval(PolynomialRate(1.5), 0) == 1.0
+        table = rate_table(ExponentialRate(2.0), 4)
+        assert table[4] == 0.0625 and table[0] == 1.0
+        assert rate_table(PolynomialRate(1.5), 0).tolist() == [1.0]
 
     def test_table_out_of_range(self):
-        assert rate_eval(TableRate((1.0, 0.5)), 5) == 0.0
+        assert rate_table(TableRate((1.0, 0.5)), 5).tolist() == [1.0, 0.5, 0.0, 0.0, 0.0, 0.0]
 
     def test_invalid(self):
         with pytest.raises(InvalidRate):
@@ -105,7 +110,7 @@ class TestRates:
 
     def test_non_increasing(self):
         f = PolynomialRate(2.0)
-        vals = [rate_eval(f, d) for d in range(10)]
+        vals = rate_table(f, 9).tolist()
         assert vals == sorted(vals, reverse=True)
 
     def test_descriptors(self):
@@ -136,9 +141,28 @@ class TestGeodesicField:
         fld = geodesic_field(g, left_leaf)
         assert max(fld.sigma) == 2**54  # exact, beyond float64 integer range
 
-    def test_fast_path_overflow_flagged(self):
+    def test_fast_path_past_2_53_matches_exact_oracle(self):
+        """Float64 path counts past 2^53 still give the exact Brandes loads:
+        exactly on the diamond chain, whose counts are powers of two, and to
+        1e-12 relative on a side-41 grid, where binom(60, 30) > 2^53."""
+        rate = ExponentialRate(1.5)
         g = diamond_chain(27)
-        with pytest.raises(SigmaOverflow):
+        want = exact_loads(g, rate, g.max_depth)
+        assert node_loads(g, rate, g.max_depth) == tuple(float(w) for w in want)
+        grid = gen_grid(41)
+        for n in (30, 36):
+            assert max(geodesic_field(grid, x).sigma[y] for x in grid.layers[n]
+                       for y in grid.layers[n]) > 2**53
+            want = exact_loads(grid, rate, n)
+            got = node_loads(grid, rate, n)
+            assert [w == 0 for w in want] == [v == 0.0 for v in got]
+            for v, w in zip(got, want):
+                if w:
+                    assert abs(Fraction(v) - w) <= Fraction(1, 10**12) * w
+
+    def test_counts_past_float64_are_named(self):
+        g = diamond_chain(520)  # sigma = 2^1040 between the far leaves
+        with pytest.raises(TrafficOverflow, match="node loads at depth 1040 overflow float64"):
             node_loads(g, ExponentialRate(1.5), g.max_depth)
 
     def test_census_does_not_need_sigma(self):
@@ -211,10 +235,14 @@ class TestTrafficTotals:
 
     def test_histogram_consistent(self):
         g = gen_tessellation(5, 4, 3)
-        rep = traffic_totals(g, ExponentialRate(1.5), 3)
+        rate = ExponentialRate(1.5)
+        census = pair_census(g, 3)
+        rep = traffic_totals(g, rate, 3, census=census)
         boundary = len(g.layers[3])
-        assert sum(rep.h_counts) == boundary * boundary
-        assert rep.T == pytest.approx(math.fsum(rep.h_mass), rel=1e-15)
+        assert census.sum() == boundary * boundary
+        rows, cols = census.shape
+        mass = [math.fsum(census[d, h] * rate.eval(d) for d in range(rows)) for h in range(cols)]
+        assert rep.T == pytest.approx(math.fsum(mass), rel=1e-15)
 
     @pytest.mark.parametrize(
         "g,n",
@@ -278,8 +306,6 @@ class TestNodeLoads:
         rate = ExponentialRate(beta)
         loads = node_loads(g, rate, depth)
         leaves = g.layers[depth]
-        from oracles import bfs_dist
-
         want = math.fsum(
             rate.eval(bfs_dist(g, x)[y]) * (bfs_dist(g, x)[y] - 1)
             for x in leaves
@@ -307,6 +333,16 @@ class TestNodeLoads:
         assert math.fsum(full) - math.fsum(bare) == pytest.approx(
             2 * off_diag_mass, rel=1e-12
         )
+
+    @pytest.mark.parametrize("depth,ends", [(2, False), (3, True)])
+    def test_huge_table_rates_overflow_is_named(self, depth, ends):
+        # the sums pass float64's range inside the walk, and on the depth-3
+        # tree in the endpoint row sums too
+        rate = TableRate((1e308,) * (2 * depth + 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrafficOverflow, match="overflow"):
+                node_loads(gen_kary_tree(2, depth), rate, depth, include_endpoints=ends)
 
 
 class TestScaleEquivariance:
@@ -357,7 +393,7 @@ class TestCoreRadius:
 
     def test_core_radius_for_map(self):
         rep = traffic_totals(gen_kary_tree(2, 2), ExponentialRate(2.0), 2)
-        assert rep.core_radius_for([0.8, 1e-12]) == {0.8: 1, 1e-12: 2}
+        assert {eps: core_radius(rep, eps) for eps in (0.8, 1e-12)} == {0.8: 1, 1e-12: 2}
 
 
 class TestSandwiches:
@@ -380,8 +416,6 @@ class TestSandwiches:
     @pytest.mark.parametrize("g", GRAPHS)
     def test_product_between_h_minus_4delta_and_h(self, g):
         delta8 = int(8 * slim_delta_exact(g))  # 8*delta, exact twice-units
-        from oracles import bfs_dist
-
         root_dist = bfs_dist(g, g.root)
         for x in range(g.node_count):
             fld = geodesic_field(g, x)
