@@ -15,7 +15,6 @@ from .errors import (
     WindowTooLarge,
 )
 from .generators import FamilySpec, family_graph
-from .graphs import DEFAULT_NODE_CAP
 from .traffic import ExponentialRate, pair_census, traffic_totals
 
 GLOBAL, LOCAL, UNDECIDED = "GLOBAL", "LOCAL", "UNDECIDED"
@@ -162,8 +161,7 @@ def _empirical_crossing(betas, labels):
 
 def sweep(spec: FamilySpec, betas, depths, r: int, rate=ExponentialRate,
           tail: int = DEFAULT_TAIL, tau_g: float = DEFAULT_TAU_GLOBAL,
-          tau_l: float = DEFAULT_TAU_LOCAL,
-          node_cap: int = DEFAULT_NODE_CAP) -> TransitionReport:
+          tau_l: float = DEFAULT_TAU_LOCAL) -> TransitionReport:
     """Grid of T_r/T over (beta, depth) with per-beta phase labels.
 
     `rate(beta)` builds each rate, and checks its range, before any graph
@@ -179,6 +177,9 @@ def sweep(spec: FamilySpec, betas, depths, r: int, rate=ExponentialRate,
         raise ValueError(f"r must be >= 0, got {r}")
     if tail < 1:
         raise ValueError(f"tail must be >= 1, got {tail}")
+    for name, tau in (("tau_g", tau_g), ("tau_l", tau_l)):
+        if not math.isfinite(tau):
+            raise ValueError(f"{name} must be finite, got {tau}")
     if any(n <= r for n in depths):
         raise ValueError(f"all depths must exceed r={r}")
     if list(betas) != sorted(set(betas)):
@@ -189,10 +190,10 @@ def sweep(spec: FamilySpec, betas, depths, r: int, rate=ExponentialRate,
     errors = {}
     deepest_graph = None
     # a failure is not cached, so each depth records it as a fresh build would
-    depthless = cache(lambda: family_graph(spec, node_cap=node_cap))
+    depthless = cache(lambda: family_graph(spec))
     for n in depths:
         try:
-            g = family_graph(spec, depth=n, node_cap=node_cap) if spec.has_depth else depthless()
+            g = family_graph(spec, depth=n) if spec.has_depth else depthless()
             census = pair_census(g, n)
         except HypertrafficError as exc:
             errors[n] = str(exc)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import analysis, generators, graphs, serialize, traffic
@@ -19,18 +18,6 @@ _THREADS_HELP = (
     "accepted for compatibility and ignored: the engine runs one batched "
     "walk on a single thread"
 )
-
-
-def _node_cap() -> int:
-    env = os.environ.get("HYPERTRAFFIC_NODE_CAP")
-    if not env:
-        return graphs.DEFAULT_NODE_CAP
-    try:
-        return int(env)
-    except ValueError:
-        raise HypertrafficError(
-            f"HYPERTRAFFIC_NODE_CAP must be an integer, got {env!r}"
-        ) from None
 
 
 def _family_from_args(args, need_depth=True) -> generators.FamilySpec:
@@ -81,7 +68,7 @@ def _load_graph(path):
             doc = json.load(fh)
         except RecursionError:
             raise MalformedEdge(f"{path}: JSON nested too deeply") from None
-    return graphs.graph_from_json_dict(doc, node_cap=_node_cap())
+    return graphs.graph_from_json_dict(doc)
 
 
 def _rate_from_args(args):
@@ -107,7 +94,7 @@ def _numbers(flag, text, kind):
 
 def cmd_generate(args):
     spec = _family_from_args(args)
-    g = generators.family_graph(spec, node_cap=_node_cap())
+    g = generators.family_graph(spec)
     doc = graphs.graph_to_json_dict(g, family=spec.descriptor())
     serialize.write_text(args.out, serialize.dumps(doc) + "\n")
     print(f"wrote {args.out}: {g.node_count} nodes, max depth {g.max_depth}")
@@ -115,7 +102,7 @@ def cmd_generate(args):
 
 
 def cmd_analyze(args):
-    g, _ = _load_graph(args.graph)
+    g = _load_graph(args.graph)
     spheres = [len(layer) for layer in g.layers]
     est = analysis.growth_exponent(spheres, args.window)
     pred = analysis.beta_c(est.e_ratio)
@@ -137,7 +124,7 @@ def cmd_analyze(args):
 
 
 def cmd_traffic(args):
-    g, _ = _load_graph(args.graph)
+    g = _load_graph(args.graph)
     rate = _rate_from_args(args)
     n = args.n if args.n is not None else g.max_depth
     if args.r is not None and not 0 <= args.r <= n:
@@ -183,7 +170,6 @@ def cmd_sweep(args):
     report = analysis.sweep(
         spec, betas, depths, args.r,
         tail=args.tail, tau_g=args.tau_global, tau_l=args.tau_local,
-        node_cap=_node_cap(),
     )
 
     if spec.variant == "tessellation":
@@ -240,7 +226,7 @@ def cmd_tree_oracle(args):
         raise HypertrafficError(f"--n-max must be >= 1, got {args.n_max}")
     rows = []
     for n in range(1, args.n_max + 1):
-        g = generators.gen_kary_tree(args.k, n, node_cap=_node_cap())
+        g = generators.gen_kary_tree(args.k, n)
         closed = analysis.tree_closed_forms(args.k, args.beta, n)
         if closed["P"] == 0.0:
             raise ValueError(

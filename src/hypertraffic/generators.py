@@ -9,13 +9,7 @@ import numpy as np
 
 from . import tessellation
 from .errors import EvenSide, ParseError, SizeOverflow
-from .graphs import (
-    DEFAULT_NODE_CAP,
-    Graph,
-    build_graph,
-    check_node_cap,
-    with_found_symmetries,
-)
+from .graphs import Graph, build_graph, check_node_cap, node_cap, with_found_symmetries
 
 
 @dataclass(frozen=True)
@@ -52,8 +46,7 @@ class FamilySpec:
         return out
 
 
-def gen_kary_tree(k: int, depth: int, root_degree: int | None = None,
-                  node_cap: int = DEFAULT_NODE_CAP) -> Graph:
+def gen_kary_tree(k: int, depth: int, root_degree: int | None = None) -> Graph:
     """Rooted tree: root has `root_degree` children (default k), every other
     internal node has k children, leaves at distance `depth`.
 
@@ -70,14 +63,13 @@ def gen_kary_tree(k: int, depth: int, root_degree: int | None = None,
     if root_degree < 1:
         raise ValueError(f"root_degree must be >= 1, got {root_degree}")
 
+    cap = node_cap()
     total = 1
     width = root_degree
     for _ in range(depth):
         total += width
-        if total > node_cap:
-            raise SizeOverflow(
-                f"tree k={k} depth={depth} exceeds node cap {node_cap}"
-            )
+        if total > cap:
+            raise SizeOverflow(f"tree k={k} depth={depth} exceeds node cap {cap}")
         width *= k
     if depth == 0:
         return build_graph([], 0)
@@ -114,18 +106,17 @@ def _odometer(k: int, depth: int, root_degree: int) -> np.ndarray:
     return np.concatenate(perm)
 
 
-def gen_tessellation(p: int, q: int, depth: int,
-                     node_cap: int = DEFAULT_NODE_CAP) -> Graph:
+def gen_tessellation(p: int, q: int, depth: int) -> Graph:
     """Ball of radius `depth` in the tessellation by p-gons with vertex
     degree q; requires (p-2)(q-2) > 4. The graph carries the ball's rotation
     and reflection about the root as symmetries."""
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    edges, symmetries = tessellation.build_ball(p, q, depth, node_cap=node_cap)
+    edges, symmetries = tessellation.build_ball(p, q, depth)
     return build_graph(edges, 0, symmetries)
 
 
-def gen_grid(side: int, node_cap: int = DEFAULT_NODE_CAP) -> Graph:
+def gen_grid(side: int) -> Graph:
     """side x side square lattice with 4-neighbor adjacency, rooted at the
     center; side must be odd so the center exists. The graph carries a
     quarter turn and a mirror about the center, which generate D4."""
@@ -133,8 +124,9 @@ def gen_grid(side: int, node_cap: int = DEFAULT_NODE_CAP) -> Graph:
         raise ValueError(f"side must be >= 1, got {side}")
     if side % 2 == 0:
         raise EvenSide(f"side must be odd, got {side}")
-    if side * side > node_cap:
-        raise SizeOverflow(f"grid side {side} exceeds node cap {node_cap}")
+    cap = node_cap()
+    if side * side > cap:
+        raise SizeOverflow(f"grid side {side} exceeds node cap {cap}")
     if side == 1:
         return build_graph([], 0)
     edges = []
@@ -151,9 +143,9 @@ def gen_grid(side: int, node_cap: int = DEFAULT_NODE_CAP) -> Graph:
     return build_graph(edges, (side * side) // 2, symmetries)
 
 
-def load_edge_list(text: str, node_cap: int = DEFAULT_NODE_CAP) -> Graph:
+def load_edge_list(text: str) -> Graph:
     """Parse whitespace-separated "u v" pairs; '#' starts a comment, and a
-    "# root R" comment sets the root (default 0). An id at or above node_cap
+    "# root R" comment sets the root (default 0). An id at or above node_cap()
     raises SizeOverflow before the graph is built. The graph carries the
     root-fixing automorphisms graphs.find_symmetries verifies."""
     root = 0
@@ -180,21 +172,20 @@ def load_edge_list(text: str, node_cap: int = DEFAULT_NODE_CAP) -> Graph:
         except ValueError:
             raise ParseError(f"non-integer token in {raw!r}", lineno) from None
         edges.extend(zip(values[0::2], values[1::2]))
-    check_node_cap(edges, root, node_cap)
+    check_node_cap(edges, root)
     return with_found_symmetries(build_graph(edges, root))
 
 
-def family_graph(spec: FamilySpec, depth: int | None = None,
-                 node_cap: int = DEFAULT_NODE_CAP) -> Graph:
+def family_graph(spec: FamilySpec, depth: int | None = None) -> Graph:
     """Instantiate a FamilySpec, optionally overriding its depth."""
     d = spec.depth if depth is None else depth
     if spec.variant == "tree":
-        return gen_kary_tree(spec.k, d, spec.root_degree, node_cap=node_cap)
+        return gen_kary_tree(spec.k, d, spec.root_degree)
     if spec.variant == "tessellation":
-        return gen_tessellation(spec.p, spec.q, d, node_cap=node_cap)
+        return gen_tessellation(spec.p, spec.q, d)
     if spec.variant == "grid":
-        return gen_grid(spec.side, node_cap=node_cap)
+        return gen_grid(spec.side)
     if spec.variant == "edge_list":
         with open(spec.source, encoding="utf-8") as fh:
-            return load_edge_list(fh.read(), node_cap=node_cap)
+            return load_edge_list(fh.read())
     raise ValueError(f"unknown family variant {spec.variant!r}")

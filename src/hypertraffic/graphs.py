@@ -7,6 +7,7 @@ held as fractions.Fraction, so the metric layer involves no floating point.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain
@@ -16,6 +17,7 @@ import numpy as np
 from .errors import (
     DisconnectedGraph,
     GraphTooLarge,
+    HypertrafficError,
     MalformedEdge,
     NotAutomorphism,
     SizeOverflow,
@@ -82,15 +84,31 @@ def _bfs(adjacency, source, n):
     return dist, order
 
 
-def check_node_cap(edges, root, node_cap: int) -> None:
-    """Raise SizeOverflow when an id implies more than node_cap nodes.
+def node_cap() -> int:
+    """Most nodes a generator or loader may allocate: HYPERTRAFFIC_NODE_CAP,
+    or DEFAULT_NODE_CAP when it is unset or empty. This is the only reader
+    of the variable; an unparsable value raises HypertrafficError."""
+    env = os.environ.get("HYPERTRAFFIC_NODE_CAP")
+    if not env:
+        return DEFAULT_NODE_CAP
+    try:
+        return int(env)
+    except ValueError:
+        raise HypertrafficError(
+            f"HYPERTRAFFIC_NODE_CAP must be an integer, got {env!r}"
+        ) from None
+
+
+def check_node_cap(edges, root) -> None:
+    """Raise SizeOverflow when an id implies more than node_cap() nodes.
 
     Loaders call this before build_graph, which allocates one neighbor set
     per id up to the largest.
     """
+    cap = node_cap()
     top = max(root, max((max(e) for e in edges), default=root))
-    if top >= node_cap:
-        raise SizeOverflow(f"node id {top} exceeds node cap {node_cap}")
+    if top >= cap:
+        raise SizeOverflow(f"node id {top} exceeds node cap {cap}")
 
 
 def _check_symmetry(perm, root, edges, neighbor_sets) -> np.ndarray:
@@ -450,14 +468,14 @@ def _json_int(value, what: str) -> int:
     return value
 
 
-def graph_from_json_dict(doc, node_cap: int = DEFAULT_NODE_CAP) -> tuple[Graph, dict | None]:
+def graph_from_json_dict(doc) -> Graph:
     """Rebuild a Graph from its JSON form; depths and layers are recomputed,
     and the graph carries the root-fixing automorphisms find_symmetries
     verifies.
 
     The document must be an object with integer root, node_count and edge
     endpoints; anything else raises MalformedEdge, and an id at or above
-    node_cap raises SizeOverflow before any per-node allocation.
+    node_cap() raises SizeOverflow before any per-node allocation.
     """
     if not isinstance(doc, dict):
         raise MalformedEdge(f"graph JSON must be an object, got {type(doc).__name__}")
@@ -475,10 +493,10 @@ def graph_from_json_dict(doc, node_cap: int = DEFAULT_NODE_CAP) -> tuple[Graph, 
         if not isinstance(e, list) or len(e) != 2:
             raise MalformedEdge(f"edge {e!r} is not a pair")
         edges.append((_json_int(e[0], "edge endpoint"), _json_int(e[1], "edge endpoint")))
-    check_node_cap(edges, root, node_cap)
+    check_node_cap(edges, root)
     g = build_graph(edges, root)
     if node_count != g.node_count:
         raise MalformedEdge(
             f"file claims {node_count} nodes but edges imply {g.node_count}"
         )
-    return with_found_symmetries(g), doc.get("family")
+    return with_found_symmetries(g)

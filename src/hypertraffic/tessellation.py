@@ -16,15 +16,17 @@ vertex first so the construction is also deterministic step by step.
 from __future__ import annotations
 
 from .errors import CorruptMap, NotAutomorphism, NotHyperbolic, SizeOverflow
-from .graphs import DEFAULT_NODE_CAP, _bfs
+from .graphs import _bfs, node_cap
 
 
 class TessellationMap:
-    """Mutable half-edge map used while growing the tessellation ball."""
+    """Mutable half-edge map used while growing the tessellation ball; the
+    vertex past node_cap(), read when the map is made, raises SizeOverflow."""
 
     def __init__(self, p: int, q: int):
         self.p = p
         self.q = q
+        self.cap = node_cap()
         self.org = []     # half-edge -> origin vertex
         self.nxt = []     # next half-edge around its face (outer cycle if face -1)
         self.prv = []
@@ -38,6 +40,8 @@ class TessellationMap:
         return len(self.adj)
 
     def _new_vertex(self):
+        if len(self.adj) >= self.cap:
+            raise SizeOverflow(f"tessellation ({self.p},{self.q}) map exceeds node cap {self.cap}")
         self.adj.append([])
         self.bnd_in.append(-1)
         return len(self.adj) - 1
@@ -270,7 +274,7 @@ def check_hyperbolic(p: int, q: int):
         raise NotHyperbolic(f"({p}-2)({q}-2) = {(p - 2) * (q - 2)} is not > 4")
 
 
-def build_ball(p: int, q: int, depth: int, node_cap: int = DEFAULT_NODE_CAP):
+def build_ball(p: int, q: int, depth: int):
     """Edges of the radius-`depth` ball around a root vertex, BFS-relabeled.
 
     Returns (edges, symmetries); the root is vertex 0 and labels count up in
@@ -279,12 +283,13 @@ def build_ball(p: int, q: int, depth: int, node_cap: int = DEFAULT_NODE_CAP):
     about the root and a reflection, which generate the dihedral group of
     order 2q. build_graph raises NotAutomorphism unless each is an
     automorphism of the ball. Saturates every vertex closer than `depth` to
-    the root, audits the half-edge map, then truncates to the ball.
+    the root, audits the half-edge map, then truncates to the ball; the map,
+    larger than the ball, must fit under node_cap().
     """
     check_hyperbolic(p, q)
+    tmap = TessellationMap(p, q)  # reads the cap, so a bad one fails at depth 0 too
     if depth == 0:
         return [], ((0,), (0,))
-    tmap = TessellationMap(p, q)
     tmap.bootstrap()
     while True:
         depths, _ = _bfs(tmap.adj, 0, tmap.vertex_count)
@@ -297,10 +302,6 @@ def build_ball(p: int, q: int, depth: int, node_cap: int = DEFAULT_NODE_CAP):
             break
         for v in pending:
             tmap.saturate(v)
-            if tmap.vertex_count > node_cap:
-                raise SizeOverflow(
-                    f"tessellation ({p},{q}) depth {depth} exceeds node cap {node_cap}"
-                )
     tmap.audit()
 
     # labels follow a BFS that takes neighbours in map-id order; it reaches

@@ -275,14 +275,14 @@ class TestSweep:
         assert series[-1] > 0.1
 
 
-def per_depth_sweep(spec, betas, depths, r, node_cap=graphs.DEFAULT_NODE_CAP):
+def per_depth_sweep(spec, betas, depths, r):
     """(cells, errors, spheres) computed the plain way: a graph built afresh
     for every depth, its own census, and the spheres of the deepest graph
     whose census succeeded."""
     cells, errors, spheres = {}, {}, None
     for n in depths:
         try:
-            g = family_graph(spec, depth=n, node_cap=node_cap)
+            g = family_graph(spec, depth=n)
             census = pair_census(g, n)
         except HypertrafficError as exc:
             errors[n] = str(exc)
@@ -319,10 +319,11 @@ class TestSweepBuilds:
     }
 
     @pytest.mark.parametrize("name", sorted(CAPPED))
-    def test_capped_sweep_matches_per_depth_builds(self, name):
+    def test_capped_sweep_matches_per_depth_builds(self, name, monkeypatch):
         spec, depths, cap = self.CAPPED[name]
-        report = sweep(spec, self.BETAS, depths, 1, node_cap=cap)
-        cells, errors, spheres = per_depth_sweep(spec, self.BETAS, depths, 1, node_cap=cap)
+        monkeypatch.setenv("HYPERTRAFFIC_NODE_CAP", str(cap))
+        report = sweep(spec, self.BETAS, depths, 1)
+        cells, errors, spheres = per_depth_sweep(spec, self.BETAS, depths, 1)
         assert errors  # the cap or the rim is reached
         assert report.cells == cells
         assert list(report.errors.items()) == list(errors.items())

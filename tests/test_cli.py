@@ -49,8 +49,9 @@ class TestGenerate:
         run("generate", "--family", "tess", "--p", "5", "--q", "4",
             "--depth", "3", "--out", str(out))
         doc = json.loads(out.read_text())
-        g, family = graph_from_json_dict(doc)
-        assert dumps(graph_to_json_dict(g, family=family)) + "\n" == out.read_text()
+        assert doc["family"] == {"variant": "tessellation", "p": 5, "q": 4, "depth": 3}
+        g = graph_from_json_dict(doc)
+        assert dumps(graph_to_json_dict(g, family=doc["family"])) + "\n" == out.read_text()
 
     def test_root_degree(self, tmp_path):
         out = tmp_path / "t.json"
@@ -59,7 +60,7 @@ class TestGenerate:
         doc = json.loads(out.read_text())
         assert doc["node_count"] == 1 + 3 + 6 + 12
         assert doc["family"]["root_degree"] == 3
-        g, _ = graph_from_json_dict(doc)
+        g = graph_from_json_dict(doc)
         assert len(g.adjacency[g.root]) == 3
         assert [len(g.adjacency[v]) for v in g.layers[1]] == [3, 3, 3]
 
@@ -100,13 +101,6 @@ class TestGenerate:
         assert run("sweep", "--family", "grid", "--side", "5", "--beta-min", "1.1",
                    "--beta-max", "2.0", "--steps", "2", "--depths", "1,2,3",
                    "--r", "0", "--out", str(tmp_path / "s.csv")) == 3
-
-    def test_bad_node_cap_env_is_named(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("HYPERTRAFFIC_NODE_CAP", "abc")
-        code = run("generate", "--family", "tree", "--k", "2", "--depth", "2",
-                   "--out", str(tmp_path / "x.json"))
-        assert code == 3
-        assert "HYPERTRAFFIC_NODE_CAP" in capsys.readouterr().err
 
 
 class TestAnalyze:
@@ -203,7 +197,7 @@ class TestTraffic:
         loads = tmp_path / "l.csv"
         assert run("traffic", "--graph", str(gfile), "--beta", "1.5", "--n", "2",
                    "--out", str(out), "--loads-out", str(loads)) == 0
-        g, _ = graph_from_json_dict(json.loads(gfile.read_text()))
+        g = graph_from_json_dict(json.loads(gfile.read_text()))
         rate = traffic.ExponentialRate(1.5)
         rep = traffic.traffic_totals(g, rate, 2)
         doc = json.loads(out.read_text())
@@ -222,7 +216,7 @@ class TestTraffic:
         for flags, loads in (((), plain), (("--include-endpoints",), ends)):
             assert run("traffic", "--graph", str(gfile), "--beta", "1.3", *flags,
                        "--out", str(tmp_path / "r.json"), "--loads-out", str(loads)) == 0
-        g, _ = graph_from_json_dict(json.loads(gfile.read_text()))
+        g = graph_from_json_dict(json.loads(gfile.read_text()))
         rate = traffic.ExponentialRate(1.3)
         assert read_loads(ends) == list(traffic.node_loads(g, rate, 3, include_endpoints=True))
         assert read_loads(ends) != read_loads(plain)
@@ -246,7 +240,7 @@ class TestTraffic:
         loads = tmp_path / "l.csv"
         assert run("traffic", "--graph", str(gfile), "--beta", "1.5", "--n", "30",
                    "--out", str(tmp_path / "r.json"), "--loads-out", str(loads)) == 0
-        g, _ = graph_from_json_dict(json.loads(gfile.read_text()))
+        g = graph_from_json_dict(json.loads(gfile.read_text()))
         assert read_loads(loads) == list(traffic.node_loads(g, traffic.ExponentialRate(1.5), 30))
 
     def test_exactly_one_rate(self, tmp_path):
@@ -344,6 +338,19 @@ class TestSweep:
                    "--out", str(out))
         assert code == 3
         assert f"{flag[2:]} must be >= " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value,name", [
+        ("--tau-global", "nan", "tau_g"), ("--tau-global", "inf", "tau_g"),
+        ("--tau-local", "nan", "tau_l"), ("--tau-local", "-inf", "tau_l"),
+    ])
+    def test_non_finite_tau_exit_3(self, tmp_path, capsys, flag, value, name):
+        out = tmp_path / "s.csv"
+        assert run("sweep", "--family", "tree", "--k", "2",
+                   "--beta-min", "1.2", "--beta-max", "2.0", "--steps", "3",
+                   "--depths", "3,4,5", "--r", "0", f"{flag}={value}",
+                   "--out", str(out)) == 3
+        assert f"{name} must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("depths", ["3,x", "", "3,,4"])
@@ -501,15 +508,16 @@ class TestLoadedNodeCap:
         monkeypatch.setattr(graphs, "build_graph", refuse)
         monkeypatch.setattr(generators, "build_graph", refuse)
 
-    def test_library_loaders(self, no_build):
+    def test_library_loaders(self, monkeypatch, no_build):
+        monkeypatch.setenv("HYPERTRAFFIC_NODE_CAP", "100")
         with pytest.raises(SizeOverflow):
-            load_edge_list(f"0 {self.HUGE}", node_cap=100)
+            load_edge_list(f"0 {self.HUGE}")
         with pytest.raises(SizeOverflow):
-            load_edge_list(f"# root {self.HUGE}", node_cap=100)
+            load_edge_list(f"# root {self.HUGE}")
         with pytest.raises(SizeOverflow):
-            graph_from_json_dict({**PATH_DOC, "edges": [[0, self.HUGE]]}, node_cap=100)
+            graph_from_json_dict({**PATH_DOC, "edges": [[0, self.HUGE]]})
         with pytest.raises(SizeOverflow):
-            graph_from_json_dict({**PATH_DOC, "root": self.HUGE}, node_cap=100)
+            graph_from_json_dict({**PATH_DOC, "root": self.HUGE})
 
     def test_cli_reads_cap_from_env(self, tmp_path, monkeypatch, no_build):
         monkeypatch.setenv("HYPERTRAFFIC_NODE_CAP", "100")
@@ -523,11 +531,33 @@ class TestLoadedNodeCap:
                    "--beta-min", "1.1", "--beta-max", "1.5", "--steps", "2",
                    "--depths", "1", "--r", "0", "--out", str(tmp_path / "s.csv")) == 3
 
-    def test_cap_is_a_node_count(self):
+    def test_cap_is_a_node_count(self, monkeypatch):
+        monkeypatch.setenv("HYPERTRAFFIC_NODE_CAP", "100")
         with pytest.raises(DisconnectedGraph):  # id 99 passes the cap of 100
-            load_edge_list("0 99", node_cap=100)
+            load_edge_list("0 99")
         with pytest.raises(SizeOverflow):
-            load_edge_list("0 100", node_cap=100)
+            load_edge_list("0 100")
+
+    # an unparsable cap fails every command, whatever its input would build
+    BAD_CAP_COMMANDS = {
+        "generate": ("generate", "--family", "tree", "--k", "2", "--depth", "2"),
+        "analyze": ("analyze", "--graph", "{graph}"),
+        "traffic": ("traffic", "--graph", "{graph}", "--beta", "1.5"),
+        "sweep": ("sweep", "--family", "tree", "--k", "2", "--beta-min", "1.1",
+                  "--beta-max", "1.5", "--steps", "2", "--depths", "1,2", "--r", "0"),
+        "tree-oracle": ("tree-oracle", "--k", "2", "--beta", "2.0", "--n-max", "2"),
+    }
+
+    @pytest.mark.parametrize("command", BAD_CAP_COMMANDS)
+    def test_bad_node_cap_env_is_named(self, tmp_path, monkeypatch, capsys, command):
+        graph = tmp_path / "g.json"
+        graph.write_text(json.dumps(PATH_DOC))
+        monkeypatch.setenv("HYPERTRAFFIC_NODE_CAP", "abc")
+        out = tmp_path / "out"
+        argv = [a.format(graph=graph) for a in self.BAD_CAP_COMMANDS[command]]
+        assert run(*argv, "--out", str(out)) == 3
+        assert "HYPERTRAFFIC_NODE_CAP" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # ids stay mostly small so that valid graphs turn up; the node cap set in the

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -81,9 +82,10 @@ class TestKaryTree:
         for t in range(1, depth + 1):
             assert len(g.layers[t]) == rd * k ** (t - 1)
 
-    def test_size_cap(self):
+    def test_size_cap(self, monkeypatch):
+        monkeypatch.setenv("HYPERTRAFFIC_NODE_CAP", "1000")
         with pytest.raises(SizeOverflow):
-            gen_kary_tree(2, 30, node_cap=1000)
+            gen_kary_tree(2, 30)
 
     def test_bad_params(self):
         with pytest.raises(ValueError):
@@ -170,9 +172,41 @@ class TestTessellation:
         text = dumps(graph_to_json_dict(g)) + dumps([s.tolist() for s in g.symmetries])
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
-    def test_size_cap(self):
+    def test_size_cap(self, monkeypatch):
+        monkeypatch.setenv("HYPERTRAFFIC_NODE_CAP", "500")
         with pytest.raises(SizeOverflow):
-            gen_tessellation(5, 4, 8, node_cap=500)
+            gen_tessellation(5, 4, 8)
+
+    def test_map_stops_at_the_cap(self, monkeypatch):
+        """The map refuses the vertex past the cap, bootstrap included: the
+        (20000,3) depth-1 map would hold 59,995 vertices."""
+        monkeypatch.setenv("HYPERTRAFFIC_NODE_CAP", "100")
+        created = []
+        real = TessellationMap._new_vertex
+
+        def counted(self):
+            created.append(self.vertex_count)
+            return real(self)
+
+        tracemalloc.start()
+        try:
+            with monkeypatch.context() as m:
+                m.setattr(TessellationMap, "_new_vertex", counted)
+                with pytest.raises(SizeOverflow, match="node cap 100"):
+                    gen_tessellation(20000, 3, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert max(created) == 100  # the 101st call raised
+        assert peak < 1 << 20
+
+    def test_cap_of_the_whole_map_is_exact(self, monkeypatch):
+        # (5,4) d=3: the map holds 81 vertices, the ball 45
+        monkeypatch.setenv("HYPERTRAFFIC_NODE_CAP", "81")
+        assert gen_tessellation(5, 4, 3).node_count == 45
+        monkeypatch.setenv("HYPERTRAFFIC_NODE_CAP", "80")
+        with pytest.raises(SizeOverflow):
+            gen_tessellation(5, 4, 3)
 
     @pytest.mark.parametrize("p,q", [(5, 4), (4, 5), (7, 3), (3, 7)])
     def test_symmetries_generate_the_dihedral_group(self, p, q):
@@ -309,12 +343,15 @@ class TestGrid:
             gen_grid(0)
 
     def test_node_cap(self, monkeypatch):
-        assert gen_grid(5, node_cap=25).node_count == 25
+        monkeypatch.setenv("HYPERTRAFFIC_NODE_CAP", "25")
+        assert gen_grid(5).node_count == 25
         monkeypatch.setattr(generators, "build_graph", None)  # never reached
+        monkeypatch.setenv("HYPERTRAFFIC_NODE_CAP", "24")
         with pytest.raises(SizeOverflow):
-            gen_grid(5, node_cap=24)
+            gen_grid(5)
+        monkeypatch.setenv("HYPERTRAFFIC_NODE_CAP", "10")
         with pytest.raises(SizeOverflow):
-            family_graph(FamilySpec(variant="grid", side=5), node_cap=10)
+            family_graph(FamilySpec(variant="grid", side=5))
 
     @pytest.mark.parametrize("side", [3, 5, 9])
     def test_symmetries_generate_d4(self, side):

@@ -1,9 +1,13 @@
-"""Layout rule: src/hypertraffic holds only what the package itself runs.
+"""Layout rules for src/hypertraffic.
 
-Every public module-level function or class, and every public method, must
-be referenced somewhere in src/ outside its own definition, as a name or an
-attribute. Test-only references belong in tests/oracles.py. cli.main, the
-console-script entry point, is exempt.
+It holds only what the package itself runs: every public module-level
+function or class, and every public method, must be referenced somewhere in
+src/ outside its own definition, as a name or an attribute. Test-only
+references belong in tests/oracles.py. cli.main, the console-script entry
+point, is exempt.
+
+It reads the environment in one place: graphs.node_cap, the owner of
+HYPERTRAFFIC_NODE_CAP.
 """
 
 import ast
@@ -13,6 +17,7 @@ import hypertraffic
 
 SRC = Path(hypertraffic.__file__).resolve().parent
 EXEMPT = {"cli.main"}
+ENV_NAMES = {"environ", "environb", "getenv", "getenvb"}
 
 
 def _definitions(tree):
@@ -59,3 +64,38 @@ def test_scan_sees_an_uncalled_function(tmp_path):
         "class Box:\n    def lonely(self):\n        return self\n"
     )
     assert unreferenced_names(tmp_path) == ["mod.caller", "mod.Box", "mod.Box.lonely"]
+
+
+def environ_readers(src=SRC):
+    """Qualified names, module first, of the functions and classes in `src`
+    that name os.environ or os.getenv; a read at module level gives the
+    module's name."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            elif isinstance(child, (ast.Name, ast.Attribute, ast.alias)):
+                name = getattr(child, "id", None) or getattr(child, "attr", None) or child.name
+                if name in ENV_NAMES:
+                    found.add(scope)
+            visit(child, inner)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    return sorted(found)
+
+
+def test_only_node_cap_reads_the_environment():
+    assert environ_readers() == ["graphs.node_cap"]
+
+
+def test_scan_sees_every_environment_read(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "import os\nfrom os import environ\n\n\n"
+        "def cap():\n    return os.environ.get('X')\n\n\n"
+        "class Box:\n    def read(self):\n        return os.getenv('Y')\n"
+    )
+    assert environ_readers(tmp_path) == ["mod", "mod.Box.read", "mod.cap"]

@@ -30,7 +30,7 @@ def relabelled(g, seed):
     doc = graph_to_json_dict(g)
     doc["root"] = perm[g.root]
     doc["edges"] = sorted(sorted((perm[u], perm[v])) for u, v in g.edge_list())
-    return graph_from_json_dict(doc)[0]
+    return graph_from_json_dict(doc)
 
 
 def random_edge_list(seed, max_nodes=16):

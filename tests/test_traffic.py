@@ -506,7 +506,7 @@ class TestOrbitCensus:
         each layer walks as few sources as the generated ball; a graph built
         directly carries none and walks every source."""
         ball = gen_tessellation(5, 4, 3)
-        loaded, _ = graph_from_json_dict(graph_to_json_dict(ball))
+        loaded = graph_from_json_dict(graph_to_json_dict(ball))
         assert loaded == ball and loaded.symmetries
 
         def walked(g):
