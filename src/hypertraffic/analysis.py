@@ -6,12 +6,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 
 from .errors import (
+    EmptyBoundary,
     EmptySphere,
     HypertrafficError,
-    TooFewDepths,
+    SizeOverflow,
     WindowTooLarge,
 )
 from .generators import FamilySpec, family_graph
@@ -117,12 +117,13 @@ def tree_closed_forms(k: int, beta: float, n: int) -> dict:
 def classify_transition(ratios, tail: int = DEFAULT_TAIL,
                         tau_g: float = DEFAULT_TAU_GLOBAL,
                         tau_l: float = DEFAULT_TAU_LOCAL) -> str:
-    """Finite-depth phase label from T_r/T along increasing depths."""
+    """Finite-depth phase label from T_r/T along increasing depths; fewer
+    than `tail` ratios are UNDECIDED."""
     if tail < 1:
         raise ValueError(f"tail must be >= 1, got {tail}")
     ratios = list(ratios)
     if len(ratios) < tail:
-        raise TooFewDepths(f"need at least {tail} ratios, got {len(ratios)}")
+        return UNDECIDED
     window = ratios[-tail:]
     non_decreasing = all(b >= a - MONOTONE_TOL for a, b in zip(window, window[1:]))
     non_increasing = all(b <= a + MONOTONE_TOL for a, b in zip(window, window[1:]))
@@ -165,9 +166,11 @@ def sweep(spec: FamilySpec, betas, depths, r: int, rate=ExponentialRate,
     """Grid of T_r/T over (beta, depth) with per-beta phase labels.
 
     `rate(beta)` builds each rate, and checks its range, before any graph
-    is built. Graphs are built once per depth (once for a grid or an edge
-    list) and shared across the beta grid via the rate-independent pair
-    census. Depth failures are recorded, not fatal.
+    is built. Graphs are built once per depth (once, before the depths, for
+    a grid or an edge list) and shared across the beta grid via the
+    rate-independent pair census. A depth past the node cap (SizeOverflow)
+    or past the graph's rim (EmptyBoundary) is recorded; any other error
+    ends the sweep.
     """
     betas = tuple(float(b) for b in betas)
     depths = tuple(int(n) for n in depths)
@@ -189,13 +192,12 @@ def sweep(spec: FamilySpec, betas, depths, r: int, rate=ExponentialRate,
     cells = {}
     errors = {}
     deepest_graph = None
-    # a failure is not cached, so each depth records it as a fresh build would
-    depthless = cache(lambda: family_graph(spec))
+    shared = None if spec.has_depth else family_graph(spec)
     for n in depths:
         try:
-            g = family_graph(spec, depth=n) if spec.has_depth else depthless()
+            g = family_graph(spec, depth=n) if shared is None else shared
             census = pair_census(g, n)
-        except HypertrafficError as exc:
+        except (SizeOverflow, EmptyBoundary) as exc:
             errors[n] = str(exc)
             continue
         deepest_graph = g
@@ -210,13 +212,11 @@ def sweep(spec: FamilySpec, betas, depths, r: int, rate=ExponentialRate,
     growth = growth_exponent([len(layer) for layer in deepest_graph.layers])
     pred = beta_c(growth.e_ratio)
 
-    labels = {}
-    for b in betas:
-        series = [cells[(b, n)]["ratio"] for n in depths if (b, n) in cells]
-        if len(series) < tail:
-            labels[b] = UNDECIDED
-        else:
-            labels[b] = classify_transition(series, tail=tail, tau_g=tau_g, tau_l=tau_l)
+    labels = {
+        b: classify_transition([cells[(b, n)]["ratio"] for n in depths if (b, n) in cells],
+                               tail=tail, tau_g=tau_g, tau_l=tau_l)
+        for b in betas
+    }
 
     return TransitionReport(
         family=spec, r=r, betas=betas, depths=depths, cells=cells,

@@ -172,12 +172,9 @@ def cmd_sweep(args):
         tail=args.tail, tau_g=args.tau_global, tau_l=args.tau_local,
     )
 
-    if spec.variant == "tessellation":
-        p_or_k, q_col = spec.p, str(spec.q)
-    elif spec.variant == "tree":
-        p_or_k, q_col = spec.k, ""
-    else:
-        p_or_k, q_col = spec.side or 0, ""
+    family = spec.descriptor()
+    p_or_k = next((family[key] for key in ("p", "k", "side") if key in family), 0)
+    q_col = family.get("q", "")
     rows = []
     for b in report.betas:
         for n in report.depths:
@@ -198,7 +195,7 @@ def cmd_sweep(args):
     )
 
     summary = {
-        "family": spec.descriptor(),
+        "family": family,
         "r": report.r,
         "betas": list(report.betas),
         "depths": list(report.depths),

@@ -65,7 +65,3 @@ class WindowTooLarge(HypertrafficError):
 
 class EmptySphere(HypertrafficError):
     """Sphere sizes inside the estimation window must be positive."""
-
-
-class TooFewDepths(HypertrafficError):
-    """Classification needs at least `tail` ratio values."""

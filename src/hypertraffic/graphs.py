@@ -99,16 +99,28 @@ def node_cap() -> int:
         ) from None
 
 
-def check_node_cap(edges, root) -> None:
-    """Raise SizeOverflow when an id implies more than node_cap() nodes.
+def check_node_ids(edges, root) -> int:
+    """The node count the ids imply, largest id + 1. Raises SizeOverflow when
+    it passes node_cap(), and DisconnectedGraph when an id below the largest
+    is neither an edge endpoint nor the root, as nothing joins it to the root.
 
     Loaders call this before build_graph, which allocates one neighbor set
-    per id up to the largest.
+    per id up to the largest; a negative id is left to build_graph to name.
     """
     cap = node_cap()
-    top = max(root, max((max(e) for e in edges), default=root))
+    ids = set(chain.from_iterable(edges))
+    ids.add(root)
+    top = max(ids)
     if top >= cap:
         raise SizeOverflow(f"node id {top} exceeds node cap {cap}")
+    present = sorted(v for v in ids if v >= 0)
+    if len(present) <= top:
+        gap = next(i for i, v in enumerate(present) if i != v)
+        raise DisconnectedGraph(
+            f"{top + 1 - len(present)} node(s) below id {top} are in no edge, "
+            f"so unreachable from root {root}, e.g. node {gap}"
+        )
+    return top + 1
 
 
 def _check_symmetry(perm, root, edges, neighbor_sets) -> np.ndarray:
@@ -474,8 +486,9 @@ def graph_from_json_dict(doc) -> Graph:
     verifies.
 
     The document must be an object with integer root, node_count and edge
-    endpoints; anything else raises MalformedEdge, and an id at or above
-    node_cap() raises SizeOverflow before any per-node allocation.
+    endpoints, and node_count must be the largest id + 1; anything else
+    raises MalformedEdge. check_node_ids refuses ids past node_cap() or with
+    gaps before any per-node allocation.
     """
     if not isinstance(doc, dict):
         raise MalformedEdge(f"graph JSON must be an object, got {type(doc).__name__}")
@@ -493,10 +506,7 @@ def graph_from_json_dict(doc) -> Graph:
         if not isinstance(e, list) or len(e) != 2:
             raise MalformedEdge(f"edge {e!r} is not a pair")
         edges.append((_json_int(e[0], "edge endpoint"), _json_int(e[1], "edge endpoint")))
-    check_node_cap(edges, root)
-    g = build_graph(edges, root)
-    if node_count != g.node_count:
-        raise MalformedEdge(
-            f"file claims {node_count} nodes but edges imply {g.node_count}"
-        )
-    return with_found_symmetries(g)
+    implied = check_node_ids(edges, root)
+    if node_count != implied:
+        raise MalformedEdge(f"file claims {node_count} nodes but edges imply {implied}")
+    return with_found_symmetries(build_graph(edges, root))

@@ -213,6 +213,8 @@ class TrafficReport:
     T_r: tuple
 
     def ratio(self, r: int) -> float:
+        if not 0 <= r <= self.n:
+            raise ValueError(f"r must be in [0, {self.n}], got {r}")
         return self.T_r[r] / self.T
 
 

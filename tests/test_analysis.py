@@ -17,9 +17,11 @@ from hypertraffic.analysis import (
 from hypertraffic import analysis
 from hypertraffic.errors import (
     EmptySphere,
+    EvenSide,
     HypertrafficError,
     InvalidRate,
-    TooFewDepths,
+    NotHyperbolic,
+    ParseError,
     WindowTooLarge,
 )
 from hypertraffic.generators import FamilySpec, family_graph, gen_grid, gen_kary_tree
@@ -191,8 +193,8 @@ class TestClassify:
         assert classify_transition([0.01, 0.01, 0.01]) == LOCAL
 
     def test_too_few(self):
-        with pytest.raises(TooFewDepths):
-            classify_transition([0.5, 0.4])
+        assert classify_transition([0.5, 0.04]) == UNDECIDED
+        assert classify_transition([0.5, 0.04], tail=2) == LOCAL
 
     def test_custom_thresholds(self):
         assert classify_transition([0.1, 0.12, 0.15], tau_g=0.1) == GLOBAL
@@ -266,6 +268,15 @@ class TestSweep:
         assert report.growth == growth_exponent([1, 2])
         assert report.growth.window == 0 and report.beta_c_pred == 1.0
         assert report.errors == {} and len(report.cells) == 2
+
+    def test_bracketed_crossing(self):
+        """Under the polynomial control every LOCAL beta lies above every
+        GLOBAL one, so the empirical beta_c is the bracket's midpoint."""
+        spec = FamilySpec(variant="tree", k=2)
+        report = sweep(spec, [0.5, 1, 2, 4, 8, 16], [3, 4, 5, 6], 0, rate=PolynomialRate)
+        assert report.labels == {0.5: GLOBAL, 1.0: GLOBAL, 2.0: UNDECIDED,
+                                 4.0: UNDECIDED, 8.0: LOCAL, 16.0: LOCAL}
+        assert report.beta_c_emp == 4.5
 
     def test_polynomial_control_keeps_core(self):
         spec = FamilySpec(variant="tree", k=2, depth=0)
@@ -348,11 +359,41 @@ class TestSweepBuilds:
         cells, errors, _ = per_depth_sweep(spec, self.BETAS, (1, 2), 0)
         assert report.cells == cells and report.errors == errors == {}
 
-    def test_unparsable_edge_list_fails_every_depth(self, tmp_path):
+    def test_unparsable_edge_list_fails_once(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("0 1 2\n")
         spec = FamilySpec(variant="edge_list", source=str(path))
-        message = "line 1: odd token count in '0 1 2'"
-        with pytest.raises(HypertrafficError) as info:
+        with pytest.raises(ParseError) as info:
             sweep(spec, self.BETAS, (1, 2), 0)
-        assert str(info.value) == f"every depth failed: {message}; {message}"
+        assert str(info.value) == "line 1: odd token count in '0 1 2'"
+
+    # errors no depth causes: the first build raises them, and the sweep ends
+    DEPTH_FREE = {
+        "not-hyperbolic": (FamilySpec(variant="tessellation", p=3, q=3), None, NotHyperbolic,
+                           "(3-2)(3-2) = 1 is not > 4"),
+        "even-side": (FamilySpec(variant="grid", side=4), None, EvenSide,
+                      "side must be odd, got 4"),
+        "bad-k": (FamilySpec(variant="tree", k=1), None, ValueError, "k must be >= 2, got 1"),
+        "bad-cap": (FamilySpec(variant="tree", k=2), "abc", HypertrafficError,
+                    "HYPERTRAFFIC_NODE_CAP must be an integer, got 'abc'"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(DEPTH_FREE))
+    def test_depth_free_error_ends_the_sweep(self, name, monkeypatch):
+        spec, cap, error, message = self.DEPTH_FREE[name]
+        if cap is not None:
+            monkeypatch.setenv("HYPERTRAFFIC_NODE_CAP", cap)
+        calls = counting(monkeypatch, analysis, "family_graph")
+        with pytest.raises(error) as info:
+            sweep(spec, self.BETAS, (2, 3, 4), 0)
+        assert str(info.value) == message
+        assert len(calls) == 1
+
+    def test_every_depth_past_the_rim(self):
+        # each depth records its own EmptyBoundary, and the run names them all
+        with pytest.raises(HypertrafficError) as info:
+            sweep(FamilySpec(variant="grid", side=3), self.BETAS, (3, 4), 0)
+        assert str(info.value) == (
+            "every depth failed: no nodes at depth 3; graph has max depth 2; "
+            "no nodes at depth 4; graph has max depth 2"
+        )

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -86,6 +87,21 @@ class TestGenerate:
         with pytest.raises(SystemExit) as err:
             run("generate", "--family", "tree")
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("flags,message", [
+        (("--family", "tree", "--k", "2"), "tree family needs --depth"),
+        (("--family", "tess", "--p", "5", "--q", "4"), "tess family needs --depth"),
+        (("--family", "tree", "--depth", "2"), "tree family needs --k"),
+        (("--family", "tess", "--p", "5", "--depth", "2"), "tess family needs --p and --q"),
+        (("--family", "tess", "--q", "4", "--depth", "2"), "tess family needs --p and --q"),
+        (("--family", "grid"), "grid family needs --side"),
+        (("--family", "edges"), "edges family needs --path"),
+    ])
+    def test_missing_family_flag_exit_3(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "x.json"
+        assert run("generate", *flags, "--out", str(out)) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_node_cap_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HYPERTRAFFIC_NODE_CAP", "100")
@@ -207,6 +223,18 @@ class TestTraffic:
         assert run("traffic", "--graph", str(gfile), "--beta", "1.5", "--n", "5",
                    "--out", str(out)) == 3
         assert "no nodes at depth 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("r", ["-1", "3"])
+    def test_r_outside_zero_to_n_exit_3(self, tmp_path, capsys, r):
+        gfile = tmp_path / "t.json"
+        run("generate", "--family", "tree", "--k", "2", "--depth", "2",
+            "--out", str(gfile))
+        capsys.readouterr()
+        out = tmp_path / "r.json"
+        assert run("traffic", "--graph", str(gfile), "--beta", "1.5", f"--r={r}",
+                   "--out", str(out)) == 3
+        assert capsys.readouterr().err == f"error: --r must be in [0, 2], got {r}\n"
+        assert not out.exists()
 
     def test_include_endpoints(self, tmp_path):
         gfile = tmp_path / "g.json"
@@ -387,6 +415,60 @@ class TestSweep:
             assert classify_transition(ratios, tail=doc["tail"], tau_g=float(tau_g),
                                        tau_l=float(tau_l)) == label
 
+    @pytest.mark.parametrize("beta_max,steps", [("1.1", "3"), ("2.0", "0")])
+    def test_bad_beta_grid_exit_3(self, tmp_path, capsys, beta_max, steps):
+        out = tmp_path / "s.csv"
+        assert run("sweep", "--family", "tree", "--k", "2",
+                   "--beta-min", "1.2", "--beta-max", beta_max, "--steps", steps,
+                   "--depths", "3,4", "--r", "0", "--out", str(out)) == 3
+        assert capsys.readouterr().err == "error: bad beta grid\n"
+        assert not out.exists()
+
+    def test_one_step_sweeps_beta_min(self, tmp_path):
+        out = tmp_path / "s.csv"
+        summ = tmp_path / "s.json"
+        assert run("sweep", "--family", "tree", "--k", "2",
+                   "--beta-min", "1.2", "--beta-max", "2.0", "--steps", "1",
+                   "--depths", "3,4", "--r", "0",
+                   "--out", str(out), "--summary-out", str(summ)) == 0
+        assert json.loads(summ.read_text())["betas"] == [1.2]
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [(row[3], row[4]) for row in rows] == [("1.2", "3"), ("1.2", "4")]
+
+    def test_depth_past_the_rim_leaves_empty_cells(self, tmp_path):
+        out = tmp_path / "s.csv"
+        summ = tmp_path / "s.json"
+        assert run("sweep", "--family", "grid", "--side", "5",
+                   "--beta-min", "1.5", "--beta-max", "1.5", "--steps", "1",
+                   "--depths", "3,4,5", "--r", "0",
+                   "--out", str(out), "--summary-out", str(summ)) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert rows[2] == "grid,5,,1.5,5,0,,,,UNDECIDED"
+        assert all(cell for cell in rows[1].split(",")[6:9])
+        assert json.loads(summ.read_text())["errors"] == {
+            "5": "no nodes at depth 5; graph has max depth 4"
+        }
+
+    @pytest.mark.parametrize("flags,cap,message", [
+        (("--family", "tess", "--p", "3", "--q", "3"), None, "(3-2)(3-2) = 1 is not > 4"),
+        (("--family", "grid", "--side", "4"), None, "side must be odd, got 4"),
+        (("--family", "edges", "--path", "{bad}"), None, "line 1: odd token count in '0 1 2'"),
+        (("--family", "tree", "--k", "2"), "abc",
+         "HYPERTRAFFIC_NODE_CAP must be an integer, got 'abc'"),
+    ])
+    def test_depth_free_error_named_once(self, tmp_path, monkeypatch, capsys,
+                                         flags, cap, message):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("0 1 2\n")
+        if cap is not None:
+            monkeypatch.setenv("HYPERTRAFFIC_NODE_CAP", cap)
+        out = tmp_path / "s.csv"
+        assert run("sweep", *(f.format(bad=bad) for f in flags),
+                   "--beta-min", "1.2", "--beta-max", "2.0", "--steps", "3",
+                   "--depths", "2,3,4", "--r", "0", "--out", str(out)) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("family", ["tree", "star"])
     def test_two_sphere_sweep_matches_analyze(self, tmp_path, family):
         # a depth-1 ball has no ratio window: both commands report rate 0
@@ -537,6 +619,24 @@ class TestLoadedNodeCap:
             load_edge_list("0 99")
         with pytest.raises(SizeOverflow):
             load_edge_list("0 100")
+
+    def test_sparse_ids_refused_before_allocating(self):
+        """An id no edge names leaves a gap no graph can fill, so both
+        loaders refuse it before build_graph allocates one set per id."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(DisconnectedGraph, match="e.g. node 1$"):
+                load_edge_list("0 1000000")
+            with pytest.raises(DisconnectedGraph, match="e.g. node 1$"):
+                graph_from_json_dict({**PATH_DOC, "edges": [[0, 1000000]]})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_node_count_checked_before_building(self, no_build):
+        with pytest.raises(MalformedEdge, match="claims 3 nodes but edges imply 2"):
+            graph_from_json_dict({**PATH_DOC, "node_count": 3})
 
     # an unparsable cap fails every command, whatever its input would build
     BAD_CAP_COMMANDS = {

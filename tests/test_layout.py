@@ -7,7 +7,9 @@ references belong in tests/oracles.py. cli.main, the console-script entry
 point, is exempt.
 
 It reads the environment in one place: graphs.node_cap, the owner of
-HYPERTRAFFIC_NODE_CAP.
+HYPERTRAFFIC_NODE_CAP. It catches the base HypertrafficError in one place:
+cli.main, which turns any package error into exit 3. Library code names the
+subclasses it handles.
 """
 
 import ast
@@ -18,6 +20,8 @@ import hypertraffic
 SRC = Path(hypertraffic.__file__).resolve().parent
 EXEMPT = {"cli.main"}
 ENV_NAMES = {"environ", "environb", "getenv", "getenvb"}
+# handlers that catch HypertrafficError: the base itself, or anything above it
+BROAD_NAMES = {"HypertrafficError", "Exception", "BaseException"}
 
 
 def _definitions(tree):
@@ -66,10 +70,10 @@ def test_scan_sees_an_uncalled_function(tmp_path):
     assert unreferenced_names(tmp_path) == ["mod.caller", "mod.Box", "mod.Box.lonely"]
 
 
-def environ_readers(src=SRC):
+def _scopes_where(src, hit):
     """Qualified names, module first, of the functions and classes in `src`
-    that name os.environ or os.getenv; a read at module level gives the
-    module's name."""
+    holding a node for which hit(node) is true; a node at module level gives
+    the module's name."""
     found = set()
 
     def visit(node, scope):
@@ -77,15 +81,41 @@ def environ_readers(src=SRC):
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = f"{scope}.{child.name}"
-            elif isinstance(child, (ast.Name, ast.Attribute, ast.alias)):
-                name = getattr(child, "id", None) or getattr(child, "attr", None) or child.name
-                if name in ENV_NAMES:
-                    found.add(scope)
+            elif hit(child):
+                found.add(scope)
             visit(child, inner)
 
     for path in sorted(src.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem)
     return sorted(found)
+
+
+def _name(node):
+    """The name a Name, Attribute or import alias refers to, else None."""
+    return getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+
+
+def environ_readers(src=SRC):
+    """The scopes in `src` that name os.environ or os.getenv."""
+    return _scopes_where(
+        src, lambda node: isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+        and _name(node) in ENV_NAMES,
+    )
+
+
+def broad_catchers(src=SRC):
+    """The scopes in `src` with a bare except, or one that names
+    HypertrafficError, Exception or BaseException, alone or in a tuple."""
+
+    def broad(node):
+        if not isinstance(node, ast.ExceptHandler):
+            return False
+        if node.type is None:
+            return True
+        types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        return any(_name(t) in BROAD_NAMES for t in types)
+
+    return _scopes_where(src, broad)
 
 
 def test_only_node_cap_reads_the_environment():
@@ -99,3 +129,19 @@ def test_scan_sees_every_environment_read(tmp_path):
         "class Box:\n    def read(self):\n        return os.getenv('Y')\n"
     )
     assert environ_readers(tmp_path) == ["mod", "mod.Box.read", "mod.cap"]
+
+
+def test_only_cli_main_catches_the_base_error():
+    assert broad_catchers() == ["cli.main"]
+
+
+def test_scan_sees_every_broad_handler(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "from . import errors\n\n"
+        "try:\n    pass\nexcept Exception:\n    pass\n\n\n"
+        "def narrow():\n    try:\n        pass\n    except errors.SizeOverflow:\n        pass\n\n\n"
+        "def bare():\n    try:\n        pass\n    except:\n        pass\n\n\n"
+        "class Box:\n    def wide(self):\n        try:\n            pass\n"
+        "        except (ValueError, errors.HypertrafficError):\n            pass\n"
+    )
+    assert broad_catchers(tmp_path) == ["mod", "mod.Box.wide", "mod.bare"]

@@ -107,6 +107,32 @@ class TestSoundness:
         plain = dataclasses.replace(g, symmetries=())
         assert np.array_equal(pair_census(g, 5), pair_census(plain, 5))
 
+    def test_deeper_individualization(self, monkeypatch):
+        """On a relabelled hypercube Q4 one individualized node per copy
+        leaves cells that _match cannot pair, so both copies individualize
+        again: the refiner is handed an already individualized colouring
+        (9 cells against the equitable 5) four times. The search still ends
+        with one orbit per layer and the plain path's census."""
+        perm = list(range(16))
+        random.Random(1).shuffle(perm)
+        text = f"# root {perm[0]}\n" + "\n".join(
+            f"{perm[u]} {perm[u ^ bit]}" for u in range(16) for bit in (1, 2, 4, 8) if u < u ^ bit
+        )
+        cells = []
+        real = graphs._Refiner.individualize
+
+        def counted(self, colour, node):
+            cells.append(int(colour.max()) + 1)
+            return real(self, colour, node)
+
+        monkeypatch.setattr(graphs._Refiner, "individualize", counted)
+        g = load_edge_list(text)
+        assert set(cells) == {5, 9} and cells.count(9) == 4
+        assert orbit_count(g) == 5 == len(g.layers)
+        plain = dataclasses.replace(g, symmetries=())
+        for n in range(g.max_depth + 1):
+            assert np.array_equal(pair_census(g, n), pair_census(plain, n)), n
+
     def test_edge_list_loader_finds_symmetries(self):
         g = load_edge_list("0 1\n1 2\n2 3\n3 0")
         assert [s.tolist() for s in g.symmetries] == [[0, 3, 2, 1]]

@@ -212,6 +212,14 @@ class TestTrafficTotals:
         assert rep.T_r == (0.5, 1.5, 5.5)
         assert rep.T_r[rep.n] == rep.T
 
+    @pytest.mark.parametrize("r", [-1, 3])
+    def test_ratio_outside_zero_to_n(self, r):
+        # T_r[-1] would read T, and T_r[3] is past the depth-2 vector
+        rep = traffic_totals(gen_kary_tree(2, 2), ExponentialRate(2.0), 2)
+        assert (rep.ratio(0), rep.ratio(2)) == (0.5 / 5.5, 1.0)
+        with pytest.raises(ValueError, match=rf"r must be in \[0, 2\], got {r}"):
+            rep.ratio(r)
+
     def test_single_node(self):
         rep = traffic_totals(build_graph([], 0), ExponentialRate(2.0), 0)
         assert rep.T == 1.0 and rep.T_r == (1.0,)
