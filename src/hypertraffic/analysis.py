@@ -169,8 +169,9 @@ def sweep(spec: FamilySpec, betas, depths, r: int, rate=ExponentialRate,
     is built. Graphs are built once per depth (once, before the depths, for
     a grid or an edge list) and shared across the beta grid via the
     rate-independent pair census. A depth past the node cap (SizeOverflow)
-    or past the graph's rim (EmptyBoundary) is recorded; any other error
-    ends the sweep.
+    or past the graph's rim (EmptyBoundary) is recorded, and after an
+    overflow every deeper depth is recorded with its message unbuilt; any
+    other error ends the sweep.
     """
     betas = tuple(float(b) for b in betas)
     depths = tuple(int(n) for n in depths)
@@ -193,11 +194,19 @@ def sweep(spec: FamilySpec, betas, depths, r: int, rate=ExponentialRate,
     errors = {}
     deepest_graph = None
     shared = None if spec.has_depth else family_graph(spec)
+    overflow = None
     for n in depths:
+        if overflow is not None:
+            errors[n] = overflow
+            continue
         try:
             g = family_graph(spec, depth=n) if shared is None else shared
             census = pair_census(g, n)
-        except (SizeOverflow, EmptyBoundary) as exc:
+        except SizeOverflow as exc:
+            # a deeper tree has more nodes, a deeper map holds this map's wheels: both overflow
+            errors[n] = overflow = str(exc)
+            continue
+        except EmptyBoundary as exc:
             errors[n] = str(exc)
             continue
         deepest_graph = g

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -33,12 +32,13 @@ _MATCH_PASSES = 16  # a match and its check, in Python, priced as refinement rou
 class Graph:
     """Simple connected graph rooted at `root`, layered by BFS depth.
 
-    adjacency[v] is sorted ascending; layers[t] lists the nodes at depth t,
-    ascending. symmetries holds permutations of the node ids as read-only
-    int64 arrays, each checked by _check_symmetry to be an automorphism that
-    fixes the root. Generators supply them where they know the graph's
-    symmetry, the loaders attach those find_symmetries verifies, and graphs
-    built directly carry none. Instances are immutable.
+    adjacency[v] is sorted ascending; csr = (degree, indptr, indices) holds
+    it as read-only int64 arrays. layers[t] lists the nodes at depth t,
+    ascending. symmetries holds read-only int64 permutations of the node
+    ids, each checked by _check_symmetry to be an automorphism fixing the
+    root: generators supply those they know, the loaders those
+    find_symmetries verifies, and graphs built directly carry none.
+    Instances are immutable.
     """
 
     node_count: int
@@ -46,22 +46,12 @@ class Graph:
     root: int
     depth: tuple[int, ...]
     layers: tuple[tuple[int, ...], ...]
+    csr: tuple[np.ndarray, np.ndarray, np.ndarray] = field(compare=False, repr=False)
     symmetries: tuple[np.ndarray, ...] = field(default=(), compare=False)
 
     @property
     def max_depth(self) -> int:
         return len(self.layers) - 1
-
-    @cached_property
-    def csr(self) -> tuple:
-        """(degree, indptr, indices), read-only int64 arrays built on first
-        use: the neighbours of v are indices[indptr[v]:indptr[v + 1]]."""
-        degree = np.fromiter(map(len, self.adjacency), dtype=np.int64, count=self.node_count)
-        indices = np.fromiter(chain.from_iterable(self.adjacency), dtype=np.int64)
-        arrays = (degree, np.concatenate(([0], np.cumsum(degree))), indices)
-        for arr in arrays:
-            arr.flags.writeable = False
-        return arrays
 
     def edge_list(self) -> list[tuple[int, int]]:
         """Sorted list of (u, v) with u < v."""
@@ -123,14 +113,26 @@ def check_node_ids(edges, root) -> int:
     return top + 1
 
 
-def _check_symmetry(perm, root, edges, neighbor_sets) -> np.ndarray:
-    """perm as a read-only int64 array, if it is an automorphism fixing root.
+def _csr(adjacency) -> tuple:
+    """(degree, indptr, indices) of `adjacency` as read-only int64 arrays."""
+    offsets = accumulate(map(len, adjacency), initial=0)
+    indptr = np.fromiter(offsets, dtype=np.int64, count=len(adjacency) + 1)
+    indices = np.fromiter(chain.from_iterable(adjacency), dtype=np.int64, count=indptr[-1])
+    arrays = (indptr[1:] - indptr[:-1], indptr, indices)
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
 
-    A bijection of the nodes maps distinct edges to distinct pairs, so it
-    maps the edge set onto itself when every image pair is an edge; one set
-    lookup per listed edge checks that.
+
+def _check_symmetry(perm, g: Graph) -> np.ndarray:
+    """perm as a read-only int64 array, if it is an automorphism of g fixing
+    g.root.
+
+    A bijection of the nodes maps the edge set onto itself exactly when the
+    sorted keys perm[u] * n + perm[v] over the CSR's directed edges (u, v)
+    equal the keys u * n + v, which the CSR lists ascending.
     """
-    n = len(neighbor_sets)
+    n, root = g.node_count, g.root
     arr = np.asarray(perm)
     if arr.shape != (n,) or arr.dtype.kind not in "iu":
         raise NotAutomorphism(f"symmetry is not a sequence of {n} integers")
@@ -139,8 +141,9 @@ def _check_symmetry(perm, root, edges, neighbor_sets) -> np.ndarray:
         raise NotAutomorphism("symmetry is not a permutation of the node ids")
     if arr[root] != root:
         raise NotAutomorphism(f"symmetry moves the root {root} to {arr[root]}")
-    image = arr.tolist()
-    if not all(image[v] in neighbor_sets[image[u]] for u, v in edges):
+    degree, _, indices = g.csr
+    src = np.repeat(np.arange(n, dtype=np.int64), degree)
+    if not (np.sort(arr[src] * n + arr[indices]) == src * n + indices).all():
         raise NotAutomorphism("symmetry does not map edges onto edges")
     arr.flags.writeable = False
     return arr
@@ -184,15 +187,15 @@ def build_graph(edges, root, symmetries=()) -> Graph:
     layers = [[] for _ in range(max(dist) + 1)]
     for v in range(n):
         layers[dist[v]].append(v)
-    checked = tuple(_check_symmetry(s, root, edges, neighbor_sets) for s in symmetries)
-    return Graph(
+    g = Graph(
         node_count=n,
         adjacency=adjacency,
         root=root,
         depth=tuple(dist),
         layers=tuple(tuple(layer) for layer in layers),
-        symmetries=checked,
+        csr=_csr(adjacency),
     )
+    return replace(g, symmetries=tuple(_check_symmetry(s, g) for s in symmetries))
 
 
 def _orbit_labels(n: int, symmetries) -> np.ndarray:
@@ -349,8 +352,6 @@ def find_symmetries(g: Graph) -> tuple:
     if n < 3:  # a root-fixing permutation of at most two nodes fixes both
         return (), 0
     refiner = _Refiner(g)
-    edges = g.edge_list()
-    neighbor_sets = [set(a) for a in g.adjacency]
     found = []
 
     def automorphism(a, b, start):
@@ -367,7 +368,7 @@ def find_symmetries(g: Graph) -> tuple:
                 perm = _match(g, a, b, start)
             if perm is not None:
                 try:
-                    return _check_symmetry(perm, g.root, edges, neighbor_sets)
+                    return _check_symmetry(perm, g)
                 except NotAutomorphism:
                     pass
             if sizes.size == n:
@@ -406,12 +407,8 @@ def find_symmetries(g: Graph) -> tuple:
 
 
 def with_found_symmetries(g: Graph) -> Graph:
-    """g carrying the root-fixing automorphisms that find_symmetries verifies,
-    and the CSR arrays that the search built for g."""
-    found = replace(g, symmetries=find_symmetries(g)[0])
-    if "csr" in vars(g):
-        vars(found)["csr"] = g.csr
-    return found
+    """g carrying the root-fixing automorphisms that find_symmetries verifies."""
+    return replace(g, symmetries=find_symmetries(g)[0])
 
 
 def distance_matrix(g: Graph) -> np.ndarray:

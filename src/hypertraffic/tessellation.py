@@ -310,12 +310,12 @@ def build_ball(p: int, q: int, depth: int):
     keep = [v for v in order if depths[v] <= depth]
     relabel = {v: i for i, v in enumerate(keep)}
 
-    edges = sorted({
+    edges = [
         (relabel[u], relabel[w])
         for u in keep
         for w in tmap.adj[u]
         if w in relabel and relabel[u] < relabel[w]
-    })
+    ]
 
     symmetries = []
     for image, reflect in ((tmap.nxt[1] ^ 1, False), (1, True)):

@@ -5,7 +5,8 @@ the engine beyond the Graph container and its error types): Floyd-Warshall
 distances, explicit enumeration of every geodesic path, traffic/load
 accumulation path by path with equal splitting, exact geodesic fields in
 Python integers, exact Brandes loads in fractions, Gromov products, the
-slim-triangle delta, and the k-ary tree closed forms.
+slim-triangle delta, the k-ary tree closed forms, and a set-lookup test for
+root-fixing automorphisms.
 """
 
 import math
@@ -54,6 +55,23 @@ def bfs_dist(g, source):
                 dist[w] = dist[u] + 1
                 queue.append(w)
     return dist
+
+
+def is_root_automorphism(perm, g):
+    """True when perm is a sequence of g.node_count integers that permutes
+    the node ids, fixes g.root and sends every edge to an edge. Bools are not
+    integers here. A bijection maps distinct edges to distinct pairs, so one
+    set lookup per edge shows it maps the edge set onto itself."""
+    n = g.node_count
+    if np.ndim(perm) != 1 or len(perm) != n:
+        return False
+    if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in perm):
+        return False
+    image = [int(x) for x in perm]
+    if sorted(image) != list(range(n)) or image[g.root] != g.root:
+        return False
+    neighbor_sets = [set(a) for a in g.adjacency]
+    return all(image[v] in neighbor_sets[image[u]] for u, v in g.edge_list())
 
 
 def all_geodesics(g, x, y):

@@ -340,6 +340,30 @@ class TestSweepBuilds:
         assert list(report.errors.items()) == list(errors.items())
         assert list(report.growth.sphere_sizes) == spheres
 
+    # under cap 200 depth 4 builds and depth 5 overflows, for either family
+    OVERFLOWING = {
+        "tess": (FamilySpec(variant="tessellation", p=5, q=4),
+                 "tessellation (5,4) map exceeds node cap 200"),
+        "tree": (FamilySpec(variant="tree", k=3), "tree k=3 depth=5 exceeds node cap 200"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(OVERFLOWING))
+    def test_builds_stop_at_the_first_overflow(self, name, monkeypatch):
+        spec, message = self.OVERFLOWING[name]
+        monkeypatch.setenv("HYPERTRAFFIC_NODE_CAP", "200")
+        built = []
+        real = analysis.family_graph
+
+        def spy(spec, depth=None):
+            built.append(depth)
+            return real(spec, depth=depth)
+
+        monkeypatch.setattr(analysis, "family_graph", spy)
+        report = sweep(spec, self.BETAS, (2, 3, 4, 5, 6, 7), 1)
+        assert built == [2, 3, 4, 5]
+        assert report.errors == {5: message, 6: message, 7: message}
+        assert sorted({n for _, n in report.cells}) == [2, 3, 4]
+
     def test_grid_built_once(self, monkeypatch):
         spec = FamilySpec(variant="grid", side=7)
         calls = counting(monkeypatch, generators, "gen_grid")

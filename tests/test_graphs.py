@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import random
 from fractions import Fraction
 
@@ -7,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypertraffic import graphs
 from hypertraffic.errors import (
     DisconnectedGraph,
     GraphTooLarge,
@@ -15,7 +15,6 @@ from hypertraffic.errors import (
 )
 from hypertraffic.generators import gen_grid, gen_kary_tree, gen_tessellation, load_edge_list
 from hypertraffic.graphs import (
-    Graph,
     _bfs,
     build_graph,
     four_point_delta,
@@ -133,17 +132,15 @@ class TestSymmetries:
         assert build_graph(CYCLE4, 0).symmetries == ()
 
     def test_loaders_build_the_csr_once(self, monkeypatch):
-        # the symmetry search builds the CSR and the loaded graph keeps it
+        # build_graph builds the CSR; the symmetry search and the census reuse it
         builds = []
-        real = Graph.csr.func
+        real = graphs._csr
 
-        def counted(g):
-            builds.append(g.node_count)
-            return real(g)
+        def counted(adjacency):
+            builds.append(len(adjacency))
+            return real(adjacency)
 
-        prop = functools.cached_property(counted)
-        prop.__set_name__(Graph, "csr")
-        monkeypatch.setattr(Graph, "csr", prop)
+        monkeypatch.setattr(graphs, "_csr", counted)
         ball = gen_tessellation(5, 4, 5)
         doc = graph_to_json_dict(ball)
         text = "\n".join(f"{u} {v}" for u, v in ball.edge_list())

@@ -9,7 +9,9 @@ point, is exempt.
 It reads the environment in one place: graphs.node_cap, the owner of
 HYPERTRAFFIC_NODE_CAP. It catches the base HypertrafficError in one place:
 cli.main, which turns any package error into exit 3. Library code names the
-subclasses it handles.
+subclasses it handles. It constructs a Graph in one place: graphs.build_graph,
+so every graph has its CSR and checked symmetries; dataclasses.replace may
+copy one.
 """
 
 import ast
@@ -118,6 +120,13 @@ def broad_catchers(src=SRC):
     return _scopes_where(src, broad)
 
 
+def graph_constructors(src=SRC):
+    """The scopes in `src` that call Graph(...), by name or as an attribute."""
+    return _scopes_where(
+        src, lambda node: isinstance(node, ast.Call) and _name(node.func) == "Graph"
+    )
+
+
 def test_only_node_cap_reads_the_environment():
     assert environ_readers() == ["graphs.node_cap"]
 
@@ -145,3 +154,18 @@ def test_scan_sees_every_broad_handler(tmp_path):
         "        except (ValueError, errors.HypertrafficError):\n            pass\n"
     )
     assert broad_catchers(tmp_path) == ["mod", "mod.Box.wide", "mod.bare"]
+
+
+def test_only_build_graph_constructs_a_graph():
+    assert graph_constructors() == ["graphs.build_graph"]
+
+
+def test_scan_sees_every_graph_construction(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "import dataclasses\nfrom . import graphs\nfrom .graphs import Graph\n\n"
+        "EMPTY = Graph(0, (), 0, (), (), ())\n\n\n"
+        "def copy(g):\n    return dataclasses.replace(g, symmetries=())\n\n\n"
+        "def typed(g: Graph) -> Graph:\n    return isinstance(g, graphs.Graph)\n\n\n"
+        "class Box:\n    def make(self):\n        return graphs.Graph(**self.fields)\n"
+    )
+    assert graph_constructors(tmp_path) == ["mod", "mod.Box.make"]

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypertraffic import graphs
+from hypertraffic.errors import NotAutomorphism
 from hypertraffic.generators import gen_grid, gen_kary_tree, gen_tessellation, load_edge_list
 from hypertraffic.graphs import (
     _orbit_labels,
@@ -20,6 +21,8 @@ from hypertraffic.graphs import (
     graph_to_json_dict,
 )
 from hypertraffic.traffic import ExponentialRate, node_loads, pair_census
+from oracles import is_root_automorphism
+from test_traffic import diamond_chain
 
 
 def relabelled(g, seed):
@@ -143,6 +146,66 @@ class TestSoundness:
         monkeypatch.setattr(graphs, "_mix64", lambda x: np.zeros(x.shape, dtype=np.uint64))
         symmetries, _ = find_symmetries(gen_tessellation(5, 4, 3))
         assert symmetries == ()
+
+
+CHECKED = {
+    "cycle-4": build_graph([(0, 1), (1, 2), (2, 3), (3, 0)], 0),
+    "diamond-chain": diamond_chain(3),
+    "tree-2-4": gen_kary_tree(2, 4),
+    "tree-3-3": gen_kary_tree(3, 3),
+    "grid-5": gen_grid(5),
+    **{f"tess-5-4-{d}": gen_tessellation(5, 4, d) for d in range(1, 5)},
+    "json-ball": relabelled(gen_tessellation(5, 4, 3), seed=11),
+}
+
+
+def candidates(g, rng):
+    """Sequences to offer _check_symmetry: real automorphisms, each also
+    with two non-root nodes swapped; random permutations with and without
+    the root fixed; a repeated, an out-of-range and a negative id; the wrong
+    lengths. Each comes as a list, a tuple and int32, float and bool arrays."""
+    n, root = g.node_count, g.root
+    others = [v for v in range(n) if v != root]
+    autos = [s.tolist() for s in g.symmetries or find_symmetries(g)[0]]
+    perms = [list(range(n))] + autos
+    for auto in list(perms):
+        x, y = rng.sample(others, 2)
+        swapped = list(auto)
+        swapped[x], swapped[y] = auto[y], auto[x]
+        perms.append(swapped)
+    fixing = list(range(n))
+    shuffled = rng.sample(others, len(others))
+    for v, w in zip(others, shuffled):
+        fixing[v] = w
+    moving = rng.sample(range(n), n)
+    perms += [fixing, moving]
+    for bad in (root, n, -1):
+        broken = list(fixing)
+        broken[rng.choice(others)] = bad
+        perms.append(broken)
+    perms += [fixing[:-1], fixing + [n]]
+    for perm in perms:
+        yield perm
+        yield tuple(perm)
+        yield np.array(perm, dtype=np.int32)
+        yield np.array(perm, dtype=np.float64)
+        yield np.array(perm, dtype=bool)
+
+
+class TestCheckSymmetry:
+    @settings(max_examples=120)
+    @given(st.sampled_from(sorted(CHECKED)), st.randoms(use_true_random=False))
+    def test_csr_check_agrees_with_set_lookup(self, name, rng):
+        g = CHECKED[name]
+        for perm in candidates(g, rng):
+            try:
+                arr = graphs._check_symmetry(perm, g)
+            except NotAutomorphism:
+                assert not is_root_automorphism(perm, g), perm
+                continue
+            assert is_root_automorphism(perm, g), perm
+            assert arr.dtype == np.int64 and not arr.flags.writeable
+            assert arr.tolist() == [int(x) for x in perm]
 
 
 def union_find_labels(n, maps):
