@@ -222,7 +222,8 @@ def cmd_tree_oracle(args):
     if args.n_max < 1:
         raise HypertrafficError(f"--n-max must be >= 1, got {args.n_max}")
     rows = []
-    for n in range(1, args.n_max + 1):
+    # deepest first, so a depth past the node cap fails before any tree is built
+    for n in range(args.n_max, 0, -1):
         g = generators.gen_kary_tree(args.k, n)
         closed = analysis.tree_closed_forms(args.k, args.beta, n)
         if closed["P"] == 0.0:
@@ -251,7 +252,7 @@ def cmd_tree_oracle(args):
         args.out,
         serialize.csv_lines(
             "n,T_closed,T_engine,P_closed,root_share_engine,rel_err_T,rel_err_P",
-            rows,
+            rows[::-1],
         ),
     )
     print(f"wrote {args.out}: {args.n_max} rows")

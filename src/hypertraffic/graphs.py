@@ -58,11 +58,11 @@ class Graph:
         return [(u, v) for u in range(self.node_count) for v in self.adjacency[u] if u < v]
 
 
-def _bfs(adjacency, source, n):
-    """(dist, order): hop distances from `source` over nodes 0..n-1, -1 where
+def _bfs(adjacency, source):
+    """(dist, order): hop distances from `source` to each node, -1 where
     unreached, and the reached nodes in visiting order, so dist never
     decreases along order. Neighbours are visited in adjacency order."""
-    dist = [-1] * n
+    dist = [-1] * len(adjacency)
     dist[source] = 0
     order = [source]
     for u in order:  # the loop also visits the nodes appended while it runs
@@ -178,7 +178,7 @@ def build_graph(edges, root, symmetries=()) -> Graph:
         neighbor_sets[v].add(u)
     adjacency = tuple(tuple(sorted(s)) for s in neighbor_sets)
 
-    dist, _ = _bfs(adjacency, root, n)
+    dist, _ = _bfs(adjacency, root)
     if -1 in dist:
         missing = [v for v in range(n) if dist[v] < 0]
         raise DisconnectedGraph(
@@ -416,7 +416,7 @@ def distance_matrix(g: Graph) -> np.ndarray:
     n = g.node_count
     out = np.empty((n, n), dtype=np.int32)
     for s in range(n):
-        out[s] = _bfs(g.adjacency, s, n)[0]
+        out[s] = _bfs(g.adjacency, s)[0]
     return out
 
 

@@ -292,7 +292,7 @@ def build_ball(p: int, q: int, depth: int):
         return [], ((0,), (0,))
     tmap.bootstrap()
     while True:
-        depths, _ = _bfs(tmap.adj, 0, tmap.vertex_count)
+        depths, _ = _bfs(tmap.adj, 0)
         pending = [
             v
             for v in range(tmap.vertex_count)
@@ -306,7 +306,7 @@ def build_ball(p: int, q: int, depth: int):
 
     # labels follow a BFS that takes neighbours in map-id order; it reaches
     # vertices depth by depth, so the ball is a prefix of its order
-    _, order = _bfs([sorted(a) for a in tmap.adj], 0, tmap.vertex_count)
+    _, order = _bfs([sorted(a) for a in tmap.adj], 0)
     keep = [v for v in order if depths[v] <= depth]
     relabel = {v: i for i, v in enumerate(keep)}
 

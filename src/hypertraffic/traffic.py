@@ -4,6 +4,8 @@ All pair sums are ordered and include the diagonal. Geometry (distances,
 geodesic counts, minimum depth over geodesics) is computed once per source by
 a vectorized BFS; rates enter only through a per-distance lookup table, so a
 single integer census over (distance, h) pairs serves every rate function.
+Every walk from a source on S_n stops at distance 2n, since any two nodes of
+S_n are joined through the root: no pair is farther apart.
 
 The census and the node loads walk one source per orbit of the graph's
 checked root-fixing symmetries (the dihedral group about the root for
@@ -105,15 +107,15 @@ def rate_table(f, max_d: int) -> np.ndarray:
 # batched multi-source BFS
 
 
-def _walk(g: Graph, sources: np.ndarray, boundary: np.ndarray):
-    """Level-synchronous BFS from every source in a batch at once.
+def _walk(g: Graph, sources: np.ndarray, reach: int):
+    """Level-synchronous BFS from every source in a batch at once, out to
+    distance `reach`; from a source on S_n, reach = 2n leaves S_n final.
 
     Row r of the batch walks from sources[r]; its state for node v sits at
     slot r * n + v of flat arrays, so one numpy call serves the whole batch
-    while the frontier stays sparse. A row leaves the frontier at the level
-    that reaches its last boundary node: boundary values are final there.
+    while the frontier stays sparse.
 
-    Returns (dist, levels): dist per slot (-1 if never reached) and, per
+    Returns (dist, levels): dist per slot (-1 if not reached) and, per
     level t >= 1, (below, src, tgt, new). below are the level t-1 slots that
     were expanded, new the level t slots, ascending (so sorted by row, then
     node), and tgt[i] is reached from below[src[i]] by a BFS-DAG edge. Edges
@@ -121,18 +123,12 @@ def _walk(g: Graph, sources: np.ndarray, boundary: np.ndarray):
     """
     n = g.node_count
     degree, indptr, indices = g.csr
-    rows = sources.size
-    dist = np.full(rows * n, -1, dtype=np.int64)
-    start = np.arange(rows, dtype=np.int64) * n + sources
-    dist[start] = 0
-    is_target = np.zeros(n, dtype=bool)
-    is_target[boundary] = True
-    remaining = np.full(rows, boundary.size - 1, dtype=np.int64)
-    mark = np.zeros(rows * n, dtype=bool)
-    frontier = start[remaining > 0]
+    dist = np.full(sources.size * n, -1, dtype=np.int64)
+    frontier = np.arange(sources.size, dtype=np.int64) * n + sources
+    dist[frontier] = 0
     levels = []
     level = 0
-    while frontier.size:
+    while frontier.size and level < reach:
         node = frontier % n
         lens = degree[node]
         src = np.repeat(np.arange(frontier.size, dtype=np.int64), lens)
@@ -142,15 +138,11 @@ def _walk(g: Graph, sources: np.ndarray, boundary: np.ndarray):
         fresh = dist[nbr] < 0
         tgt = nbr[fresh]
         src = src[fresh]
-        mark[tgt] = True
-        new = np.flatnonzero(mark)
-        mark[new] = False
         level += 1
-        dist[new] = level
+        dist[tgt] = level
+        new = np.flatnonzero(dist == level)
         levels.append((frontier, src, tgt, new))
-        row, node = np.divmod(new, n)
-        remaining -= np.bincount(row[is_target[node]], minlength=rows)
-        frontier = new[remaining[row] > 0]
+        frontier = new
     return dist, levels
 
 
@@ -162,19 +154,20 @@ def boundary_nodes(g: Graph, n: int) -> tuple:
     return g.layers[n]
 
 
-def _walks(g: Graph, boundary: np.ndarray, label: np.ndarray):
+def _walks(g: Graph, boundary: np.ndarray, label: np.ndarray, reach: int):
     """Walk the smallest id of each boundary orbit under the orbit labels
     `label`, ascending, in batches of about _BATCH_SLOTS slots.
 
     Yields (sources, orbit_size, dist, levels) per batch: the batch's
-    sources, the size of each source's boundary orbit, and _walk's result.
+    sources, the size of each source's boundary orbit, and _walk's result
+    out to distance `reach`.
     """
     orbit_size = np.bincount(label[boundary], minlength=g.node_count)
     reps = np.flatnonzero(orbit_size)
     size = max(1, _BATCH_SLOTS // g.node_count)
     for i in range(0, reps.size, size):
         sources = reps[i : i + size]
-        yield (sources, orbit_size[sources], *_walk(g, sources, boundary))
+        yield (sources, orbit_size[sources], *_walk(g, sources, reach))
 
 
 def pair_census(g: Graph, n: int) -> np.ndarray:
@@ -191,7 +184,7 @@ def pair_census(g: Graph, n: int) -> np.ndarray:
     width = n + 1
     size = (2 * n + 1) * width
     total = np.zeros(size, dtype=np.int64)
-    for sources, orbit_size, dist, levels in _walks(g, boundary, label):
+    for sources, orbit_size, dist, levels in _walks(g, boundary, label, 2 * n):
         rows = sources.size
         md = np.tile(depth, rows)
         for below, src, tgt, _ in levels:
@@ -288,7 +281,7 @@ def node_loads(g: Graph, f, n: int, include_endpoints: bool = False) -> tuple:
     done = 0
     try:
         with np.errstate(over="raise", invalid="raise"):
-            for sources, orbit_size, dist, levels in _walks(g, boundary, label):
+            for sources, orbit_size, dist, levels in _walks(g, boundary, label, 2 * n):
                 rows = sources.size
                 start = np.arange(rows, dtype=np.int64) * nn + sources
                 sigma = np.zeros(rows * nn)

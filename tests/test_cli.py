@@ -525,6 +525,19 @@ class TestTreeOracle:
         assert f"--n-max must be >= 1, got {n_max}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_n_max_past_the_cap_exits_before_any_walk(self, tmp_path, capsys, monkeypatch):
+        # k=3 trees fit a cap of 50 up to depth 3, so a shallow-first loop
+        # would census three trees before depth 4 failed
+        monkeypatch.setenv("HYPERTRAFFIC_NODE_CAP", "50")
+        calls = []
+        census = traffic.pair_census
+        monkeypatch.setattr(traffic, "pair_census", lambda *a: calls.append(a) or census(*a))
+        out = tmp_path / "o.csv"
+        assert run("tree-oracle", "--k", "3", "--beta", "2.0", "--n-max", "10",
+                   "--out", str(out)) == 3
+        assert calls == [] and not out.exists()
+        assert "tree k=3 depth=10 exceeds node cap 50" in capsys.readouterr().err
+
     def test_bytes_match_the_unreduced_engine(self, tmp_path):
         # recorded before node loads were orbit-reduced, when every leaf of
         # every tree was walked

@@ -230,7 +230,7 @@ class TestTessellation:
         tmap.bootstrap()
         for v in range(5):
             tmap.saturate(v)
-        depths, _ = _bfs(tmap.adj, 0, tmap.vertex_count)
+        depths, _ = _bfs(tmap.adj, 0)
         rotation = tmap.nxt[1] ^ 1
         assert tmap.root_symmetry(rotation, False, depths, 1)[0] == 0
         with pytest.raises(NotAutomorphism):

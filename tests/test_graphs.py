@@ -154,7 +154,7 @@ class TestSymmetries:
 
 def engine_dist(g, source):
     """Distances from graphs._bfs, the package's one scalar BFS."""
-    return _bfs(g.adjacency, source, g.node_count)[0]
+    return _bfs(g.adjacency, source)[0]
 
 
 class TestDistances:
@@ -195,7 +195,7 @@ class TestDistances:
                 adjacency[u].append(v)
                 adjacency[v].append(u)
         source = rng.randrange(n)
-        dist, order = _bfs(adjacency, source, n)
+        dist, order = _bfs(adjacency, source)
         assert order[0] == source and dist[source] == 0
         assert sorted(order) == [v for v in range(n) if dist[v] >= 0]
         steps = [dist[w] - dist[v] for v, w in zip(order, order[1:])]

@@ -151,8 +151,8 @@ class TestGeodesicField:
         assert node_loads(g, rate, g.max_depth) == tuple(float(w) for w in want)
         grid = gen_grid(41)
         for n in (30, 36):
-            assert max(geodesic_field(grid, x).sigma[y] for x in grid.layers[n]
-                       for y in grid.layers[n]) > 2**53
+            fields = (geodesic_field(grid, x).sigma for x in grid.layers[n])
+            assert max(sigma[y] for sigma in fields for y in grid.layers[n]) > 2**53
             want = exact_loads(grid, rate, n)
             got = node_loads(grid, rate, n)
             assert [w == 0 for w in want] == [v == 0.0 for v in got]
@@ -448,7 +448,9 @@ class TestDeterminism:
     @pytest.mark.parametrize("name,g,n_max", BRUTE_CASES, ids=[c[0] for c in BRUTE_CASES])
     def test_batch_sizes_bit_identical(self, name, g, n_max, monkeypatch):
         """One source per batch, an uneven split, and the whole boundary in one
-        batch give the same bits; every n < max_depth stops rows early."""
+        batch give the same bits; on trees, tessellations, grids and the longer
+        cycles an n < max_depth stops the walk at distance 2n with nodes of
+        the graph still unreached."""
         rate = ExponentialRate(1.7)
         for n in range(1, g.max_depth + 1):
             size = len(g.layers[n])
