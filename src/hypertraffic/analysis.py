@@ -137,8 +137,6 @@ def classify_transition(ratios, tail: int = DEFAULT_TAIL,
 
 @dataclass(frozen=True)
 class TransitionReport:
-    family: FamilySpec
-    r: int
     betas: tuple
     depths: tuple
     cells: dict        # (beta, n) -> {"T": .., "T_r": .., "ratio": ..}
@@ -147,9 +145,6 @@ class TransitionReport:
     beta_c_pred: float
     labels: dict       # beta -> GLOBAL | LOCAL | UNDECIDED
     beta_c_emp: float = None
-    tail: int = DEFAULT_TAIL
-    tau_g: float = DEFAULT_TAU_GLOBAL
-    tau_l: float = DEFAULT_TAU_LOCAL
 
 
 def _empirical_crossing(betas, labels):
@@ -167,11 +162,11 @@ def sweep(spec: FamilySpec, betas, depths, r: int, rate=ExponentialRate,
 
     `rate(beta)` builds each rate, and checks its range, before any graph
     is built. Graphs are built once per depth (once, before the depths, for
-    a grid or an edge list) and shared across the beta grid via the
-    rate-independent pair census. A depth past the node cap (SizeOverflow)
-    or past the graph's rim (EmptyBoundary) is recorded, and after an
-    overflow every deeper depth is recorded with its message unbuilt; any
-    other error ends the sweep.
+    a grid or an edge list), and each depth's pair census alone gives the
+    totals for every beta. A depth past the node cap (SizeOverflow) or past
+    the graph's rim (EmptyBoundary) is recorded, and after an overflow every
+    deeper depth is recorded with its message unbuilt; any other error ends
+    the sweep.
     """
     betas = tuple(float(b) for b in betas)
     depths = tuple(int(n) for n in depths)
@@ -211,7 +206,7 @@ def sweep(spec: FamilySpec, betas, depths, r: int, rate=ExponentialRate,
             continue
         deepest_graph = g
         for b, f in zip(betas, rates):
-            rep = traffic_totals(g, f, n, census=census)
+            rep = traffic_totals(census, f)
             cells[(b, n)] = {"T": rep.T, "T_r": rep.T_r[r], "ratio": rep.ratio(r)}
 
     if deepest_graph is None:
@@ -228,8 +223,7 @@ def sweep(spec: FamilySpec, betas, depths, r: int, rate=ExponentialRate,
     }
 
     return TransitionReport(
-        family=spec, r=r, betas=betas, depths=depths, cells=cells,
-        errors=errors, growth=growth, beta_c_pred=pred, labels=labels,
+        betas=betas, depths=depths, cells=cells, errors=errors,
+        growth=growth, beta_c_pred=pred, labels=labels,
         beta_c_emp=_empirical_crossing(betas, labels),
-        tail=tail, tau_g=tau_g, tau_l=tau_l,
     )

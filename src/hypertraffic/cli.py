@@ -124,12 +124,13 @@ def cmd_analyze(args):
 
 
 def cmd_traffic(args):
-    g = _load_graph(args.graph)
     rate = _rate_from_args(args)
+    traffic.check_epsilon(args.epsilon)
+    g = _load_graph(args.graph)
     n = args.n if args.n is not None else g.max_depth
     if args.r is not None and not 0 <= args.r <= n:
         raise HypertrafficError(f"--r must be in [0, {n}], got {args.r}")
-    report = traffic.traffic_totals(g, rate, n)
+    report = traffic.traffic_totals(traffic.pair_census(g, n), rate)
     core = traffic.core_radius(report, args.epsilon)
     doc = {
         "n": n,
@@ -187,7 +188,7 @@ def cmd_sweep(args):
                 ratio = serialize.fmt_float(cell["ratio"])
             rows.append(
                 f"{spec.variant},{p_or_k},{q_col},{serialize.fmt_float(b)},{n},"
-                f"{report.r},{t},{tr},{ratio},{report.labels[b]}"
+                f"{args.r},{t},{tr},{ratio},{report.labels[b]}"
             )
     serialize.write_text(
         args.out,
@@ -196,7 +197,7 @@ def cmd_sweep(args):
 
     summary = {
         "family": family,
-        "r": report.r,
+        "r": args.r,
         "betas": list(report.betas),
         "depths": list(report.depths),
         "spheres": list(report.growth.sphere_sizes),
@@ -206,9 +207,9 @@ def cmd_sweep(args):
         "beta_c_pred": report.beta_c_pred,
         "beta_c_emp": report.beta_c_emp,
         "labels": {serialize.fmt_float(b): report.labels[b] for b in report.betas},
-        "tail": report.tail,
-        "tau_global": report.tau_g,
-        "tau_local": report.tau_l,
+        "tail": args.tail,
+        "tau_global": args.tau_global,
+        "tau_local": args.tau_local,
         "errors": {str(k): v for k, v in report.errors.items()},
     }
     if args.summary_out:
@@ -232,7 +233,7 @@ def cmd_tree_oracle(args):
             )
         # after the closed-form checks, so beta = inf reports its underflow
         rate = traffic.ExponentialRate(args.beta)
-        rep = traffic.traffic_totals(g, rate, n)
+        rep = traffic.traffic_totals(traffic.pair_census(g, n), rate)
         loads = traffic.node_loads(g, rate, n)
         share = loads[g.root] / rep.T
         err_t = abs(rep.T - closed["T"]) / closed["T"]

@@ -430,6 +430,8 @@ def four_point_delta(g: Graph, cap: int = FOUR_POINT_CAP) -> Fraction:
     """
     from fractions import Fraction  # on first use: it loads decimal, which nothing else needs
 
+    if cap < 0:
+        raise ValueError(f"four-point cap must be >= 0, got {cap}")
     n = g.node_count
     if n > cap:
         raise GraphTooLarge(f"{n} nodes exceeds four-point cap {cap}")

@@ -2,8 +2,8 @@
 
 All pair sums are ordered and include the diagonal. Geometry (distances,
 geodesic counts, minimum depth over geodesics) is computed once per source by
-a vectorized BFS; rates enter only through a per-distance lookup table, so a
-single integer census over (distance, h) pairs serves every rate function.
+a vectorized BFS into an integer census over (distance, h) pairs; T and T_r
+are a pure function of the census and a per-distance table of the rate.
 Every walk from a source on S_n stops at distance 2n, since any two nodes of
 S_n are joined through the root: no pair is farther apart.
 
@@ -201,7 +201,6 @@ class TrafficReport:
     """Traffic totals at depth n: T and the prefix vector T_r."""
 
     n: int
-    rate: object
     T: float
     T_r: tuple
 
@@ -224,16 +223,14 @@ def _fsum(terms, n: int) -> float:
     return total
 
 
-def traffic_totals(g: Graph, f, n: int,
-                   census: np.ndarray = None) -> TrafficReport:
-    """T and T_r over ordered boundary pairs, diagonal included.
+def traffic_totals(census: np.ndarray, f) -> TrafficReport:
+    """T and T_r, diagonal included, from a depth-n census (2n+1, n+1) and rate f.
 
     A pair's full rate lands in T_r as soon as its minimum-depth geodesic
     enters B(root, r). Sums use math.fsum in a fixed (h, d) term order, so
     T_r[n] == T exactly.
     """
-    if census is None:
-        census = pair_census(g, n)
+    n = census.shape[1] - 1
     # Python floats, so a product past float64's range is inf without a warning
     rates = rate_table(f, census.shape[0] - 1).tolist()
 
@@ -244,7 +241,7 @@ def traffic_totals(g: Graph, f, n: int,
         (nz,) = col.nonzero()
         terms.extend(float(col[d]) * rates[d] for d in nz)
         t_r.append(_fsum(terms, n))
-    return TrafficReport(n=n, rate=f, T=t_r[-1], T_r=tuple(t_r))
+    return TrafficReport(n=n, T=t_r[-1], T_r=tuple(t_r))
 
 
 def _kahan(total, carry, x):
@@ -325,10 +322,15 @@ def node_loads(g: Graph, f, n: int, include_endpoints: bool = False) -> tuple:
     return tuple(float(x) for x in mean)
 
 
-def core_radius(report: TrafficReport, epsilon: float) -> int:
-    """Minimal r with T_r / T >= 1 - epsilon."""
+def check_epsilon(epsilon: float) -> None:
+    """Raise ValueError unless the core tolerance epsilon is in (0,1)."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0,1), got {epsilon}")
+
+
+def core_radius(report: TrafficReport, epsilon: float) -> int:
+    """Minimal r with T_r / T >= 1 - epsilon."""
+    check_epsilon(epsilon)
     threshold = 1.0 - epsilon
     for r in range(report.n + 1):
         if report.ratio(r) >= threshold:

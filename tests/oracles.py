@@ -5,8 +5,9 @@ the engine beyond the Graph container and its error types): Floyd-Warshall
 distances, explicit enumeration of every geodesic path, traffic/load
 accumulation path by path with equal splitting, exact geodesic fields in
 Python integers, exact Brandes loads in fractions, Gromov products, the
-slim-triangle delta, the k-ary tree closed forms, and a set-lookup test for
-root-fixing automorphisms.
+slim-triangle delta, the k-ary tree closed forms, a set-lookup test for
+root-fixing automorphisms, and the orbits of every root-fixing automorphism
+by exhaustive backtracking.
 """
 
 import math
@@ -72,6 +73,49 @@ def is_root_automorphism(perm, g):
         return False
     neighbor_sets = [set(a) for a in g.adjacency]
     return all(image[v] in neighbor_sets[image[u]] for u, v in g.edge_list())
+
+
+def root_automorphism_orbits(g, max_nodes=12):
+    """Smallest id in each node's orbit under the group of all automorphisms
+    of g that fix g.root, as a list.
+
+    v and w share an orbit exactly when some automorphism sends v to w. For
+    each v and each w <= v in ascending order, a backtracking search maps
+    the nodes in depth order, starting from v -> w, each to an unused node
+    of the same depth, degree and neighbour depths whose adjacency to every
+    node mapped so far matches; the first w it completes is the smallest in
+    v's orbit (w = v always completes, by the identity). Exponential in the
+    worst case, so it refuses graphs above `max_nodes`.
+    """
+    n = g.node_count
+    if n > max_nodes:
+        raise GraphTooLarge(f"{n} nodes exceeds the automorphism oracle's cap {max_nodes}")
+    depth = bfs_dist(g, g.root)
+    adj = [set(a) for a in g.adjacency]
+    kind = [(depth[v], sorted(depth[u] for u in adj[v])) for v in range(n)]
+    order = sorted(range(n), key=lambda v: (depth[v], v))
+
+    def extends(image):
+        """True if the injective partial map `image` (node -> node)
+        extends to an automorphism."""
+        v = next((u for u in order if u not in image), None)
+        if v is None:
+            return True
+        taken = set(image.values())
+        for w in range(n):
+            if w in taken or kind[w] != kind[v]:
+                continue
+            if all((u in adj[v]) == (x in adj[w]) for u, x in image.items()):
+                image[v] = w
+                if extends(image):
+                    return True
+                del image[v]
+        return False
+
+    return [
+        next(w for w in range(v + 1) if kind[w] == kind[v] and extends({v: w}))
+        for v in range(n)
+    ]
 
 
 def all_geodesics(g, x, y):

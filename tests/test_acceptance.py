@@ -62,7 +62,7 @@ def test_criterion_1_tree_oracle_equivalence():
             rate = ExponentialRate(beta)
             for n in depths:
                 g = gen_kary_tree(k, n)
-                rep = traffic_totals(g, rate, n)
+                rep = traffic_totals(pair_census(g, n), rate)
                 loads = node_loads(g, rate, n)
                 closed = tree_closed_forms(k, beta, n)
                 worst_t = max(worst_t, abs(rep.T - closed["T"]) / closed["T"])
@@ -128,7 +128,7 @@ def _ratio_series(beta, depths, r):
     out = []
     for n in depths:
         g, census = tess54(n)
-        rep = traffic_totals(g, ExponentialRate(beta), n, census=census)
+        rep = traffic_totals(census, ExponentialRate(beta))
         out.append(rep.T_r[r] / rep.T)
     return out
 
@@ -145,7 +145,7 @@ def test_criterion_4_separation_and_beta_monotonicity():
     g7, census7 = tess54(7)
     betas = [1.1 + i * (2.3 - 1.1) / 12 for i in range(13)]
     grid = [
-        traffic_totals(g7, ExponentialRate(b), 7, census=census7).ratio(2)
+        traffic_totals(census7, ExponentialRate(b)).ratio(2)
         for b in betas
     ]
     grid_ok = all(b <= a + 1e-12 for a, b in zip(grid, grid[1:]))
@@ -186,7 +186,7 @@ def _grid_control():
         finals = {}
         for beta in (1.2, 1.5, 2.0):
             series = [
-                traffic_totals(g, ExponentialRate(beta), n, census=censuses[n]).ratio(2)
+                traffic_totals(censuses[n], ExponentialRate(beta)).ratio(2)
                 for n in (8, 10, 12)
             ]
             labels[beta] = classify_transition(series)
@@ -247,7 +247,7 @@ def test_criterion_6_small_graph_oracles():
         g = make()
         assert g.node_count <= 40, name
         want_t, want_tr, want_loads = brute_traffic(g, rate, n)
-        rep = traffic_totals(g, rate, n)
+        rep = traffic_totals(pair_census(g, n), rate)
         loads = node_loads(g, rate, n)
         worst = max(worst, abs(rep.T - want_t) / want_t)
         for got, want in zip(rep.T_r, want_tr):

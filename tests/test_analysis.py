@@ -155,7 +155,7 @@ class TestTreeClosedForms:
         for k, beta, n in [(2, 1.3, 4), (3, 2.2, 3)]:
             g = gen_kary_tree(k, n)
             rate = ExponentialRate(beta)
-            rep = traffic_totals(g, rate, n)
+            rep = traffic_totals(pair_census(g, n), rate)
             loads = node_loads(g, rate, n)
             closed = tree_closed_forms(k, beta, n)
             assert rep.T == pytest.approx(closed["T"], rel=1e-9)
@@ -300,7 +300,7 @@ def per_depth_sweep(spec, betas, depths, r):
             continue
         spheres = [len(layer) for layer in g.layers]
         for b in betas:
-            rep = traffic_totals(g, ExponentialRate(b), n, census=census)
+            rep = traffic_totals(census, ExponentialRate(b))
             cells[(b, n)] = {"T": rep.T, "T_r": rep.T_r[r], "ratio": rep.T_r[r] / rep.T}
     return cells, errors, spheres
 

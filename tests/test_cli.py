@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import hypertraffic
-from hypertraffic import generators, graphs, traffic
+from hypertraffic import cli, generators, graphs, traffic
 from hypertraffic.analysis import classify_transition
 from hypertraffic.cli import main
 from hypertraffic.errors import DisconnectedGraph, MalformedEdge, SizeOverflow
@@ -140,7 +140,7 @@ class TestAnalyze:
         run("analyze", "--graph", str(gfile), "--out", str(out))
         assert json.loads(out.read_text())["delta_four_point"] is None
 
-    @pytest.mark.parametrize("cap,delta", [("8", None), ("9", 2.0)])
+    @pytest.mark.parametrize("cap,delta", [("8", None), ("9", 2.0), ("0", None)])
     def test_four_point_cap_flag(self, tmp_path, cap, delta):
         gfile = tmp_path / "g.json"
         run("generate", "--family", "grid", "--side", "3", "--out", str(gfile))
@@ -148,6 +148,19 @@ class TestAnalyze:
         assert run("analyze", "--graph", str(gfile), "--four-point-cap", cap,
                    "--out", str(out)) == 0
         assert json.loads(out.read_text())["delta_four_point"] == delta
+
+    @pytest.mark.parametrize("cap", ["-5", "-1"])
+    def test_negative_four_point_cap_exit_3(self, tmp_path, capsys, cap):
+        # a negative cap is refused, not read as cap 0 (never scan)
+        gfile = tmp_path / "t.json"
+        run("generate", "--family", "tree", "--k", "2", "--depth", "3",
+            "--out", str(gfile))
+        capsys.readouterr()
+        out = tmp_path / "a.json"
+        assert run("analyze", "--graph", str(gfile), f"--four-point-cap={cap}",
+                   "--out", str(out)) == 3
+        assert capsys.readouterr().err == f"error: four-point cap must be >= 0, got {cap}\n"
+        assert not out.exists()
 
     def test_single_node_graph_is_total(self, tmp_path):
         gfile = tmp_path / "g.json"
@@ -215,7 +228,7 @@ class TestTraffic:
                    "--out", str(out), "--loads-out", str(loads)) == 0
         g = graph_from_json_dict(json.loads(gfile.read_text()))
         rate = traffic.ExponentialRate(1.5)
-        rep = traffic.traffic_totals(g, rate, 2)
+        rep = traffic.traffic_totals(traffic.pair_census(g, 2), rate)
         doc = json.loads(out.read_text())
         assert (doc["n"], doc["T"], doc["T_r"]) == (2, rep.T, list(rep.T_r))
         assert read_loads(loads) == list(traffic.node_loads(g, rate, 2))
@@ -307,14 +320,25 @@ class TestTraffic:
         ("--alpha=inf", "alpha must be finite and > 0, got inf"),
         ("--table=", "--table takes comma-separated floats, got ''"),
         ("--table=1,x", "--table takes comma-separated floats, got '1,x'"),
+        ("--beta=0.5", "beta must be finite and > 1, got 0.5"),
+        ("--epsilon=2", "epsilon must be in (0,1), got 2.0"),
+        ("--epsilon=0", "epsilon must be in (0,1), got 0.0"),
+        ("--epsilon=1", "epsilon must be in (0,1), got 1.0"),
+        ("--epsilon=-0.5", "epsilon must be in (0,1), got -0.5"),
+        ("--epsilon=nan", "epsilon must be in (0,1), got nan"),
+        ("--epsilon=inf", "epsilon must be in (0,1), got inf"),
     ])
-    def test_bad_rate_flag_exit_3(self, tmp_path, capsys, flag, message):
-        gfile = tmp_path / "t.json"
-        run("generate", "--family", "tree", "--k", "2", "--depth", "2",
-            "--out", str(gfile))
-        capsys.readouterr()
+    def test_bad_rate_flag_exit_3(self, tmp_path, capsys, monkeypatch, flag, message):
+        """Rate flags and --epsilon are checked before the graph is read."""
+
+        def refuse(path):
+            raise AssertionError(f"{path} read before the flags were checked")
+
+        monkeypatch.setattr(cli, "_load_graph", refuse)
+        rate = ["--beta=1.5"] if flag.startswith("--epsilon") else []
         out = tmp_path / "r.json"
-        assert run("traffic", "--graph", str(gfile), flag, "--out", str(out)) == 3
+        assert run("traffic", "--graph", str(tmp_path / "t.json"), *rate, flag,
+                   "--out", str(out)) == 3
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 

@@ -1,8 +1,11 @@
 """The loaders' search for root-fixing symmetries: every symmetry it returns
 is a checked automorphism, the engine gives the plain path's census and
-loads on the graphs it returns, and its work stays within the budget."""
+loads on the graphs it returns, on small graphs its orbits are those of the
+whole root-fixing group, and its work stays within the budget."""
 
 import dataclasses
+import itertools
+import math
 import random
 
 import numpy as np
@@ -21,7 +24,7 @@ from hypertraffic.graphs import (
     graph_to_json_dict,
 )
 from hypertraffic.traffic import ExponentialRate, node_loads, pair_census
-from oracles import is_root_automorphism
+from oracles import is_root_automorphism, root_automorphism_orbits
 from test_traffic import diamond_chain
 
 
@@ -289,3 +292,87 @@ class TestBudget:
         symmetries, work = find_symmetries(g)
         assert work <= graphs._SEARCH_BUDGET
         assert orbit_count(dataclasses.replace(g, symmetries=symmetries)) == orbits
+
+
+def circulant(n, jumps):
+    return build_graph(sorted({tuple(sorted((i, (i + j) % n))) for i in range(n)
+                               for j in jumps}), 0)
+
+
+# every connected circulant on 3..12 nodes, by its jump set in 1..n/2
+CIRCULANTS = [
+    (n, jumps)
+    for n in range(3, 13)
+    for size in range(1, n // 2 + 1)
+    for jumps in itertools.combinations(range(1, n // 2 + 1), size)
+    if math.gcd(n, *jumps) == 1
+]
+
+
+def hung_copies(copies, seed):
+    """`copies` copies of one random connected piece, each joined to the
+    root by the same random non-empty set of its nodes; at most 12 nodes."""
+    rng = random.Random(seed)
+    m = rng.randint(1, 11 // copies)
+    piece = [(rng.randrange(v), v) for v in range(1, m)]
+    piece += [(u, v) for u in range(m) for v in range(u + 1, m) if rng.random() < 0.3]
+    hooks = rng.sample(range(m), rng.randint(1, m))
+    edges = []
+    for c in range(copies):
+        base = 1 + c * m
+        edges += [(base + u, base + v) for u, v in piece]
+        edges += [(0, base + h) for h in hooks]
+    return build_graph(sorted(set(edges)), 0)
+
+
+def petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return build_graph(outer + spokes + inner, 0)
+
+
+def hypercube(dim):
+    return build_graph([(u, u ^ (1 << b)) for u in range(1 << dim)
+                        for b in range(dim) if u < u ^ (1 << b)], 0)
+
+
+SYMMETRIC = {
+    **{f"circulant-{n}-{'-'.join(map(str, jumps))}": circulant(n, jumps)
+       for n, jumps in CIRCULANTS},
+    **{f"hung-{copies}x-{seed}": hung_copies(copies, seed)
+       for copies in (2, 3) for seed in range(40)},
+    "Q2": hypercube(2),
+    "Q3": hypercube(3),
+    "petersen": petersen(),
+}
+
+
+def search_orbits(g):
+    return _orbit_labels(g.node_count, g.symmetries).tolist()
+
+
+class TestCompleteness:
+    """The loaders' symmetries generate the whole root-fixing group's
+    orbits on graphs small enough to enumerate it, not only a subgroup's."""
+
+    @pytest.mark.parametrize("name,g,orbits", [
+        ("petersen", petersen(), 3), ("Q3", hypercube(3), 4),
+        ("C6", rooted_cycle(6), 4), ("K12", circulant(12, range(1, 7)), 2),
+        ("path", build_graph([(0, 1), (1, 2), (2, 3)], 0), 4),
+        ("broom", build_graph([(0, 1), (0, 2), (0, 3), (1, 4)], 0), 4),
+    ])
+    def test_oracle_orbit_counts(self, name, g, orbits):
+        assert len(set(root_automorphism_orbits(g))) == orbits
+
+    @settings(max_examples=300)
+    @given(st.integers(0, 2**32 - 1))
+    def test_random_graphs(self, seed):
+        g = load_edge_list(random_edge_list(seed, max_nodes=10))
+        assert search_orbits(g) == root_automorphism_orbits(g)
+
+    @pytest.mark.parametrize("seed,name", enumerate(sorted(SYMMETRIC)),
+                             ids=sorted(SYMMETRIC))
+    def test_symmetric_graphs(self, seed, name):
+        g = relabelled(SYMMETRIC[name], seed)
+        assert search_orbits(g) == root_automorphism_orbits(g)

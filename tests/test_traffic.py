@@ -207,7 +207,7 @@ class TestPairH:
 class TestTrafficTotals:
     def test_binary_tree_depth2(self):
         g = gen_kary_tree(2, 2)
-        rep = traffic_totals(g, ExponentialRate(2.0), 2)
+        rep = traffic_totals(pair_census(g, 2), ExponentialRate(2.0))
         assert rep.T == 5.5
         assert rep.T_r == (0.5, 1.5, 5.5)
         assert rep.T_r[rep.n] == rep.T
@@ -215,23 +215,23 @@ class TestTrafficTotals:
     @pytest.mark.parametrize("r", [-1, 3])
     def test_ratio_outside_zero_to_n(self, r):
         # T_r[-1] would read T, and T_r[3] is past the depth-2 vector
-        rep = traffic_totals(gen_kary_tree(2, 2), ExponentialRate(2.0), 2)
+        rep = traffic_totals(pair_census(gen_kary_tree(2, 2), 2), ExponentialRate(2.0))
         assert (rep.ratio(0), rep.ratio(2)) == (0.5 / 5.5, 1.0)
         with pytest.raises(ValueError, match=rf"r must be in \[0, 2\], got {r}"):
             rep.ratio(r)
 
     def test_single_node(self):
-        rep = traffic_totals(build_graph([], 0), ExponentialRate(2.0), 0)
+        rep = traffic_totals(pair_census(build_graph([], 0), 0), ExponentialRate(2.0))
         assert rep.T == 1.0 and rep.T_r == (1.0,)
 
     def test_diamond(self):
-        rep = traffic_totals(DIAMOND, ExponentialRate(2.0), 1)
+        rep = traffic_totals(pair_census(DIAMOND, 1), ExponentialRate(2.0))
         assert rep.T == 2.5
         assert rep.T_r[0] == 0.5
 
     def test_empty_boundary(self):
         with pytest.raises(EmptyBoundary):
-            traffic_totals(DIAMOND, ExponentialRate(2.0), 7)
+            traffic_totals(pair_census(DIAMOND, 7), ExponentialRate(2.0))
 
     @pytest.mark.parametrize("values", [(4e307,) * 3, (1e308,) * 2])
     def test_overflow_is_named(self, values):
@@ -239,13 +239,13 @@ class TestTrafficTotals:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(TrafficOverflow, match="overflows float64"):
-                traffic_totals(gen_kary_tree(2, 2), TableRate(values), 2)
+                traffic_totals(pair_census(gen_kary_tree(2, 2), 2), TableRate(values))
 
     def test_histogram_consistent(self):
         g = gen_tessellation(5, 4, 3)
         rate = ExponentialRate(1.5)
         census = pair_census(g, 3)
-        rep = traffic_totals(g, rate, 3, census=census)
+        rep = traffic_totals(census, rate)
         boundary = len(g.layers[3])
         assert census.sum() == boundary * boundary
         rows, cols = census.shape
@@ -261,7 +261,7 @@ class TestTrafficTotals:
         ],
     )
     def test_t_r_monotone(self, g, n):
-        rep = traffic_totals(g, ExponentialRate(1.3), n)
+        rep = traffic_totals(pair_census(g, n), ExponentialRate(1.3))
         for a, b in zip(rep.T_r, rep.T_r[1:]):
             assert b >= a
 
@@ -288,7 +288,7 @@ class TestBruteEquivalence:
     def test_totals_and_loads(self, name, g, n):
         rate = ExponentialRate(1.7)
         want_t, want_tr, want_loads = brute_traffic(g, rate, n)
-        rep = traffic_totals(g, rate, n)
+        rep = traffic_totals(pair_census(g, n), rate)
         loads = node_loads(g, rate, n)
         assert rep.T == pytest.approx(want_t, rel=1e-12)
         for got, want in zip(rep.T_r, want_tr):
@@ -325,7 +325,7 @@ class TestNodeLoads:
     def test_tree_root_load_is_t0(self):
         g = gen_kary_tree(3, 3)
         rate = ExponentialRate(1.4)
-        rep = traffic_totals(g, rate, 3)
+        rep = traffic_totals(pair_census(g, 3), rate)
         loads = node_loads(g, rate, 3)
         assert loads[0] == pytest.approx(rep.T_r[0], rel=1e-12)
 
@@ -334,7 +334,7 @@ class TestNodeLoads:
         rate = ExponentialRate(2.0)
         bare = node_loads(g, rate, 2)
         full = node_loads(g, rate, 2, include_endpoints=True)
-        rep = traffic_totals(g, rate, 2)
+        rep = traffic_totals(pair_census(g, 2), rate)
         # each ordered pair (x != y) adds its rate at both endpoints
         diagonal = len(g.layers[2])  # rate 1 each
         off_diag_mass = rep.T - diagonal
@@ -359,8 +359,8 @@ class TestScaleEquivariance:
         base = TableRate((1.0, 0.75, 0.5, 0.25, 0.125))
         for c in (0.5, 2.0, 1024.0):
             scaled = TableRate(tuple(c * v for v in base.values))
-            rep1 = traffic_totals(g, base, 2)
-            rep2 = traffic_totals(g, scaled, 2)
+            rep1 = traffic_totals(pair_census(g, 2), base)
+            rep2 = traffic_totals(pair_census(g, 2), scaled)
             assert rep2.T == c * rep1.T
             assert all(b == c * a for a, b in zip(rep1.T_r, rep2.T_r))
             l1 = node_loads(g, base, 2)
@@ -374,8 +374,8 @@ class TestScaleEquivariance:
         g = gen_kary_tree(2, 3)
         base = TableRate((1.0, 0.5, 0.25, 0.2, 0.1, 0.05, 0.01))
         scaled = TableRate(tuple(c * v for v in base.values))
-        rep1 = traffic_totals(g, base, 3)
-        rep2 = traffic_totals(g, scaled, 3)
+        rep1 = traffic_totals(pair_census(g, 3), base)
+        rep2 = traffic_totals(pair_census(g, 3), scaled)
         assert rep2.T == pytest.approx(c * rep1.T, rel=1e-12)
         for a, b in zip(rep1.T_r, rep2.T_r):
             assert b / rep2.T == pytest.approx(a / rep1.T, rel=1e-12, abs=1e-15)
@@ -383,24 +383,24 @@ class TestScaleEquivariance:
 
 class TestCoreRadius:
     def test_binary_tree(self):
-        rep = traffic_totals(gen_kary_tree(2, 2), ExponentialRate(2.0), 2)
+        rep = traffic_totals(pair_census(gen_kary_tree(2, 2), 2), ExponentialRate(2.0))
         assert core_radius(rep, 0.8) == 1
 
     def test_tiny_epsilon_returns_n(self):
-        rep = traffic_totals(gen_kary_tree(2, 2), ExponentialRate(2.0), 2)
+        rep = traffic_totals(pair_census(gen_kary_tree(2, 2), 2), ExponentialRate(2.0))
         assert core_radius(rep, 1e-12) == 2
 
     def test_diamond(self):
-        rep = traffic_totals(DIAMOND, ExponentialRate(2.0), 1)
+        rep = traffic_totals(pair_census(DIAMOND, 1), ExponentialRate(2.0))
         assert core_radius(rep, 0.8) == 0
 
     def test_bad_epsilon(self):
-        rep = traffic_totals(DIAMOND, ExponentialRate(2.0), 1)
+        rep = traffic_totals(pair_census(DIAMOND, 1), ExponentialRate(2.0))
         with pytest.raises(ValueError):
             core_radius(rep, 0.0)
 
     def test_core_radius_for_map(self):
-        rep = traffic_totals(gen_kary_tree(2, 2), ExponentialRate(2.0), 2)
+        rep = traffic_totals(pair_census(gen_kary_tree(2, 2), 2), ExponentialRate(2.0))
         assert {eps: core_radius(rep, eps) for eps in (0.8, 1e-12)} == {0.8: 1, 1e-12: 2}
 
 
@@ -459,7 +459,7 @@ class TestDeterminism:
             for batch in (1, uneven, size):
                 monkeypatch.setattr(traffic, "_BATCH_SLOTS", batch * g.node_count)
                 census = pair_census(g, n)
-                rep = traffic_totals(g, rate, n, census=census)
+                rep = traffic_totals(census, rate)
                 results.append((census, rep, node_loads(g, rate, n)))
             (census, rep, loads), *rest = results
             for other_census, other_rep, other_loads in rest:
@@ -472,13 +472,6 @@ class TestDeterminism:
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
             for got, want in zip(loads, want_loads):
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
-
-    def test_census_reuse_matches_direct(self):
-        g = gen_tessellation(5, 4, 4)
-        census = pair_census(g, 4)
-        direct = traffic_totals(g, ExponentialRate(1.8), 4)
-        cached = traffic_totals(g, ExponentialRate(1.8), 4, census=census)
-        assert direct.T == cached.T and direct.T_r == cached.T_r
 
 
 # (p, q, deepest ball): every ball up to that depth is checked at every n
@@ -621,7 +614,7 @@ class TestDeepTree:
             want[2 * r, n - r] = k**n * (k - 1) * k ** (r - 1)
         assert np.array_equal(census, want)
         rate = ExponentialRate(2.0)
-        rep = traffic_totals(g, rate, n, census=census)
+        rep = traffic_totals(census, rate)
         share = node_loads(g, rate, n)[g.root] / rep.T
         closed = tree_closed_forms(k, 2.0, n)
         assert rep.T == pytest.approx(closed["T"], rel=1e-9)
