@@ -102,6 +102,7 @@ def cmd_generate(args):
 
 
 def cmd_analyze(args):
+    graphs.check_four_point_cap(args.four_point_cap)
     g = _load_graph(args.graph)
     spheres = [len(layer) for layer in g.layers]
     est = analysis.growth_exponent(spheres, args.window)

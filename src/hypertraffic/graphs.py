@@ -58,15 +58,24 @@ class Graph:
         return [(u, v) for u in range(self.node_count) for v in self.adjacency[u] if u < v]
 
 
-def _bfs(adjacency, source):
+def _bfs(adjacency, source, bound=None):
     """(dist, order): hop distances from `source` to each node, -1 where
     unreached, and the reached nodes in visiting order, so dist never
-    decreases along order. Neighbours are visited in adjacency order."""
+    decreases along order. Neighbours are visited in adjacency order.
+
+    With `bound`, nodes at distance `bound` are reached but not expanded:
+    dist reads -1 past the bound, order is the prefix of the unbounded
+    order that holds the nodes within it, and only the neighbour lists of
+    nodes closer than `bound` are read."""
     dist = [-1] * len(adjacency)
     dist[source] = 0
     order = [source]
+    if bound is None:
+        bound = len(adjacency)  # no path is longer
     for u in order:  # the loop also visits the nodes appended while it runs
         du = dist[u] + 1
+        if du > bound:
+            break
         for w in adjacency[u]:
             if dist[w] < 0:
                 dist[w] = du
@@ -420,6 +429,12 @@ def distance_matrix(g: Graph) -> np.ndarray:
     return out
 
 
+def check_four_point_cap(cap: int) -> None:
+    """Raise ValueError unless the four-point cap is >= 0."""
+    if cap < 0:
+        raise ValueError(f"four-point cap must be >= 0, got {cap}")
+
+
 def four_point_delta(g: Graph, cap: int = FOUR_POINT_CAP) -> Fraction:
     """Max over quadruples of (largest pair-sum - second largest) / 2.
 
@@ -430,8 +445,7 @@ def four_point_delta(g: Graph, cap: int = FOUR_POINT_CAP) -> Fraction:
     """
     from fractions import Fraction  # on first use: it loads decimal, which nothing else needs
 
-    if cap < 0:
-        raise ValueError(f"four-point cap must be >= 0, got {cap}")
+    check_four_point_cap(cap)
     n = g.node_count
     if n > cap:
         raise GraphTooLarge(f"{n} nodes exceeds four-point cap {cap}")

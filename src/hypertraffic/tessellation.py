@@ -11,6 +11,11 @@ edges (no further edge can be created there), and must stop at vertices that
 do not (their angular gap still receives more faces). This makes the result
 independent of processing order; we saturate the lowest-numbered eligible
 vertex first so the construction is also deterministic step by step.
+
+The map overshoots the ball: saturating the vertices closer than the radius
+creates vertices beyond it. The BFS of each saturation round stops one short
+of the radius, and the labelling BFS at the radius, so they read only the
+ball's share of the map; the structural audit still covers the whole map.
 """
 
 from __future__ import annotations
@@ -152,8 +157,10 @@ class TessellationMap:
         nxt[h] ^ 1, commutes with it, and a reflection turns the image the
         other way, prv[h ^ 1]. Only vertices closer than `depth` are turned
         around, since only their wheels are complete; every vertex of the
-        ball is a neighbor of one of them. Raises NotAutomorphism when the
-        image darts do not close into consistent wheels.
+        ball is a neighbor of one of them. `depths` may come from a bounded
+        BFS: a vertex it left unreached (-1) is not closer than `depth`.
+        Raises NotAutomorphism when the image darts do not close into
+        consistent wheels.
         """
         if self._head(image) != 0:
             raise NotAutomorphism(f"dart {image} does not point into the root")
@@ -166,7 +173,7 @@ class TessellationMap:
                 u, w = self.org[h], self.org[g]
                 if vmap[u] < 0:
                     vmap[u] = w
-                    if depths[u] < depth:
+                    if 0 <= depths[u] < depth:
                         queue.append((h ^ 1, g ^ 1))
                 elif vmap[u] != w:
                     raise NotAutomorphism(
@@ -284,7 +291,9 @@ def build_ball(p: int, q: int, depth: int):
     order 2q. build_graph raises NotAutomorphism unless each is an
     automorphism of the ball. Saturates every vertex closer than `depth` to
     the root, audits the half-edge map, then truncates to the ball; the map,
-    larger than the ball, must fit under node_cap().
+    larger than the ball, must fit under node_cap(). Each saturation round's
+    BFS stops at depth - 1 and the labelling BFS at `depth`, so of the
+    traversals only the audit walks the vertices past the ball.
     """
     check_hyperbolic(p, q)
     tmap = TessellationMap(p, q)  # reads the cap, so a bad one fails at depth 0 too
@@ -292,33 +301,28 @@ def build_ball(p: int, q: int, depth: int):
         return [], ((0,), (0,))
     tmap.bootstrap()
     while True:
-        depths, _ = _bfs(tmap.adj, 0)
-        pending = [
-            v
-            for v in range(tmap.vertex_count)
-            if depths[v] < depth and tmap.bnd_in[v] != -1
-        ]
+        depths, inner = _bfs(tmap.adj, 0, depth - 1)
+        pending = sorted(v for v in inner if tmap.bnd_in[v] != -1)
         if not pending:
             break
         for v in pending:
             tmap.saturate(v)
     tmap.audit()
 
-    # labels follow a BFS that takes neighbours in map-id order; it reaches
-    # vertices depth by depth, so the ball is a prefix of its order
-    _, order = _bfs([sorted(a) for a in tmap.adj], 0)
-    keep = [v for v in order if depths[v] <= depth]
-    relabel = {v: i for i, v in enumerate(keep)}
+    # labels follow a BFS that takes neighbours in map-id order; only the
+    # vertices closer than `depth`, the last round's `inner`, are expanded
+    ordered = [()] * tmap.vertex_count
+    for v in inner:
+        ordered[v] = sorted(tmap.adj[v])
+    _, ball = _bfs(ordered, 0, depth)
+    label = [-1] * (tmap.vertex_count + 1)  # a spare last slot, so label[-1] is -1
+    for i, v in enumerate(ball):
+        label[v] = i
 
-    edges = [
-        (relabel[u], relabel[w])
-        for u in keep
-        for w in tmap.adj[u]
-        if w in relabel and relabel[u] < relabel[w]
-    ]
+    edges = [(i, label[w]) for i, u in enumerate(ball) for w in tmap.adj[u] if label[w] > i]
 
     symmetries = []
     for image, reflect in ((tmap.nxt[1] ^ 1, False), (1, True)):
         vmap = tmap.root_symmetry(image, reflect, depths, depth)
-        symmetries.append(tuple(relabel.get(vmap[v], -1) for v in keep))
+        symmetries.append(tuple(label[vmap[v]] for v in ball))
     return edges, tuple(symmetries)

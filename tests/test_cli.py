@@ -162,6 +162,14 @@ class TestAnalyze:
         assert capsys.readouterr().err == f"error: four-point cap must be >= 0, got {cap}\n"
         assert not out.exists()
 
+    def test_negative_four_point_cap_refused_before_reading(self, tmp_path, capsys):
+        # the cap is checked before the graph file is opened
+        out = tmp_path / "a.json"
+        assert run("analyze", "--graph", str(tmp_path / "missing.json"),
+                   "--four-point-cap=-5", "--out", str(out)) == 3
+        assert capsys.readouterr().err == "error: four-point cap must be >= 0, got -5\n"
+        assert not out.exists()
+
     def test_single_node_graph_is_total(self, tmp_path):
         gfile = tmp_path / "g.json"
         run("generate", "--family", "grid", "--side", "1", "--out", str(gfile))

@@ -56,6 +56,14 @@ BALL_DIGESTS = [
     ((3, 7, 0), "73e1fbdd53d7ad1925d947809d8db506056341eb456d7718ff5a0b9e2354fa02"),
     ((3, 7, 1), "2e26666e021efe4b56022a7c6a72f7bc3bd744ce886f2bf08ea01a9565c993a5"),
     ((3, 7, 7), "02f638b146a5ff219748de161ac5dbdf602776f8da63b5b859a004f1ee5fc546"),
+    # even p, q > p, q = 3 and the smallest depths a radius bound cuts
+    ((6, 4, 5), "92a63f96db0abc15c0583ef591db030ec4cb99b9d84b21f2004430ca0b571b5e"),
+    ((4, 6, 5), "889ef2f89685eae63e9500b110266d4b75be4ecc183562686433a0ef74a5dbe5"),
+    ((3, 8, 6), "3ba1a719c23da00f8cfc1f0474cedeb39479cac66b56c52c75275b180236c936"),
+    ((8, 3, 8), "ebd178282b99f1c68a27381739a93930391abd892285a33c66175ffa47e70c4d"),
+    ((5, 5, 4), "fd2b1cfd8737be750fa8a2fadf9fedce32177ab92783a83e2010ff8f4fc47eab"),
+    ((5, 4, 2), "e257a6ff1504d7948562f6c40b468da9257e3aef92f59d4bbdb7c03e52b66b89"),
+    ((7, 3, 2), "beb045a719bd7064d74d6fff2b5d137370b2502be9cf93f8da0b88cabb87211e"),
 ]
 
 

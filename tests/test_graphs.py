@@ -206,6 +206,14 @@ class TestDistances:
             if dist[v] < 0:
                 assert dist[v] == -1
                 assert all(dist[w] == -1 for w in adjacency[v])
+        for bound in range(max(dist) + 2):  # a bounded walk is the full one cut at the bound
+            near, prefix = _bfs(adjacency, source, bound)
+            assert near == [d if d <= bound else -1 for d in dist]
+            assert prefix == [v for v in order if dist[v] <= bound]
+            assert prefix == order[: len(prefix)]
+            # it reads no neighbour list of a node at or past the bound
+            lists = [adjacency[v] if 0 <= dist[v] < bound else None for v in range(n)]
+            assert _bfs(lists, source, bound) == (near, prefix)
 
 
 class TestGromovProduct:

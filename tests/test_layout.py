@@ -12,6 +12,10 @@ cli.main, which turns any package error into exit 3. Library code names the
 subclasses it handles. It constructs a Graph in one place: graphs.build_graph,
 so every graph has its CSR and checked symmetries; dataclasses.replace may
 copy one.
+
+It keeps no state between calls: a module-level assignment binds only a
+literal, a tuple of literals or constant arithmetic, and nothing names
+functools.cache, lru_cache or cached_property.
 """
 
 import ast
@@ -24,6 +28,7 @@ EXEMPT = {"cli.main"}
 ENV_NAMES = {"environ", "environb", "getenv", "getenvb"}
 # handlers that catch HypertrafficError: the base itself, or anything above it
 BROAD_NAMES = {"HypertrafficError", "Exception", "BaseException"}
+CACHE_NAMES = {"cache", "lru_cache", "cached_property"}
 
 
 def _definitions(tree):
@@ -169,3 +174,50 @@ def test_scan_sees_every_graph_construction(tmp_path):
         "class Box:\n    def make(self):\n        return graphs.Graph(**self.fields)\n"
     )
     assert graph_constructors(tmp_path) == ["mod", "mod.Box.make"]
+
+
+def _constant(node):
+    """Whether `node` is a literal, a tuple of constants, or arithmetic on them."""
+    if isinstance(node, ast.Constant):
+        return True
+    if isinstance(node, ast.Tuple):
+        return all(map(_constant, node.elts))
+    if isinstance(node, ast.UnaryOp):
+        return _constant(node.operand)
+    if isinstance(node, ast.BinOp):
+        return _constant(node.left) and _constant(node.right)
+    return False
+
+
+def state_keepers(src=SRC):
+    """Module-level names in `src` bound to anything but a constant, as
+    module.name, and the scopes that name a functools cache."""
+    found = _scopes_where(
+        src, lambda node: isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+        and _name(node) in CACHE_NAMES,
+    )
+    kinds = (ast.Assign, ast.AugAssign, ast.AnnAssign)
+    for path in sorted(src.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            # a bare annotation has no value and binds nothing
+            if isinstance(node, kinds) and node.value is not None and not _constant(node.value):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found += [f"{path.stem}.{ast.unparse(t)}" for t in targets]
+    return sorted(found)
+
+
+def test_src_keeps_no_state_between_calls():
+    assert state_keepers() == []
+
+
+def test_scan_sees_every_kept_state(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "import functools\nfrom functools import lru_cache\n\n"
+        "CAP = 1 << 24\nNAMES = ('a', ('b', -1.5))\nTOTAL = 0\nTOTAL += 2 * 3\n"
+        "SEEN = {}\nTABLE: list = []\nHINT: int\nFIRST = LAST = CAP\n\n\n"
+        "@functools.cache\ndef build(n):\n    return n\n\n\n"
+        "class Box:\n    @functools.cached_property\n    def size(self):\n        return 1\n"
+    )
+    assert state_keepers(tmp_path) == [
+        "mod", "mod.Box.size", "mod.FIRST", "mod.LAST", "mod.SEEN", "mod.TABLE", "mod.build",
+    ]
