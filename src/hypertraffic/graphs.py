@@ -1,5 +1,6 @@
-"""Immutable rooted graphs with BFS layering, root-fixing symmetries, the
-four-point delta and the graph JSON format.
+"""Immutable rooted graphs with BFS layering, the one BFS over a graph
+(_walk), root-fixing symmetries, the four-point delta and the graph JSON
+format.
 
 Distances are exact integers and the four-point delta an exact half-integer
 held as fractions.Fraction, so the metric layer involves no floating point.
@@ -22,7 +23,7 @@ from .errors import (
     SizeOverflow,
 )
 
-DEFAULT_NODE_CAP = 1 << 24
+DEFAULT_NODE_CAP = 1 << 21  # about 2 GB at the ~900 B a node costs to build
 FOUR_POINT_CAP = 300
 _SEARCH_BUDGET = 1 << 25  # node+edge visits a symmetry search may spend
 _MATCH_PASSES = 16  # a match and its check, in Python, priced as refinement rounds
@@ -58,44 +59,23 @@ class Graph:
         return [(u, v) for u in range(self.node_count) for v in self.adjacency[u] if u < v]
 
 
-def _bfs(adjacency, source, bound=None):
-    """(dist, order): hop distances from `source` to each node, -1 where
-    unreached, and the reached nodes in visiting order, so dist never
-    decreases along order. Neighbours are visited in adjacency order.
-
-    With `bound`, nodes at distance `bound` are reached but not expanded:
-    dist reads -1 past the bound, order is the prefix of the unbounded
-    order that holds the nodes within it, and only the neighbour lists of
-    nodes closer than `bound` are read."""
-    dist = [-1] * len(adjacency)
-    dist[source] = 0
-    order = [source]
-    if bound is None:
-        bound = len(adjacency)  # no path is longer
-    for u in order:  # the loop also visits the nodes appended while it runs
-        du = dist[u] + 1
-        if du > bound:
-            break
-        for w in adjacency[u]:
-            if dist[w] < 0:
-                dist[w] = du
-                order.append(w)
-    return dist, order
-
-
 def node_cap() -> int:
     """Most nodes a generator or loader may allocate: HYPERTRAFFIC_NODE_CAP,
     or DEFAULT_NODE_CAP when it is unset or empty. This is the only reader
-    of the variable; an unparsable value raises HypertrafficError."""
+    of the variable; a value that is not an integer, or is below 1, raises
+    HypertrafficError."""
     env = os.environ.get("HYPERTRAFFIC_NODE_CAP")
     if not env:
         return DEFAULT_NODE_CAP
     try:
-        return int(env)
+        cap = int(env)
     except ValueError:
         raise HypertrafficError(
             f"HYPERTRAFFIC_NODE_CAP must be an integer, got {env!r}"
         ) from None
+    if cap < 1:
+        raise HypertrafficError(f"HYPERTRAFFIC_NODE_CAP must be at least 1, got {cap}")
+    return cap
 
 
 def check_node_ids(edges, root) -> int:
@@ -131,6 +111,46 @@ def _csr(adjacency) -> tuple:
     for arr in arrays:
         arr.flags.writeable = False
     return arrays
+
+
+def _walk(csr, sources: np.ndarray, reach: int):
+    """Level-synchronous BFS over the CSR arrays (degree, indptr, indices)
+    from every source in a batch at once, out to distance `reach`; the one
+    traversal of a Graph.
+
+    Row r of the batch walks from sources[r]; its state for node v sits at
+    slot r * n + v of flat arrays, so one numpy call serves the whole batch
+    while the frontier stays sparse.
+
+    Returns (dist, levels): dist per slot (-1 if not reached) and, per
+    level t >= 1, (below, src, tgt). below are the level t-1 slots that
+    were expanded, ascending (so sorted by row, then node), and tgt[i] is
+    reached from below[src[i]] by a BFS-DAG edge; the level t slots are the
+    next level's below. Edges are listed by source slot, then in adjacency
+    order.
+    """
+    degree, indptr, indices = csr
+    n = degree.size
+    dist = np.full(sources.size * n, -1, dtype=np.int64)
+    frontier = np.arange(sources.size, dtype=np.int64) * n + sources
+    dist[frontier] = 0
+    levels = []
+    level = 0
+    while frontier.size and level < reach:
+        node = frontier % n
+        lens = degree[node]
+        src = np.repeat(np.arange(frontier.size, dtype=np.int64), lens)
+        offset = indptr[node] - (np.cumsum(lens) - lens)
+        pos = np.arange(src.size, dtype=np.int64) + offset[src]
+        nbr = indices[pos] + (frontier - node)[src]
+        fresh = dist[nbr] < 0
+        tgt = nbr[fresh]
+        src = src[fresh]
+        level += 1
+        dist[tgt] = level
+        levels.append((frontier, src, tgt))
+        frontier = np.flatnonzero(dist == level)
+    return dist, levels
 
 
 def _check_symmetry(perm, g: Graph) -> np.ndarray:
@@ -187,22 +207,20 @@ def build_graph(edges, root, symmetries=()) -> Graph:
         neighbor_sets[v].add(u)
     adjacency = tuple(tuple(sorted(s)) for s in neighbor_sets)
 
-    dist, _ = _bfs(adjacency, root)
-    if -1 in dist:
-        missing = [v for v in range(n) if dist[v] < 0]
+    csr = _csr(adjacency)
+    dist, levels = _walk(csr, np.array([root]), n)  # no path is n hops long
+    missing = np.flatnonzero(dist < 0)
+    if missing.size:
         raise DisconnectedGraph(
-            f"{len(missing)} node(s) unreachable from root {root}, e.g. node {missing[0]}"
+            f"{missing.size} node(s) unreachable from root {root}, e.g. node {missing[0]}"
         )
-    layers = [[] for _ in range(max(dist) + 1)]
-    for v in range(n):
-        layers[dist[v]].append(v)
     g = Graph(
         node_count=n,
         adjacency=adjacency,
         root=root,
-        depth=tuple(dist),
-        layers=tuple(tuple(layer) for layer in layers),
-        csr=_csr(adjacency),
+        depth=tuple(dist.tolist()),
+        layers=tuple(tuple(below.tolist()) for below, _, _ in levels),
+        csr=csr,
     )
     return replace(g, symmetries=tuple(_check_symmetry(s, g) for s in symmetries))
 
@@ -420,15 +438,6 @@ def with_found_symmetries(g: Graph) -> Graph:
     return replace(g, symmetries=find_symmetries(g)[0])
 
 
-def distance_matrix(g: Graph) -> np.ndarray:
-    """All-pairs distances as an int32 matrix (one BFS per node)."""
-    n = g.node_count
-    out = np.empty((n, n), dtype=np.int32)
-    for s in range(n):
-        out[s] = _bfs(g.adjacency, s)[0]
-    return out
-
-
 def check_four_point_cap(cap: int) -> None:
     """Raise ValueError unless the four-point cap is >= 0."""
     if cap < 0:
@@ -451,7 +460,8 @@ def four_point_delta(g: Graph, cap: int = FOUR_POINT_CAP) -> Fraction:
         raise GraphTooLarge(f"{n} nodes exceeds four-point cap {cap}")
     if n < 4:
         return Fraction(0)
-    d = distance_matrix(g)
+    # one walk per row, out to n hops, which no path reaches
+    d = np.array([_walk(g.csr, np.array([x]), n)[0] for x in range(n)], dtype=np.int32)
     reps = np.flatnonzero(_orbit_labels(n, g.symmetries) == np.arange(n)).tolist()
     best = 0
     for x in reps:

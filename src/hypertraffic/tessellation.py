@@ -21,7 +21,7 @@ ball's share of the map; the structural audit still covers the whole map.
 from __future__ import annotations
 
 from .errors import CorruptMap, NotAutomorphism, NotHyperbolic, SizeOverflow
-from .graphs import _bfs, node_cap
+from .graphs import node_cap
 
 
 class TessellationMap:
@@ -272,6 +272,28 @@ class TessellationMap:
         # Euler characteristic of a disk
         if self.vertex_count - edge_count + self.face_count != 1:
             raise CorruptMap("the map is not a disk: V - E + F != 1")
+
+
+def _bfs(adjacency, source, bound):
+    """(dist, order): hop distances from `source` to each node within
+    `bound` hops, -1 for the rest, and the reached nodes in visiting order,
+    so dist never decreases along order. Neighbours are visited in adjacency
+    order, and the map's labels follow that order, not ascending ids.
+
+    Nodes at distance `bound` are reached but not expanded: only the
+    neighbour lists of nodes closer than `bound` are read."""
+    dist = [-1] * len(adjacency)
+    dist[source] = 0
+    order = [source]
+    for u in order:  # the loop also visits the nodes appended while it runs
+        du = dist[u] + 1
+        if du > bound:
+            break
+        for w in adjacency[u]:
+            if dist[w] < 0:
+                dist[w] = du
+                order.append(w)
+    return dist, order
 
 
 def check_hyperbolic(p: int, q: int):

@@ -1,11 +1,12 @@
 """Geodesic traffic between boundary spheres: totals, ball traffic, loads.
 
 All pair sums are ordered and include the diagonal. Geometry (distances,
-geodesic counts, minimum depth over geodesics) is computed once per source by
-a vectorized BFS into an integer census over (distance, h) pairs; T and T_r
-are a pure function of the census and a per-distance table of the rate.
-Every walk from a source on S_n stops at distance 2n, since any two nodes of
-S_n are joined through the root: no pair is farther apart.
+geodesic counts, minimum depth over geodesics) is computed once per source
+from the levels of graphs._walk, the package's one BFS over a Graph, into an
+integer census over (distance, h) pairs; T and T_r are a pure function of the
+census and a per-distance table of the rate. Every walk from a source on S_n
+stops at distance 2n, since any two nodes of S_n are joined through the
+root: no pair is farther apart.
 
 The census and the node loads walk one source per orbit of the graph's
 checked root-fixing symmetries (the dihedral group about the root for
@@ -16,11 +17,11 @@ a mean over each node orbit. A graph without symmetries, such as one built
 directly by build_graph, walks every source and sums its loads in boundary
 order.
 
-Determinism: one batched BFS walks many boundary sources together on a single
-thread. Each source sees its frontier in ascending node order, exactly as a
-walk from that source alone would, so geodesic counts and dependency sums are
-bit-identical for every batch size. Node loads are folded in boundary order
-with compensated accumulation.
+Determinism: one batched _walk takes many boundary sources together on a
+single thread. Each source sees its frontier in ascending node order, exactly
+as a walk from that source alone would, so geodesic counts and dependency
+sums are bit-identical for every batch size. Node loads are folded in
+boundary order with compensated accumulation.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyBoundary, InvalidRate, TrafficOverflow
-from .graphs import Graph, _orbit_labels
+from .graphs import Graph, _orbit_labels, _walk
 
 _BATCH_SLOTS = 1 << 14  # slots (source x node) per batch of the walk
 _KAHAN_GROUP = 64
@@ -103,49 +104,6 @@ def rate_table(f, max_d: int) -> np.ndarray:
     return np.array([f.eval(d) for d in range(max_d + 1)], dtype=np.float64)
 
 
-# ---------------------------------------------------------------------------
-# batched multi-source BFS
-
-
-def _walk(g: Graph, sources: np.ndarray, reach: int):
-    """Level-synchronous BFS from every source in a batch at once, out to
-    distance `reach`; from a source on S_n, reach = 2n leaves S_n final.
-
-    Row r of the batch walks from sources[r]; its state for node v sits at
-    slot r * n + v of flat arrays, so one numpy call serves the whole batch
-    while the frontier stays sparse.
-
-    Returns (dist, levels): dist per slot (-1 if not reached) and, per
-    level t >= 1, (below, src, tgt, new). below are the level t-1 slots that
-    were expanded, new the level t slots, ascending (so sorted by row, then
-    node), and tgt[i] is reached from below[src[i]] by a BFS-DAG edge. Edges
-    are listed by source slot, then in adjacency order.
-    """
-    n = g.node_count
-    degree, indptr, indices = g.csr
-    dist = np.full(sources.size * n, -1, dtype=np.int64)
-    frontier = np.arange(sources.size, dtype=np.int64) * n + sources
-    dist[frontier] = 0
-    levels = []
-    level = 0
-    while frontier.size and level < reach:
-        node = frontier % n
-        lens = degree[node]
-        src = np.repeat(np.arange(frontier.size, dtype=np.int64), lens)
-        offset = indptr[node] - (np.cumsum(lens) - lens)
-        pos = np.arange(src.size, dtype=np.int64) + offset[src]
-        nbr = indices[pos] + (frontier - node)[src]
-        fresh = dist[nbr] < 0
-        tgt = nbr[fresh]
-        src = src[fresh]
-        level += 1
-        dist[tgt] = level
-        new = np.flatnonzero(dist == level)
-        levels.append((frontier, src, tgt, new))
-        frontier = new
-    return dist, levels
-
-
 def boundary_nodes(g: Graph, n: int) -> tuple:
     if n < 0 or n > g.max_depth:
         raise EmptyBoundary(
@@ -159,15 +117,15 @@ def _walks(g: Graph, boundary: np.ndarray, label: np.ndarray, reach: int):
     `label`, ascending, in batches of about _BATCH_SLOTS slots.
 
     Yields (sources, orbit_size, dist, levels) per batch: the batch's
-    sources, the size of each source's boundary orbit, and _walk's result
-    out to distance `reach`.
+    sources, the size of each source's boundary orbit, and graphs._walk's
+    (dist, levels) on g.csr out to distance `reach`.
     """
     orbit_size = np.bincount(label[boundary], minlength=g.node_count)
     reps = np.flatnonzero(orbit_size)
     size = max(1, _BATCH_SLOTS // g.node_count)
     for i in range(0, reps.size, size):
         sources = reps[i : i + size]
-        yield (sources, orbit_size[sources], *_walk(g, sources, reach))
+        yield (sources, orbit_size[sources], *_walk(g.csr, sources, reach))
 
 
 def pair_census(g: Graph, n: int) -> np.ndarray:
@@ -187,7 +145,7 @@ def pair_census(g: Graph, n: int) -> np.ndarray:
     for sources, orbit_size, dist, levels in _walks(g, boundary, label, 2 * n):
         rows = sources.size
         md = np.tile(depth, rows)
-        for below, src, tgt, _ in levels:
+        for below, src, tgt in levels:
             np.minimum.at(md, tgt, md[below[src]])
         slots = (np.arange(rows) * g.node_count)[:, None] + boundary
         keys = dist[slots] * width + md[slots] + (np.arange(rows) * size)[:, None]
@@ -283,17 +241,16 @@ def node_loads(g: Graph, f, n: int, include_endpoints: bool = False) -> tuple:
                 start = np.arange(rows, dtype=np.int64) * nn + sources
                 sigma = np.zeros(rows * nn)
                 sigma[start] = 1.0
-                for below, src, tgt, _ in levels:
+                for below, src, tgt in levels:
                     np.add.at(sigma, tgt, sigma[below[src]])
                 weight = np.zeros((rows, nn))
                 weight[:, boundary] = rates[dist.reshape(rows, nn)[:, boundary]]
                 weight.flat[start] = 0.0
                 weight = weight.ravel()
                 delta = np.zeros(rows * nn)
-                coef = np.zeros(rows * nn)
-                for below, src, tgt, new in reversed(levels):
-                    coef[new] = (weight[new] + delta[new]) / sigma[new]
-                    sums = np.bincount(src, weights=coef[tgt], minlength=below.size)
+                for below, src, tgt in reversed(levels):
+                    coef = (weight[tgt] + delta[tgt]) / sigma[tgt]
+                    sums = np.bincount(src, weights=coef, minlength=below.size)
                     delta[below] = sigma[below] * sums
                 delta[start] = 0.0
                 delta = delta.reshape(rows, nn)

@@ -127,7 +127,7 @@ def test_criterion_3_tessellation_growth_target():
 def _ratio_series(beta, depths, r):
     out = []
     for n in depths:
-        g, census = tess54(n)
+        _, census = tess54(n)
         rep = traffic_totals(census, ExponentialRate(beta))
         out.append(rep.T_r[r] / rep.T)
     return out
@@ -142,7 +142,7 @@ def test_criterion_4_separation_and_beta_monotonicity():
     high_tail_ok = all(b <= a + 1e-9 for a, b in zip(high_tail, high_tail[1:]))
     separation_ok = low[-1] > 5.0 * high[-1]
 
-    g7, census7 = tess54(7)
+    _, census7 = tess54(7)
     betas = [1.1 + i * (2.3 - 1.1) / 12 for i in range(13)]
     grid = [
         traffic_totals(census7, ExponentialRate(b)).ratio(2)

@@ -704,6 +704,31 @@ class TestLoadedNodeCap:
         assert "HYPERTRAFFIC_NODE_CAP" in capsys.readouterr().err
         assert not out.exists()
 
+    # each would write or read a 1-node graph, which a cap below 1 refuses too
+    ONE_NODE_COMMANDS = {
+        "tree": ("generate", "--family", "tree", "--k", "2", "--depth", "0"),
+        "tess": ("generate", "--family", "tess", "--p", "5", "--q", "4", "--depth", "0"),
+        "grid": ("generate", "--family", "grid", "--side", "1"),
+        "edges": ("generate", "--family", "edges", "--path", "{edges}"),
+        "json": ("analyze", "--graph", "{graph}"),
+    }
+
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    @pytest.mark.parametrize("command", ONE_NODE_COMMANDS)
+    def test_node_cap_below_one_is_named(self, tmp_path, monkeypatch, capsys, command, cap):
+        graph = tmp_path / "g.json"
+        graph.write_text(json.dumps({**PATH_DOC, "node_count": 1, "edges": []}))
+        edges = tmp_path / "g.txt"
+        edges.write_text("# root 0\n")
+        monkeypatch.setenv("HYPERTRAFFIC_NODE_CAP", cap)
+        out = tmp_path / "out"
+        argv = [a.format(graph=graph, edges=edges) for a in self.ONE_NODE_COMMANDS[command]]
+        assert run(*argv, "--out", str(out)) == 3
+        assert capsys.readouterr().err == (
+            f"error: HYPERTRAFFIC_NODE_CAP must be at least 1, got {cap}\n"
+        )
+        assert not out.exists()
+
 
 # ids stay mostly small so that valid graphs turn up; the node cap set in the
 # fuzz test refuses the large ones before any allocation

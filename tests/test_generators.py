@@ -16,6 +16,7 @@ from hypertraffic.cli import main
 from hypertraffic.errors import (
     CorruptMap,
     EvenSide,
+    HypertrafficError,
     MalformedEdge,
     NotAutomorphism,
     NotHyperbolic,
@@ -30,9 +31,15 @@ from hypertraffic.generators import (
     gen_tessellation,
     load_edge_list,
 )
-from hypertraffic.graphs import _bfs, four_point_delta, graph_to_json_dict
+from hypertraffic.graphs import (
+    DEFAULT_NODE_CAP,
+    four_point_delta,
+    graph_from_json_dict,
+    graph_to_json_dict,
+    node_cap,
+)
 from hypertraffic.serialize import dumps
-from hypertraffic.tessellation import TessellationMap, build_ball
+from hypertraffic.tessellation import TessellationMap, _bfs, build_ball
 
 # growth rate of the (5,4) ball construction, largest root of
 # x^4 - 2x^3 - 2x + 1; frozen from the audited face expansion and
@@ -238,7 +245,7 @@ class TestTessellation:
         tmap.bootstrap()
         for v in range(5):
             tmap.saturate(v)
-        depths, _ = _bfs(tmap.adj, 0)
+        depths, _ = _bfs(tmap.adj, 0, len(tmap.adj))
         rotation = tmap.nxt[1] ^ 1
         assert tmap.root_symmetry(rotation, False, depths, 1)[0] == 0
         with pytest.raises(NotAutomorphism):
@@ -425,3 +432,45 @@ class TestFamilySpec:
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             family_graph(FamilySpec(variant="mystery"))
+
+
+class TestNodeCap:
+    # each builds a 1-node graph, which a cap below 1 must refuse too
+    ONE_NODE = {
+        "tree": lambda: gen_kary_tree(2, 0),
+        "tess": lambda: gen_tessellation(5, 4, 0),
+        "grid": lambda: gen_grid(1),
+        "edges": lambda: load_edge_list("# root 0\n"),
+        "json": lambda: graph_from_json_dict(graph_to_json_dict(gen_grid(1))),
+    }
+
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    @pytest.mark.parametrize("build", sorted(ONE_NODE))
+    def test_cap_below_one_is_refused(self, monkeypatch, cap, build):
+        monkeypatch.setenv("HYPERTRAFFIC_NODE_CAP", cap)
+        message = f"HYPERTRAFFIC_NODE_CAP must be at least 1, got {cap}"
+        with pytest.raises(HypertrafficError) as info:
+            node_cap()
+        assert str(info.value) == message
+        with pytest.raises(HypertrafficError) as info:
+            self.ONE_NODE[build]()
+        assert str(info.value) == message
+
+    def test_cap_of_one_admits_one_node(self, monkeypatch):
+        monkeypatch.setenv("HYPERTRAFFIC_NODE_CAP", "1")
+        assert [self.ONE_NODE[b]().node_count for b in sorted(self.ONE_NODE)] == [1] * 5
+
+    def test_default_cap_fits_in_2_gib(self):
+        # the peak bytes per node of a build, measured on small graphs: the
+        # default cap times the dearer of the two must stay under 2 GiB
+        def per_node(build):
+            tracemalloc.start()
+            try:
+                g = build()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak / g.node_count
+
+        worst = max(per_node(lambda: gen_grid(101)), per_node(lambda: gen_tessellation(5, 4, 8)))
+        assert DEFAULT_NODE_CAP * worst <= 2 << 30

@@ -2,6 +2,7 @@ import dataclasses
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,14 +16,15 @@ from hypertraffic.errors import (
 )
 from hypertraffic.generators import gen_grid, gen_kary_tree, gen_tessellation, load_edge_list
 from hypertraffic.graphs import (
-    _bfs,
+    _walk,
     build_graph,
     four_point_delta,
     graph_from_json_dict,
     graph_to_json_dict,
 )
+from hypertraffic.tessellation import _bfs
 from hypertraffic.traffic import pair_census
-from oracles import floyd_warshall, gromov_product, slim_delta_exact
+from oracles import bfs_dist, floyd_warshall, gromov_product, slim_delta_exact
 
 PATH3 = [(0, 1), (1, 2)]
 CYCLE4 = [(0, 1), (1, 2), (2, 3), (3, 0)]
@@ -83,6 +85,34 @@ class TestBuildGraph:
                     assert abs(g.depth[u] - g.depth[v]) <= 1
                 if u != g.root:
                     assert any(g.depth[w] == g.depth[u] - 1 for w in g.adjacency[u])
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_layers_match_the_oracle_bfs(self, seed):
+        # duplicate and reversed edges, listed in random order, and a random root
+        rng = random.Random(seed)
+        n = rng.randint(1, 15)
+        edges = [(rng.randrange(v), v) for v in range(1, n)]
+        for _ in range(rng.randint(0, 2 * n)):
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u != v:
+                edges.append((u, v))
+        edges += [(v, u) for u, v in rng.sample(edges, len(edges) // 2)]
+        rng.shuffle(edges)
+        root = rng.randrange(n)
+        g = build_graph(edges, root)
+        dist = bfs_dist(g, root)
+        assert g.depth == tuple(dist)
+        assert g.layers == tuple(
+            tuple(v for v in range(n) if dist[v] == t) for t in range(max(dist) + 1)
+        )
+        # node n is in no edge and n+1..n+3 form a second component: the
+        # message counts all four and names the smallest
+        extra = [(n + 1, n + 2), (n + 3, n + 1)]
+        with pytest.raises(DisconnectedGraph) as info:
+            build_graph(edges + extra, root)
+        assert str(info.value) == (
+            f"4 node(s) unreachable from root {root}, e.g. node {n}"
+        )
 
 
 class TestSymmetries:
@@ -153,8 +183,8 @@ class TestSymmetries:
 
 
 def engine_dist(g, source):
-    """Distances from graphs._bfs, the package's one scalar BFS."""
-    return _bfs(g.adjacency, source)[0]
+    """Distances from graphs._walk, the package's one BFS over a Graph."""
+    return _walk(g.csr, np.array([source]), g.node_count)[0].tolist()
 
 
 class TestDistances:
@@ -185,7 +215,8 @@ class TestDistances:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_bfs_order(self, seed):
-        # raw neighbour lists, unsorted and with nodes the source cannot reach
+        # the half-edge map's own BFS, on raw neighbour lists, unsorted and
+        # with nodes the source cannot reach
         rng = random.Random(seed)
         n = rng.randint(1, 15)
         adjacency = [[] for _ in range(n)]
@@ -195,7 +226,7 @@ class TestDistances:
                 adjacency[u].append(v)
                 adjacency[v].append(u)
         source = rng.randrange(n)
-        dist, order = _bfs(adjacency, source)
+        dist, order = _bfs(adjacency, source, len(adjacency))  # no path is that long
         assert order[0] == source and dist[source] == 0
         assert sorted(order) == [v for v in range(n) if dist[v] >= 0]
         steps = [dist[w] - dist[v] for v, w in zip(order, order[1:])]

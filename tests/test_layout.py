@@ -11,7 +11,9 @@ HYPERTRAFFIC_NODE_CAP. It catches the base HypertrafficError in one place:
 cli.main, which turns any package error into exit 3. Library code names the
 subclasses it handles. It constructs a Graph in one place: graphs.build_graph,
 so every graph has its CSR and checked symmetries; dataclasses.replace may
-copy one.
+copy one. It traverses a Graph in one place: graphs._walk, the batched BFS
+that build_graph, the four-point table, the census and the loads share. Only
+tessellation names _bfs, the half-edge map's own scalar BFS.
 
 It keeps no state between calls: a module-level assignment binds only a
 literal, a tuple of literals or constant arithmetic, and nothing names
@@ -174,6 +176,47 @@ def test_scan_sees_every_graph_construction(tmp_path):
         "class Box:\n    def make(self):\n        return graphs.Graph(**self.fields)\n"
     )
     assert graph_constructors(tmp_path) == ["mod", "mod.Box.make"]
+
+
+def _modules_where(src, hit):
+    """The modules in `src` holding a node for which hit(node) is true."""
+    return [
+        path.stem for path in sorted(src.glob("*.py"))
+        if any(map(hit, ast.walk(ast.parse(path.read_text()))))
+    ]
+
+
+def bfs_namers(src=SRC):
+    """The modules in `src` that define, import or refer to a name _bfs."""
+    return _modules_where(src, lambda node: _name(node) == "_bfs")
+
+
+def walk_definers(src=SRC):
+    """The modules in `src` that define a function named _walk, at any level."""
+    return _modules_where(
+        src, lambda node: isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name == "_walk",
+    )
+
+
+def test_one_traversal_of_a_graph():
+    assert walk_definers() == ["graphs"]
+    assert bfs_namers() == ["tessellation"]
+
+
+def test_scan_sees_every_second_traversal(tmp_path):
+    (tmp_path / "graphs.py").write_text("def _walk(csr, sources, reach):\n    return csr\n")
+    (tmp_path / "tessellation.py").write_text("def _bfs(adj, s, bound):\n    return adj\n")
+    (tmp_path / "traffic.py").write_text(
+        "from .graphs import _walk\n\n\n"
+        "class Box:\n    def _walk(self):\n        return _walk\n"
+    )
+    (tmp_path / "analysis.py").write_text(
+        "from . import tessellation\n\n\ndef depth(a):\n    return tessellation._bfs(a, 0, 1)\n"
+    )
+    (tmp_path / "cli.py").write_text("from .tessellation import _bfs as bfs\n")
+    assert walk_definers(tmp_path) == ["graphs", "traffic"]
+    assert bfs_namers(tmp_path) == ["analysis", "cli", "tessellation"]
 
 
 def _constant(node):
