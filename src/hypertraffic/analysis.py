@@ -95,19 +95,16 @@ def beta_c(e: float) -> float:
 def tree_closed_forms(k: int, beta: float, n: int) -> dict:
     """Exact total traffic T and root share P for the rooted k-ary tree.
 
-    T = N (1 + (k-1) S) with N = k^n leaves and S the geometric sum of
-    k^i beta^(-2(i+1)); P = (k-1) k^(n-1) beta^(-2n) / (1 + (k-1) S).
-    When beta^2 == k the geometric form degenerates and S is summed directly.
+    T = N (1 + (k-1) S) with N = k^n leaves and S the sum of
+    k^i beta^(-2(i+1)) over i < n; P = (k-1) k^(n-1) beta^(-2n) / (1 + (k-1) S).
+    math.fsum rounds S correctly from its float terms, so one expression
+    holds at every beta, beta^2 = k included.
     """
     if k < 2 or n < 1:
         raise ValueError("need k >= 2 and n >= 1")
     if not beta > 1.0:
         raise ValueError(f"beta must be > 1, got {beta}")
-    ratio = k / (beta * beta)
-    if abs(ratio - 1.0) < 1e-12:
-        s = math.fsum(k**i * beta ** (-2.0 * (i + 1)) for i in range(n))
-    else:
-        s = (ratio**n - 1.0) / (ratio - 1.0) / (beta * beta)
+    s = math.fsum(k**i * beta ** (-2.0 * (i + 1)) for i in range(n))
     denom = 1.0 + (k - 1) * s
     total = float(k**n) * denom
     share = (k - 1) * float(k ** (n - 1)) * beta ** (-2.0 * n) / denom

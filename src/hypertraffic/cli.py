@@ -20,11 +20,23 @@ _THREADS_HELP = (
 )
 
 
-def _family_from_args(args, need_depth=True) -> generators.FamilySpec:
+def _family_from_args(args, takes_depth=True) -> generators.FamilySpec:
+    """The family spec the flags name. A flag the family does not take, or
+    --depth where the command takes --depths, is refused, not ignored."""
     fam = args.family
+    takes = {"tree": ("k", "root_degree", "depth"), "tess": ("p", "q", "depth"),
+             "grid": ("side",), "edges": ("path",)}[fam]
+    for name in ("k", "root_degree", "p", "q", "depth", "side", "path"):
+        if getattr(args, name) is None:
+            continue
+        flag = "--" + name.replace("_", "-")
+        if name not in takes:
+            raise HypertrafficError(f"{fam} family does not take {flag}")
+        if name == "depth" and not takes_depth:
+            raise HypertrafficError(f"{args.command} of the {fam} family takes --depths, not {flag}")
     depth = args.depth
     if fam in ("tree", "tess") and depth is None:
-        if need_depth:
+        if takes_depth:
             raise HypertrafficError(f"{fam} family needs --depth")
         depth = 0
     if fam == "tree":
@@ -44,11 +56,9 @@ def _family_from_args(args, need_depth=True) -> generators.FamilySpec:
         if args.side is None:
             raise HypertrafficError("grid family needs --side")
         return generators.FamilySpec(variant="grid", side=args.side)
-    if fam == "edges":
-        if args.path is None:
-            raise HypertrafficError("edges family needs --path")
-        return generators.FamilySpec(variant="edge_list", source=args.path)
-    raise HypertrafficError(f"unknown family {fam!r}")
+    if args.path is None:
+        raise HypertrafficError("edges family needs --path")
+    return generators.FamilySpec(variant="edge_list", source=args.path)
 
 
 def _add_family_flags(parser):
@@ -108,7 +118,7 @@ def cmd_analyze(args):
     est = analysis.growth_exponent(spheres, args.window)
     pred = analysis.beta_c(est.e_ratio)
     try:
-        delta = float(graphs.four_point_delta(g, cap=args.four_point_cap))
+        delta = graphs.four_point_delta(g, cap=args.four_point_cap)
     except GraphTooLarge:
         delta = None
     doc = {
@@ -166,7 +176,7 @@ def _beta_grid(lo, hi, steps):
 
 
 def cmd_sweep(args):
-    spec = _family_from_args(args, need_depth=False)
+    spec = _family_from_args(args, takes_depth=False)
     betas = _beta_grid(args.beta_min, args.beta_max, args.steps)
     depths = _numbers("--depths", args.depths, int)
     report = analysis.sweep(

@@ -3,7 +3,7 @@
 format.
 
 Distances are exact integers and the four-point delta an exact half-integer
-held as fractions.Fraction, so the metric layer involves no floating point.
+held in a float (exact below 2^52), so the metric layer rounds nothing.
 """
 
 from __future__ import annotations
@@ -444,22 +444,20 @@ def check_four_point_cap(cap: int) -> None:
         raise ValueError(f"four-point cap must be >= 0, got {cap}")
 
 
-def four_point_delta(g: Graph, cap: int = FOUR_POINT_CAP) -> Fraction:
-    """Max over quadruples of (largest pair-sum - second largest) / 2.
+def four_point_delta(g: Graph, cap: int = FOUR_POINT_CAP) -> float:
+    """Max over quadruples of (largest pair-sum - second largest) / 2, an
+    exact half-integer held in a float.
 
     O(n^2) distance table plus an O(n^4) scan, so refuses graphs above `cap`.
     The quantity is symmetric in its four points and invariant under
     automorphisms, so x ranges over the smallest id of each orbit of
-    g.symmetries and y over every other node.
+    g.symmetries and y over every other node. On at most 3 nodes every
+    quadruple repeats a point, so the delta is 0.
     """
-    from fractions import Fraction  # on first use: it loads decimal, which nothing else needs
-
     check_four_point_cap(cap)
     n = g.node_count
     if n > cap:
         raise GraphTooLarge(f"{n} nodes exceeds four-point cap {cap}")
-    if n < 4:
-        return Fraction(0)
     # one walk per row, out to n hops, which no path reaches
     d = np.array([_walk(g.csr, np.array([x]), n)[0] for x in range(n)], dtype=np.int32)
     reps = np.flatnonzero(_orbit_labels(n, g.symmetries) == np.arange(n)).tolist()
@@ -479,7 +477,7 @@ def four_point_delta(g: Graph, cap: int = FOUR_POINT_CAP) -> Fraction:
             top = int(gap.max())
             if top > best:
                 best = top
-    return Fraction(best, 2)
+    return best / 2
 
 
 GRAPH_FORMAT = "hypertraffic-graph-v1"

@@ -5,7 +5,8 @@ the engine beyond the Graph container and its error types): Floyd-Warshall
 distances, explicit enumeration of every geodesic path, traffic/load
 accumulation path by path with equal splitting, exact geodesic fields in
 Python integers, exact Brandes loads in fractions, Gromov products, the
-slim-triangle delta, the k-ary tree closed forms, a set-lookup test for
+slim-triangle delta, the k-ary tree closed forms (distance counts, the root
+share's limit, and T and P as exact rationals), a set-lookup test for
 root-fixing automorphisms, and the orbits of every root-fixing automorphism
 by exhaustive backtracking.
 """
@@ -295,6 +296,19 @@ def tree_distance_counts(k, n, p):
     if not 1 <= r <= n:
         return 0
     return (k - 1) * k ** (r - 1)
+
+
+def tree_closed_forms_exact(k, beta, n):
+    """Total traffic T and root share P of the rooted k-ary tree of depth n
+    as exact rationals of the float beta, from the sums that define them:
+    T = k^n (1 + (k-1) S) with S = sum over i < n of k^i beta^(-2(i+1)),
+    and P = (k-1) k^(n-1) beta^(-2n) / (1 + (k-1) S)."""
+    if k < 2 or n < 1:
+        raise ValueError("need k >= 2 and n >= 1")
+    b2 = Fraction(beta) ** 2
+    s = sum(Fraction(k**i) / b2 ** (i + 1) for i in range(n))
+    denom = 1 + (k - 1) * s
+    return {"T": k**n * denom, "P": (k - 1) * k ** (n - 1) / b2**n / denom}
 
 
 def tree_root_limit(k, beta):

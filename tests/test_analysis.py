@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -32,7 +33,7 @@ from hypertraffic.traffic import (
     pair_census,
     traffic_totals,
 )
-from oracles import tree_distance_counts, tree_root_limit
+from oracles import tree_closed_forms_exact, tree_distance_counts, tree_root_limit
 
 
 class TestGrowthExponent:
@@ -136,14 +137,33 @@ class TestTreeClosedForms:
         assert out["T"] == pytest.approx(5.5, rel=1e-15)
         assert out["P"] == pytest.approx(1.0 / 11.0, rel=1e-15)
 
+    @staticmethod
+    def assert_exact(k, beta, n):
+        out = tree_closed_forms(k, beta, n)
+        want = tree_closed_forms_exact(k, beta, n)
+        for key in ("T", "P"):
+            assert abs(Fraction(out[key]) - want[key]) / want[key] <= 1e-13
+
     def test_degenerate_beta_squared_equals_k(self):
-        beta = math.sqrt(2.0)
-        out = tree_closed_forms(2, beta, 5)
-        # independent direct summation
-        s = math.fsum(2**i * beta ** (-2.0 * (i + 1)) for i in range(5))
-        want_t = 2.0**5 * (1.0 + s)
-        assert out["T"] == pytest.approx(want_t, rel=1e-12)
-        assert 0.0 < out["P"] < 1.0
+        self.assert_exact(2, math.sqrt(2.0), 5)
+        assert 0.0 < tree_closed_forms(2, math.sqrt(2.0), 5)["P"] < 1.0
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 9])
+    @pytest.mark.parametrize("n", [1, 5, 10, 20, 40])
+    @pytest.mark.parametrize("beta", [1.1, 2.0, 10.0])
+    def test_matches_exact_rationals(self, k, n, beta):
+        self.assert_exact(k, beta, n)
+
+    # where a geometric form ((k/beta^2)^n - 1) / (k/beta^2 - 1) loses digits
+    @pytest.mark.parametrize("k", [2, 3, 4, 9])
+    @pytest.mark.parametrize("n", [1, 5, 10, 20, 40])
+    @pytest.mark.parametrize("factor", [1 - 1e-9, 1.0, 1 + 1e-9])
+    def test_matches_exact_rationals_near_sqrt_k(self, k, n, factor):
+        self.assert_exact(k, math.sqrt(k) * factor, n)
+
+    def test_just_off_beta_squared_equals_k(self):
+        # 5.7e-9 off through the geometric form
+        self.assert_exact(2, 1.4142135612524063, 10)
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     @pytest.mark.parametrize("beta", [1.1, 1.9, 3.0])

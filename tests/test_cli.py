@@ -103,6 +103,33 @@ class TestGenerate:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,flags,message", [
+        ("generate", ("--family", "tess", "--p", "5", "--q", "4", "--depth", "3",
+                      "--root-degree", "2"), "tess family does not take --root-degree"),
+        ("generate", ("--family", "grid", "--side", "3", "--depth", "99"),
+         "grid family does not take --depth"),
+        ("generate", ("--family", "edges", "--path", "f", "--k", "3"),
+         "edges family does not take --k"),
+        ("generate", ("--family", "tree", "--k", "2", "--depth", "2", "--side", "5"),
+         "tree family does not take --side"),
+        ("sweep", ("--family", "tree", "--k", "2", "--p", "7"), "tree family does not take --p"),
+        ("sweep", ("--family", "tess", "--p", "5", "--q", "4", "--path", "f"),
+         "tess family does not take --path"),
+        ("sweep", ("--family", "tree", "--k", "2", "--depth", "9"),
+         "sweep of the tree family takes --depths, not --depth"),
+        ("sweep", ("--family", "tess", "--p", "5", "--q", "4", "--depth", "9"),
+         "sweep of the tess family takes --depths, not --depth"),
+    ])
+    def test_flag_the_family_does_not_take_exit_3(self, tmp_path, capsys, command, flags,
+                                                   message):
+        out, summ = tmp_path / "x.out", tmp_path / "s.json"
+        if command == "sweep":
+            flags += ("--beta-min", "1.2", "--beta-max", "2.0", "--steps", "2",
+                      "--depths", "3,4", "--r", "0", "--summary-out", str(summ))
+        assert run(command, *flags, "--out", str(out)) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists() and not summ.exists()
+
     def test_node_cap_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HYPERTRAFFIC_NODE_CAP", "100")
         code = run("generate", "--family", "tree", "--k", "3", "--depth", "6",
@@ -541,6 +568,18 @@ class TestTreeOracle:
             assert float(fields[5]) < 1e-9  # rel_err_T
             assert float(fields[6]) < 1e-9  # rel_err_P
 
+    def test_just_off_beta_squared_equals_k(self, tmp_path):
+        # a geometric closed form read rel_err_T 5.73e-9 at n = 10 here
+        out = tmp_path / "o.csv"
+        assert run("tree-oracle", "--k", "2", "--beta", "1.4142135612524063",
+                   "--n-max", "10", "--out", str(out)) == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 11
+        for line in lines[1:]:
+            fields = line.split(",")
+            assert float(fields[5]) <= 1e-12  # rel_err_T
+            assert float(fields[6]) <= 1e-12  # rel_err_P
+
     @pytest.mark.parametrize("beta", ["1e200", "inf"])
     def test_underflowing_root_share_exit_3(self, tmp_path, capsys, beta):
         # beta^-2 is 0.0 in float64, so the relative error has no base
@@ -831,12 +870,22 @@ class TestExitCodeContract:
         assert code in (0, 2, 3)
 
 
-def test_cli_import_leaves_fractions_unloaded():
-    """fractions (and the decimal module it pulls in) loads only when
-    four_point_delta runs, not at every command's start."""
+def test_cli_import_leaves_fractions_unloaded(tmp_path):
+    """No command loads fractions, or the decimal module it pulls in: not
+    the import of the CLI, and not analyze, whose four-point delta is an
+    exact half-integer held in a float."""
+    edges = tmp_path / "c5.txt"
+    edges.write_text("0 1\n1 2\n2 3\n3 4\n4 0\n")
+    gfile, out = tmp_path / "g.json", tmp_path / "a.json"
+    assert run("generate", "--family", "edges", "--path", str(edges), "--out", str(gfile)) == 0
     src = str(Path(hypertraffic.__file__).resolve().parents[1])
-    code = "import sys, hypertraffic.cli; print('fractions' in sys.modules)"
+    code = (
+        "import sys, hypertraffic.cli\n"
+        f"code = hypertraffic.cli.main(['analyze', '--graph', {str(gfile)!r}, '--out', {str(out)!r}])\n"
+        "print(code, sorted({'fractions', 'decimal'} & set(sys.modules)))\n"
+    )
     env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "False"
+    stdout = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True).stdout
+    assert stdout.splitlines()[-1] == "0 []"
+    assert json.loads(out.read_text())["delta_four_point"] == 0.5

@@ -15,6 +15,10 @@ copy one. It traverses a Graph in one place: graphs._walk, the batched BFS
 that build_graph, the four-point table, the census and the loads share. Only
 tessellation names _bfs, the half-edge map's own scalar BFS.
 
+It imports at module level only: no function or class body holds an
+import, so `import hypertraffic.cli` loads every module a command runs, and
+perfbench's cli.import_s measures all of the start-up.
+
 It keeps no state between calls: a module-level assignment binds only a
 literal, a tuple of literals or constant arithmetic, and nothing names
 functools.cache, lru_cache or cached_property.
@@ -217,6 +221,29 @@ def test_scan_sees_every_second_traversal(tmp_path):
     (tmp_path / "cli.py").write_text("from .tessellation import _bfs as bfs\n")
     assert walk_definers(tmp_path) == ["graphs", "traffic"]
     assert bfs_namers(tmp_path) == ["analysis", "cli", "tessellation"]
+
+
+def nested_imports(src=SRC):
+    """The functions and classes in `src` whose bodies hold an import."""
+    scopes = _scopes_where(src, lambda node: isinstance(node, (ast.Import, ast.ImportFrom)))
+    return [scope for scope in scopes if "." in scope]
+
+
+def test_src_imports_at_module_level_only():
+    assert nested_imports() == []
+
+
+def test_scan_sees_every_nested_import(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "import os\nfrom . import graphs\n\n"
+        "try:\n    import numpy\nexcept ImportError:\n    numpy = None\n\n\n"
+        "def lazy():\n    from fractions import Fraction\n    return Fraction\n\n\n"
+        "def outer():\n    def inner():\n        import decimal\n        return decimal\n"
+        "    return inner\n\n\n"
+        "class Box:\n    import json\n\n    def load(self):\n        import json as j\n"
+        "        return j\n"
+    )
+    assert nested_imports(tmp_path) == ["mod.Box", "mod.Box.load", "mod.lazy", "mod.outer.inner"]
 
 
 def _constant(node):
