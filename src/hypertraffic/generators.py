@@ -75,9 +75,11 @@ def gen_kary_tree(k: int, depth: int, root_degree: int | None = None) -> Graph:
         return build_graph([], 0)
 
     # the parent of node v > root_degree is 1 + (v - 1 - root_degree) // k
-    parents = np.arange(total - 1 - root_degree) // k + 1
-    edges = [(0, v) for v in range(1, root_degree + 1)]
-    edges += zip(parents.tolist(), range(root_degree + 1, total))
+    parents = np.concatenate([
+        np.zeros(root_degree, dtype=np.int64),
+        np.arange(total - 1 - root_degree, dtype=np.int64) // k + 1,
+    ])
+    edges = np.stack([parents, np.arange(1, total, dtype=np.int64)], axis=1)
     return build_graph(edges, 0, [_odometer(k, depth, root_degree)])
 
 
@@ -129,15 +131,12 @@ def gen_grid(side: int) -> Graph:
         raise SizeOverflow(f"grid side {side} exceeds node cap {cap}")
     if side == 1:
         return build_graph([], 0)
-    edges = []
-    for i in range(side):
-        for j in range(side):
-            v = i * side + j
-            if j + 1 < side:
-                edges.append((v, v + 1))
-            if i + 1 < side:
-                edges.append((v, v + side))
     ids = np.arange(side * side, dtype=np.int64).reshape(side, side)
+    # each node to its right and its lower neighbour
+    edges = np.concatenate([
+        np.stack([ids[:, :-1].ravel(), ids[:, 1:].ravel()], axis=1),
+        np.stack([ids[:-1].ravel(), ids[1:].ravel()], axis=1),
+    ])
     # (i, j) -> (j, side-1-i) and (i, j) -> (i, side-1-j) generate D4
     symmetries = (np.rot90(ids).ravel(), ids[:, ::-1].ravel())
     return build_graph(edges, (side * side) // 2, symmetries)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from itertools import accumulate, chain
+from itertools import chain
 
 import numpy as np
 
@@ -55,8 +55,12 @@ class Graph:
         return len(self.layers) - 1
 
     def edge_list(self) -> list[tuple[int, int]]:
-        """Sorted list of (u, v) with u < v."""
-        return [(u, v) for u in range(self.node_count) for v in self.adjacency[u] if u < v]
+        """Sorted list of (u, v) with u < v, read off the CSR, whose
+        directed edges are already in (u, v) order."""
+        degree, _, indices = self.csr
+        src = np.repeat(np.arange(self.node_count, dtype=np.int64), degree)
+        forward = src < indices
+        return list(zip(src[forward].tolist(), indices[forward].tolist()))
 
 
 def node_cap() -> int:
@@ -102,12 +106,14 @@ def check_node_ids(edges, root) -> int:
     return top + 1
 
 
-def _csr(adjacency) -> tuple:
-    """(degree, indptr, indices) of `adjacency` as read-only int64 arrays."""
-    offsets = accumulate(map(len, adjacency), initial=0)
-    indptr = np.fromiter(offsets, dtype=np.int64, count=len(adjacency) + 1)
-    indices = np.fromiter(chain.from_iterable(adjacency), dtype=np.int64, count=indptr[-1])
-    arrays = (indptr[1:] - indptr[:-1], indptr, indices)
+def _csr(keys: np.ndarray, n: int) -> tuple:
+    """(degree, indptr, indices) as read-only int64 arrays, from the
+    ascending keys u * n + v of the directed edges (u, v)."""
+    src, indices = np.divmod(keys, n)
+    degree = np.bincount(src, minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degree, out=indptr[1:])
+    arrays = (degree, indptr, indices)
     for arr in arrays:
         arr.flags.writeable = False
     return arrays
@@ -178,36 +184,64 @@ def _check_symmetry(perm, g: Graph) -> np.ndarray:
     return arr
 
 
-def build_graph(edges, root, symmetries=()) -> Graph:
-    """Assemble a Graph from an iterable of index pairs.
+def _int64_value(x) -> bool:
+    """Whether x is an int64 value, held as an int or as a float: numpy
+    reads every endpoint of a list as a float once one of them is."""
+    return (type(x) is int or type(x) is float and x.is_integer()) and -(1 << 63) <= x < 1 << 63
 
-    Duplicate edges collapse; self-loops and negative indices raise
-    MalformedEdge, unreachable nodes raise DisconnectedGraph. Each of
-    `symmetries` must be a permutation of the node ids that fixes the root
-    and maps edges onto edges, else NotAutomorphism is raised.
+
+def _edge_array(edges) -> np.ndarray:
+    """edges as an (m, 2) int64 array, read with one np.asarray.
+
+    When numpy does not read them as integer pairs, MalformedEdge names the
+    first edge, as numpy read it, that is not a pair of int64 values; if
+    each is one, held as floats, it names none. A list and the array numpy
+    makes of it are thus refused alike.
     """
-    edges = list(edges)
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+    try:
+        arr = np.asarray(edges)
+    except ValueError:  # pairs and non-pairs mixed: numpy reads no array
+        rows, read_as = edges, "they are ragged"
+    else:
+        if arr.size == 0:
+            return np.empty((0, 2), dtype=np.int64)
+        if arr.ndim == 2 and arr.shape[1] == 2 and arr.dtype.kind in "iu":
+            return arr.astype(np.int64, copy=False)
+        rows, read_as = arr.tolist(), f"numpy reads them as {arr.dtype} of shape {arr.shape}"
+    for i, e in enumerate(rows):
+        if not (isinstance(e, (list, tuple)) and len(e) == 2 and all(map(_int64_value, e))):
+            raise MalformedEdge(f"edge {i} {e!r} is not a pair of integers; {read_as}")
+    raise MalformedEdge(f"edges are not integer pairs; {read_as}")
+
+
+def build_graph(edges, root, symmetries=()) -> Graph:
+    """Assemble a Graph from index pairs: an (m, 2) integer array or an
+    iterable of pairs, both read by _edge_array.
+
+    Duplicate and reversed edges collapse; self-loops, negative indices and
+    pairs that are not integers raise MalformedEdge, unreachable nodes raise
+    DisconnectedGraph. Each of `symmetries` must be a permutation of the
+    node ids that fixes the root and maps edges onto edges, else
+    NotAutomorphism is raised.
+    """
     if not isinstance(root, int) or root < 0:
         raise MalformedEdge(f"root {root!r} is not a non-negative integer")
-    top = root
-    for e in edges:
-        u, v = e
-        if not isinstance(u, int) or not isinstance(v, int) or u < 0 or v < 0:
-            raise MalformedEdge(f"edge {e!r} has a non-integer or negative endpoint")
-        if u == v:
-            raise MalformedEdge(f"self-loop at node {u}")
-        if u > top:
-            top = u
-        if v > top:
-            top = v
-    n = top + 1
-    neighbor_sets = [set() for _ in range(n)]
-    for u, v in edges:
-        neighbor_sets[u].add(v)
-        neighbor_sets[v].add(u)
-    adjacency = tuple(tuple(sorted(s)) for s in neighbor_sets)
+    pairs = _edge_array(edges)
+    bad = np.flatnonzero((pairs < 0).any(axis=1))
+    if bad.size:
+        raise MalformedEdge(f"edge {bad[0]} {pairs[bad[0]].tolist()} has a negative endpoint")
+    u, v = pairs.T
+    bad = np.flatnonzero(u == v)
+    if bad.size:
+        raise MalformedEdge(f"self-loop at node {u[bad[0]]}")
+    n = int(pairs.max(initial=root)) + 1
+    keys = np.sort(np.concatenate([u * n + v, v * n + u]))
+    csr = _csr(keys[np.diff(keys, prepend=-1) != 0], n)  # duplicates collapse
+    flat, ends = csr[2].tolist(), csr[1].tolist()
+    adjacency = tuple(tuple(flat[a:b]) for a, b in zip(ends, ends[1:]))
 
-    csr = _csr(adjacency)
     dist, levels = _walk(csr, np.array([root]), n)  # no path is n hops long
     missing = np.flatnonzero(dist < 0)
     if missing.size:

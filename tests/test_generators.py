@@ -294,11 +294,115 @@ def _corrupt(tmap, table_name, seed):
     table[i] = rng.choice([x for x in values if x != table[i]])
 
 
+def _rim_vertices(tmap):
+    return sorted(tmap.org[h ^ 1] for h in range(len(tmap.org)) if tmap.face[h] == -1)
+
+
+def _merge(tmap, gone, kept):
+    """Let every half-edge out of vertex `gone` start at `kept` instead,
+    leaving the neighbour lists alone; the map stays consistent along its
+    faces."""
+    tmap.org[:] = [kept if v == gone else v for v in tmap.org]
+
+
+def _second_disk(tmap):
+    """Append a separate bootstrapped (5,4) pentagon to the map's tables."""
+    other = TessellationMap(5, 4)
+    other.bootstrap()
+    vertices, half = tmap.vertex_count, len(tmap.org)
+    tmap.org += [v + vertices for v in other.org]
+    tmap.nxt += [h + half for h in other.nxt]
+    tmap.prv += [h + half for h in other.prv]
+    tmap.face += [f + tmap.face_count if f >= 0 else -1 for f in other.face]
+    tmap.adj += [[w + vertices for w in a] for a in other.adj]
+    tmap.bnd_in += [h + half for h in other.bnd_in]
+    tmap.face_count += other.face_count
+
+
+def _targeted(tmap, invariant):
+    """Break one invariant of the grown map; the message the audit must give."""
+    half = len(tmap.org)
+    rim = _rim_vertices(tmap)
+    inner_into = {tmap.org[h ^ 1]: h for h in range(half) if tmap.face[h] >= 0}
+    if invariant == "odd count":
+        tmap.org.append(0)
+        return f"odd half-edge count {half + 1}"
+    if invariant == "table size":
+        tmap.face.pop()
+        return f"face has {half - 1} entries, not {half}"
+    if invariant == "range":
+        tmap.nxt[3] = half
+        return f"nxt[3] = {half} is outside [0, {half})"
+    if invariant == "inverse":
+        tmap.prv[4], tmap.prv[6] = tmap.prv[6], tmap.prv[4]
+        return f"nxt and prv do not invert each other at half-edge {min(tmap.prv[4], tmap.prv[6])}"
+    if invariant == "origins":
+        h = 7
+        tmap.org[h] = next(v for v in range(tmap.vertex_count) if v != tmap.org[h])
+        first = min(tmap.prv[h], h ^ 1)
+        return f"half-edge {tmap.nxt[first]} does not start where {first} ends"
+    if invariant == "face ids":
+        tmap.face[0] = -1
+        return "the face of half-edge 0 has face ids [-1, 0]"
+    if invariant == "sides":
+        tmap.p = 6
+        return "the face of half-edge 0 has 5 sides"
+    if invariant == "faces per id":
+        tmap.face_count += 1
+        return f"face {tmap.face_count - 1} has 0 half-edges, not 5"
+    if invariant == "simple rim":
+        a, b = rim[0], next(v for v in rim[1:] if v not in tmap.adj[rim[0]])
+        _merge(tmap, b, a)
+        return "the rim passes through a vertex twice"
+    if invariant == "degree":
+        tmap.adj[0].append(rim[0])
+        return "vertex 0 has degree 5"
+    if invariant == "interior mark":
+        tmap.bnd_in[rim[0]] = -1
+        return f"vertex {rim[0]} is marked interior but lies on the rim"
+    if invariant == "rim half-edge":
+        tmap.bnd_in[rim[0]] = inner_into[rim[0]]
+        return f"bnd_in of vertex {rim[0]} is not a rim half-edge into it"
+    if invariant == "one rotation":  # vertices 0..11 are interior
+        far = next(v for v in range(12) if v not in tmap.adj[0] and v != 0)
+        _merge(tmap, far, 0)
+        return "the rotation about vertex 0 splits into 2 cycles"
+    if invariant == "into every vertex":
+        far = next(v for v in range(12) if v not in tmap.adj[0] and v != 0)
+        _merge(tmap, 0, far)
+        return "vertex 0 has no half-edge into it"
+    if invariant == "neighbour ids":
+        tmap.adj[5][0] = tmap.vertex_count
+        return f"a neighbour list holds {tmap.vertex_count}, which is no vertex"
+    if invariant == "neighbour lists":
+        tmap.adj[0][0] = next(v for v in range(tmap.vertex_count) if v not in tmap.adj[0])
+        return "the rotation about vertex 0 disagrees with its neighbour list"
+    if invariant == "disk":
+        _second_disk(tmap)
+        return "the map is not a disk: V - E + F != 1"
+    raise ValueError(invariant)
+
+
+INVARIANTS = [
+    "odd count", "table size", "range", "inverse", "origins", "face ids", "sides",
+    "faces per id", "simple rim", "degree", "interior mark", "rim half-edge", "one rotation",
+    "into every vertex", "neighbour ids", "neighbour lists", "disk",
+]
+
+
 class TestMapAudit:
     def test_grown_map_passes(self):
         tmap = _grown_map()
         tmap.audit()
         assert tmap.vertex_count > 50
+
+    @pytest.mark.parametrize("invariant", INVARIANTS)
+    def test_each_invariant_has_its_message(self, invariant):
+        tmap = _grown_map()
+        message = _targeted(tmap, invariant)
+        with pytest.raises(CorruptMap) as info:
+            tmap.audit()
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("table", ["nxt", "prv", "face", "org", "adj", "bnd_in"])

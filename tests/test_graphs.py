@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -115,6 +116,93 @@ class TestBuildGraph:
         )
 
 
+@st.composite
+def edge_inputs(draw):
+    """(pairs, root): the edges of a connected graph on up to 14 nodes with
+    duplicate and reversed pairs, in shuffled order, and a random root."""
+    n = draw(st.integers(1, 14))
+    pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    node = st.integers(0, n - 1)
+    pairs += draw(st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]), max_size=2 * n))
+    if pairs:
+        pairs += [(v, u) for u, v in draw(st.lists(st.sampled_from(pairs), max_size=n))]
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=3))
+    return draw(st.permutations(pairs)), draw(node)
+
+
+# a refusal of each kind, made from a valid input: (pairs, root) -> (pairs, root)
+REFUSALS = {
+    "negative id": lambda pairs, root: (pairs + [(0, -3)], root),
+    "self-loop": lambda pairs, root: ([(root, root)] + pairs, root),
+    "float endpoint": lambda pairs, root: (pairs + [(root, root + 0.5)], root),
+    "integral float endpoint": lambda pairs, root: ([(float(root), root + 1)] + pairs, root),
+    "str endpoint": lambda pairs, root: (pairs + [(root, str(root + 1))], root),
+    "triples": lambda pairs, root: ([(u, v, v) for u, v in pairs + [(root, root + 1)]], root),
+    "flat ids": lambda pairs, root: ([root, root + 1], root),
+    "negative root": lambda pairs, root: (pairs, -1 - root),
+    "float root": lambda pairs, root: (pairs, float(root)),
+}
+
+
+class TestEdgeInputs:
+    """build_graph reads a pair list and an integer array through one path:
+    both give the same Graph, CSR and symmetries, and the same refusal."""
+
+    @given(edge_inputs(), st.sampled_from([np.int64, np.int32, np.uint16]))
+    @settings(max_examples=150)
+    def test_pair_list_and_array_build_the_same_graph(self, inputs, dtype):
+        pairs, root = inputs
+        symmetries = graphs.find_symmetries(build_graph(pairs, root))[0]
+        from_list = build_graph(pairs, root, symmetries)
+        from_array = build_graph(np.array(pairs, dtype=dtype).reshape(-1, 2), root, symmetries)
+        assert from_list == from_array
+        for a, b in zip(from_list.csr, from_array.csr):
+            assert a.dtype == b.dtype == np.int64
+            assert np.array_equal(a, b)
+        assert [s.tolist() for s in from_list.symmetries] == [
+            s.tolist() for s in from_array.symmetries
+        ]
+        assert from_list.edge_list() == sorted({tuple(sorted(e)) for e in pairs})
+
+    @given(edge_inputs(), st.sampled_from(sorted(REFUSALS)))
+    @settings(max_examples=150)
+    def test_both_inputs_are_refused_alike(self, inputs, kind):
+        pairs, root = REFUSALS[kind](*inputs)
+        messages = []
+        for edges in (pairs, np.asarray(pairs)):
+            with pytest.raises(MalformedEdge) as info:
+                build_graph(edges, root)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        if kind.endswith("root"):
+            assert messages[0].startswith(f"root {root!r} ")
+        elif kind in ("negative id", "self-loop"):
+            assert kind.split()[0] in messages[0]
+        else:
+            assert re.search("not (a pair of integers|integer pairs)", messages[0])
+
+    def test_the_first_bad_edge_is_named(self):
+        with pytest.raises(MalformedEdge, match=r"^edge 1 \[1.0, 2.5\] is not a pair of integers; "
+                           r"numpy reads them as float64 of shape \(2, 2\)$"):
+            build_graph([(0, 1), (1, 2.5)], 0)
+        with pytest.raises(MalformedEdge, match=r"^edges are not integer pairs; "
+                           r"numpy reads them as float64 of shape \(2, 2\)$"):
+            build_graph([(0, 1), (1, 2.0)], 0)
+        with pytest.raises(MalformedEdge, match=r"^edge 1 \(1, 2, 3\) is not a pair of integers; "
+                           r"they are ragged$"):
+            build_graph([(0, 1), (1, 2, 3)], 0)
+        with pytest.raises(MalformedEdge, match=r"^edge 2 \[0, -1\] has a negative endpoint$"):
+            build_graph(np.array([(0, 1), (1, 2), (0, -1)]), 0)
+        with pytest.raises(MalformedEdge, match=r"^edge 0 \[0, 1180591620717411303424\] is not a "
+                           r"pair of integers; numpy reads them as object of shape \(1, 2\)$"):
+            build_graph([(0, 1 << 70)], 0)
+
+    def test_any_iterable_of_pairs(self):
+        assert build_graph(iter(PATH3), 0) == build_graph(PATH3, 0)
+        path = np.array([(0, 1), (1, 2), (2, 3)])
+        assert build_graph(zip(range(3), range(1, 4)), 0) == build_graph(path, 0)
+
+
 class TestSymmetries:
     # the 4-cycle 0-1-2-3 rooted at 0: swapping 1 and 3 is its one
     # non-trivial root-fixing automorphism
@@ -166,9 +254,9 @@ class TestSymmetries:
         builds = []
         real = graphs._csr
 
-        def counted(adjacency):
-            builds.append(len(adjacency))
-            return real(adjacency)
+        def counted(keys, n):
+            builds.append(n)
+            return real(keys, n)
 
         monkeypatch.setattr(graphs, "_csr", counted)
         ball = gen_tessellation(5, 4, 5)
