@@ -9,7 +9,7 @@ import numpy as np
 
 from . import tessellation
 from .errors import EvenSide, ParseError, SizeOverflow
-from .graphs import Graph, build_graph, check_node_ids, node_cap, with_found_symmetries
+from .graphs import Graph, build_graph, node_cap, with_found_symmetries
 
 
 @dataclass(frozen=True)
@@ -144,9 +144,9 @@ def gen_grid(side: int) -> Graph:
 
 def load_edge_list(text: str) -> Graph:
     """Parse whitespace-separated "u v" pairs; '#' starts a comment, and a
-    "# root R" comment sets the root (default 0). check_node_ids refuses an
-    id at or above node_cap(), or one below the largest id that no edge or
-    the root names, before the graph is built. The graph carries the
+    "# root R" comment sets the root (default 0). build_graph refuses an id
+    at or above node_cap(), or one below the largest id that no edge or the
+    root names, before it allocates per node. The graph carries the
     root-fixing automorphisms graphs.find_symmetries verifies."""
     root = 0
     edges = []
@@ -172,7 +172,6 @@ def load_edge_list(text: str) -> Graph:
         except ValueError:
             raise ParseError(f"non-integer token in {raw!r}", lineno) from None
         edges.extend(zip(values[0::2], values[1::2]))
-    check_node_ids(edges, root)
     return with_found_symmetries(build_graph(edges, root))
 
 

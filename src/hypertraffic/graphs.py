@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from itertools import chain
 
 import numpy as np
 
@@ -80,30 +79,6 @@ def node_cap() -> int:
     if cap < 1:
         raise HypertrafficError(f"HYPERTRAFFIC_NODE_CAP must be at least 1, got {cap}")
     return cap
-
-
-def check_node_ids(edges, root) -> int:
-    """The node count the ids imply, largest id + 1. Raises SizeOverflow when
-    it passes node_cap(), and DisconnectedGraph when an id below the largest
-    is neither an edge endpoint nor the root, as nothing joins it to the root.
-
-    Loaders call this before build_graph, which allocates one neighbor set
-    per id up to the largest; a negative id is left to build_graph to name.
-    """
-    cap = node_cap()
-    ids = set(chain.from_iterable(edges))
-    ids.add(root)
-    top = max(ids)
-    if top >= cap:
-        raise SizeOverflow(f"node id {top} exceeds node cap {cap}")
-    present = sorted(v for v in ids if v >= 0)
-    if len(present) <= top:
-        gap = next(i for i, v in enumerate(present) if i != v)
-        raise DisconnectedGraph(
-            f"{top + 1 - len(present)} node(s) below id {top} are in no edge, "
-            f"so unreachable from root {root}, e.g. node {gap}"
-        )
-    return top + 1
 
 
 def _csr(keys: np.ndarray, n: int) -> tuple:
@@ -218,13 +193,17 @@ def _edge_array(edges) -> np.ndarray:
 
 def build_graph(edges, root, symmetries=()) -> Graph:
     """Assemble a Graph from index pairs: an (m, 2) integer array or an
-    iterable of pairs, both read by _edge_array.
+    iterable of pairs, both read by _edge_array. Every Graph, generated or
+    loaded, is built here, so this is the one gate its node ids pass.
 
     Duplicate and reversed edges collapse; self-loops, negative indices and
-    pairs that are not integers raise MalformedEdge, unreachable nodes raise
-    DisconnectedGraph. Each of `symmetries` must be a permutation of the
-    node ids that fixes the root and maps edges onto edges, else
-    NotAutomorphism is raised.
+    pairs that are not integers raise MalformedEdge. Then, checked on the
+    edge array before any per-node allocation, an id at or above node_cap()
+    raises SizeOverflow, and an id below the largest that is neither an
+    endpoint nor the root raises DisconnectedGraph, as nothing joins it to
+    the root; so does any other node the walk from the root misses. Each
+    of `symmetries` must be a permutation of the node ids that fixes the
+    root and maps edges onto edges, else NotAutomorphism is raised.
     """
     if not isinstance(root, int) or root < 0:
         raise MalformedEdge(f"root {root!r} is not a non-negative integer")
@@ -236,7 +215,20 @@ def build_graph(edges, root, symmetries=()) -> Graph:
     bad = np.flatnonzero(u == v)
     if bad.size:
         raise MalformedEdge(f"self-loop at node {u[bad[0]]}")
-    n = int(pairs.max(initial=root)) + 1
+    top = max(root, int(pairs.max(initial=0)))
+    cap = node_cap()
+    if top >= cap:
+        raise SizeOverflow(f"node id {top} exceeds node cap {cap}")
+    # sorts and diffs, as a first np.unique imports numpy.ma
+    ids = np.sort(np.append(pairs, root))
+    ids = ids[np.diff(ids, prepend=-1) != 0]
+    if ids.size <= top:
+        raise DisconnectedGraph(
+            f"{top + 1 - ids.size} node(s) below id {top} are in no edge, "
+            f"so unreachable from root {root}, "
+            f"e.g. node {np.argmax(ids != np.arange(ids.size))}"
+        )
+    n = top + 1
     keys = np.sort(np.concatenate([u * n + v, v * n + u]))
     csr = _csr(keys[np.diff(keys, prepend=-1) != 0], n)  # duplicates collapse
     flat, ends = csr[2].tolist(), csr[1].tolist()
@@ -492,8 +484,8 @@ def four_point_delta(g: Graph, cap: int = FOUR_POINT_CAP) -> float:
     n = g.node_count
     if n > cap:
         raise GraphTooLarge(f"{n} nodes exceeds four-point cap {cap}")
-    # one walk per row, out to n hops, which no path reaches
-    d = np.array([_walk(g.csr, np.array([x]), n)[0] for x in range(n)], dtype=np.int32)
+    # one batched walk from every node, out to n hops, which no path reaches
+    d = _walk(g.csr, np.arange(n), n)[0].reshape(n, n).astype(np.int32)
     reps = np.flatnonzero(_orbit_labels(n, g.symmetries) == np.arange(n)).tolist()
     best = 0
     for x in reps:
@@ -541,9 +533,9 @@ def graph_from_json_dict(doc) -> Graph:
     verifies.
 
     The document must be an object with integer root, node_count and edge
-    endpoints, and node_count must be the largest id + 1; anything else
-    raises MalformedEdge. check_node_ids refuses ids past node_cap() or with
-    gaps before any per-node allocation.
+    endpoints, and node_count must be the built graph's node count, the
+    largest id + 1; anything else raises MalformedEdge. build_graph refuses
+    ids past node_cap() or with gaps before any per-node allocation.
     """
     if not isinstance(doc, dict):
         raise MalformedEdge(f"graph JSON must be an object, got {type(doc).__name__}")
@@ -561,7 +553,7 @@ def graph_from_json_dict(doc) -> Graph:
         if not isinstance(e, list) or len(e) != 2:
             raise MalformedEdge(f"edge {e!r} is not a pair")
         edges.append((_json_int(e[0], "edge endpoint"), _json_int(e[1], "edge endpoint")))
-    implied = check_node_ids(edges, root)
-    if node_count != implied:
-        raise MalformedEdge(f"file claims {node_count} nodes but edges imply {implied}")
-    return with_found_symmetries(build_graph(edges, root))
+    g = build_graph(edges, root)
+    if node_count != g.node_count:
+        raise MalformedEdge(f"file claims {node_count} nodes but edges imply {g.node_count}")
+    return with_found_symmetries(g)

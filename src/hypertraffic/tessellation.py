@@ -184,14 +184,24 @@ class TessellationMap:
 
     def audit(self):
         """Structural invariants of the half-edge disk, checked on the tables
-        as numpy arrays. Raises CorruptMap naming the first one broken."""
+        as numpy arrays. Raises CorruptMap naming the first one broken, and
+        returns the checked org table as an array."""
         n_half, vertices, p, q = len(self.org), self.vertex_count, self.p, self.q
         if n_half % 2:
             raise CorruptMap(f"odd half-edge count {n_half}")
         ids = np.int32 if n_half < 1 << 31 else np.int64  # int32 halves the audit's peak memory
 
         def table(name, size, low, high):
-            arr = np.fromiter(getattr(self, name), dtype=ids)
+            values = getattr(self, name)
+            try:
+                arr = np.fromiter(values, dtype=ids)
+            except (OverflowError, TypeError, ValueError):
+                fits = np.iinfo(ids)
+                i = next(i for i, x in enumerate(values)
+                         if not (isinstance(x, int) and fits.min <= x <= fits.max))
+                raise CorruptMap(
+                    f"{name}[{i}] = {values[i]!r} is not an {fits.dtype} entry"
+                ) from None
             if arr.size != size:
                 raise CorruptMap(f"{name} has {arr.size} entries, not {size}")
             bad = np.flatnonzero((arr < low) | (arr >= high))
@@ -282,6 +292,7 @@ class TessellationMap:
         # Euler characteristic of a disk
         if vertices - n_half // 2 + self.face_count != 1:
             raise CorruptMap("the map is not a disk: V - E + F != 1")
+        return org
 
 
 def _cycle_min(perm):
@@ -354,7 +365,7 @@ def build_ball(p: int, q: int, depth: int):
             break
         for v in pending:
             tmap.saturate(v)
-    tmap.audit()
+    org = tmap.audit()
 
     # labels follow a BFS that takes neighbours in map-id order; only the
     # vertices closer than `depth`, the last round's `inner`, are expanded
@@ -367,7 +378,7 @@ def build_ball(p: int, q: int, depth: int):
     label[ball] = np.arange(ball.size)
 
     # half-edges 2e and 2e + 1 start at the two ends of edge e
-    ends = label[np.array(tmap.org, dtype=np.int64).reshape(-1, 2)]
+    ends = label[org.reshape(-1, 2)]
     edges = ends[(ends >= 0).all(axis=1)]
     symmetries = tuple(
         label[np.array(tmap.root_symmetry(image, reflect, depths, depth), dtype=np.int64)[ball]]

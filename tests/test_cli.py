@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import hypertraffic
-from hypertraffic import cli, generators, graphs, traffic
+from hypertraffic import cli, generators, traffic
 from hypertraffic.analysis import classify_transition
 from hypertraffic.cli import main
 from hypertraffic.errors import DisconnectedGraph, MalformedEdge, SizeOverflow
@@ -664,38 +664,53 @@ class TestGraphSchema:
 class TestLoadedNodeCap:
     HUGE = 10**9
 
-    @pytest.fixture
-    def no_build(self, monkeypatch):
-        """Fail at once if a loader gets as far as allocating the graph."""
+    @staticmethod
+    def refused(error, message, call, *args):
+        """call(*args) raises `error` with exactly `message`, and its traced
+        peak stays under 1 MiB: the ids are refused before the graph is
+        allocated."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(error) as info:
+                call(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == message
+        assert peak < 1 << 20
 
-        def refuse(*_args, **_kwargs):
-            raise AssertionError("build_graph reached past the node cap")
-
-        monkeypatch.setattr(graphs, "build_graph", refuse)
-        monkeypatch.setattr(generators, "build_graph", refuse)
-
-    def test_library_loaders(self, monkeypatch, no_build):
+    def test_library_loaders(self, monkeypatch):
         monkeypatch.setenv("HYPERTRAFFIC_NODE_CAP", "100")
-        with pytest.raises(SizeOverflow):
-            load_edge_list(f"0 {self.HUGE}")
-        with pytest.raises(SizeOverflow):
-            load_edge_list(f"# root {self.HUGE}")
-        with pytest.raises(SizeOverflow):
-            graph_from_json_dict({**PATH_DOC, "edges": [[0, self.HUGE]]})
-        with pytest.raises(SizeOverflow):
-            graph_from_json_dict({**PATH_DOC, "root": self.HUGE})
+        message = f"node id {self.HUGE} exceeds node cap 100"
+        self.refused(SizeOverflow, message, load_edge_list, f"0 {self.HUGE}")
+        self.refused(SizeOverflow, message, load_edge_list, f"# root {self.HUGE}")
+        self.refused(SizeOverflow, message, graph_from_json_dict,
+                     {**PATH_DOC, "edges": [[0, self.HUGE]]})
+        self.refused(SizeOverflow, message, graph_from_json_dict,
+                     {**PATH_DOC, "root": self.HUGE})
 
-    def test_cli_reads_cap_from_env(self, tmp_path, monkeypatch, no_build):
+    def test_cli_reads_cap_from_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("HYPERTRAFFIC_NODE_CAP", "100")
         gfile = tmp_path / "g.json"
         gfile.write_text(json.dumps({**PATH_DOC, "edges": [[0, self.HUGE]]}))
-        assert run("traffic", "--graph", str(gfile), "--beta", "1.5",
-                   "--out", str(tmp_path / "r.json")) == 3
         efile = tmp_path / "e.txt"
         efile.write_text(f"0 {self.HUGE}\n")
-        assert run("sweep", "--family", "edges", "--path", str(efile),
-                   "--beta-min", "1.1", "--beta-max", "1.5", "--steps", "2",
-                   "--depths", "1", "--r", "0", "--out", str(tmp_path / "s.csv")) == 3
+        commands = [
+            ("traffic", "--graph", str(gfile), "--beta", "1.5", "--out", str(tmp_path / "r.json")),
+            ("sweep", "--family", "edges", "--path", str(efile), "--beta-min", "1.1",
+             "--beta-max", "1.5", "--steps", "2", "--depths", "1", "--r", "0",
+             "--out", str(tmp_path / "s.csv")),
+        ]
+        for argv in commands:
+            tracemalloc.start()
+            try:
+                code = run(*argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 3
+            assert capsys.readouterr().err == f"error: node id {self.HUGE} exceeds node cap 100\n"
+            assert peak < 1 << 20
 
     def test_cap_is_a_node_count(self, monkeypatch):
         monkeypatch.setenv("HYPERTRAFFIC_NODE_CAP", "100")
@@ -718,9 +733,11 @@ class TestLoadedNodeCap:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    def test_node_count_checked_before_building(self, no_build):
+    def test_node_count_must_match_the_built_graph(self):
         with pytest.raises(MalformedEdge, match="claims 3 nodes but edges imply 2"):
             graph_from_json_dict({**PATH_DOC, "node_count": 3})
+        with pytest.raises(MalformedEdge, match="claims 1 nodes but edges imply 2"):
+            graph_from_json_dict({**PATH_DOC, "node_count": 1})
 
     # an unparsable cap fails every command, whatever its input would build
     BAD_CAP_COMMANDS = {
@@ -889,3 +906,37 @@ def test_cli_import_leaves_fractions_unloaded(tmp_path):
                             text=True, check=True).stdout
     assert stdout.splitlines()[-1] == "0 []"
     assert json.loads(out.read_text())["delta_four_point"] == 0.5
+
+
+def test_commands_leave_numpy_ma_unloaded(tmp_path):
+    """generate, analyze, traffic with loads, sweep and tree-oracle, run in
+    one child process, never import numpy.ma: a plain np.unique or
+    np.union1d would, about 10 ms of the start-up that dominates a small
+    run."""
+    edges = tmp_path / "c5.txt"
+    edges.write_text("0 1\n1 2\n2 3\n3 4\n4 0\n")
+    out = {name: str(tmp_path / name) for name in ("t.json", "e.json", "a.json", "r.json",
+                                                   "l.json", "s.csv", "o.csv")}
+    commands = [
+        ["generate", "--family", "tess", "--p", "5", "--q", "4", "--depth", "2",
+         "--out", out["t.json"]],
+        ["generate", "--family", "edges", "--path", str(edges), "--out", out["e.json"]],
+        ["analyze", "--graph", out["t.json"], "--out", out["a.json"]],
+        ["traffic", "--graph", out["e.json"], "--beta", "1.5", "--out", out["r.json"],
+         "--loads-out", out["l.json"]],
+        ["sweep", "--family", "tess", "--p", "5", "--q", "4", "--beta-min", "1.1",
+         "--beta-max", "1.5", "--steps", "2", "--depths", "1,2", "--r", "0",
+         "--out", out["s.csv"]],
+        ["tree-oracle", "--k", "2", "--beta", "2.0", "--n-max", "2", "--out", out["o.csv"]],
+    ]
+    src = str(Path(hypertraffic.__file__).resolve().parents[1])
+    code = (
+        "import sys, hypertraffic.cli\n"
+        f"codes = [hypertraffic.cli.main(argv) for argv in {commands!r}]\n"
+        "print(codes, 'numpy.ma' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    stdout = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True).stdout
+    assert stdout.splitlines()[-1] == f"{[0] * len(commands)} False"
+    assert all(Path(path).stat().st_size for path in out.values())

@@ -412,6 +412,15 @@ class TestMapAudit:
         with pytest.raises(CorruptMap):
             tmap.audit()
 
+    @pytest.mark.parametrize("table,value", [("nxt", 1 << 40), ("face", None), ("bnd_in", "x")])
+    def test_entry_that_does_not_convert_is_named(self, table, value):
+        # numpy's own OverflowError, TypeError and ValueError stay inside
+        tmap = _grown_map()
+        getattr(tmap, table)[0] = value
+        with pytest.raises(CorruptMap) as info:
+            tmap.audit()
+        assert str(info.value) == f"{table}[0] = {value!r} is not an int32 entry"
+
     def test_audit_raises_under_python_O(self):
         # python -O strips assert statements, so the audit must not use them
         src = Path(__file__).resolve().parents[1] / "src"

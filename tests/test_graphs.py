@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypertraffic.errors import (
     GraphTooLarge,
     MalformedEdge,
     NotAutomorphism,
+    SizeOverflow,
 )
 from hypertraffic.generators import gen_grid, gen_kary_tree, gen_tessellation, load_edge_list
 from hypertraffic.graphs import (
@@ -106,13 +108,17 @@ class TestBuildGraph:
         assert g.layers == tuple(
             tuple(v for v in range(n) if dist[v] == t) for t in range(max(dist) + 1)
         )
-        # node n is in no edge and n+1..n+3 form a second component: the
-        # message counts all four and names the smallest
-        extra = [(n + 1, n + 2), (n + 3, n + 1)]
+        # n..n+2 form a second component: the walk's message counts all
+        # three and names the smallest
         with pytest.raises(DisconnectedGraph) as info:
-            build_graph(edges + extra, root)
+            build_graph(edges + [(n, n + 1), (n + 2, n)], root)
+        assert str(info.value) == f"3 node(s) unreachable from root {root}, e.g. node {n}"
+        # node n is in no edge, a gap below n+3 the ids show before the walk
+        with pytest.raises(DisconnectedGraph) as info:
+            build_graph(edges + [(n + 1, n + 2), (n + 3, n + 1)], root)
         assert str(info.value) == (
-            f"4 node(s) unreachable from root {root}, e.g. node {n}"
+            f"1 node(s) below id {n + 3} are in no edge, so unreachable from root {root}, "
+            f"e.g. node {n}"
         )
 
 
@@ -196,6 +202,37 @@ class TestEdgeInputs:
         with pytest.raises(MalformedEdge, match=r"^edge 0 \[0, 1180591620717411303424\] is not a "
                            r"pair of integers; numpy reads them as object of shape \(1, 2\)$"):
             build_graph([(0, 1 << 70)], 0)
+
+    @pytest.mark.parametrize("as_array", [False, True], ids=["pairs", "int64"])
+    @pytest.mark.parametrize("edges,root,cap,error,message", [
+        ([(0, 2_000_000)], 0, None, DisconnectedGraph,
+         "1999999 node(s) below id 2000000 are in no edge, so unreachable from root 0, "
+         "e.g. node 1"),
+        ([(3, 1), (1, 5)], 1, None, DisconnectedGraph,
+         "3 node(s) below id 5 are in no edge, so unreachable from root 1, e.g. node 0"),
+        ([(0, 1)], 4, None, DisconnectedGraph,
+         "2 node(s) below id 4 are in no edge, so unreachable from root 4, e.g. node 2"),
+        ([(0, 10**9)], 0, "100", SizeOverflow, "node id 1000000000 exceeds node cap 100"),
+        ([], 10**9, "100", SizeOverflow, "node id 1000000000 exceeds node cap 100"),
+        ([(0, 1)], 100, "100", SizeOverflow, "node id 100 exceeds node cap 100"),
+    ], ids=["far-id", "gaps", "root-above", "cap-edge", "cap-root", "cap-exact"])
+    def test_ids_refused_before_allocating(self, monkeypatch, as_array, edges, root, cap,
+                                           error, message):
+        """Every caller meets the node cap and the id-gap check: build_graph
+        makes them on the edge array, before any per-node array."""
+        if cap is not None:
+            monkeypatch.setenv("HYPERTRAFFIC_NODE_CAP", cap)
+        if as_array:
+            edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(error) as info:
+                build_graph(edges, root)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == message
+        assert peak < 1 << 20
 
     def test_any_iterable_of_pairs(self):
         assert build_graph(iter(PATH3), 0) == build_graph(PATH3, 0)
