@@ -22,8 +22,7 @@ class SizeOverflow(HypertrafficError):
 
 
 class NotAutomorphism(HypertrafficError):
-    """A graph symmetry is not a root-fixing automorphism, or a tessellation
-    dart walk did not close into one."""
+    """A graph symmetry is not a root-fixing automorphism."""
 
 
 class CorruptMap(HypertrafficError):

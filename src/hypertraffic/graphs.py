@@ -168,10 +168,11 @@ def _int64_value(x) -> bool:
 def _edge_array(edges) -> np.ndarray:
     """edges as an (m, 2) int64 array, read with one np.asarray.
 
-    When numpy does not read them as integer pairs, MalformedEdge names the
-    first edge, as numpy read it, that is not a pair of int64 values; if
-    each is one, held as floats, it names none. A list and the array numpy
-    makes of it are thus refused alike.
+    When numpy does not read them as integer pairs that fit int64 (a uint64
+    id of 2^63 or more does not), MalformedEdge names the first edge, as
+    numpy read it, that is not a pair of int64 values; if each is one, held
+    as floats, it names none. A list and the array numpy makes of it are
+    thus refused alike.
     """
     if not isinstance(edges, np.ndarray):
         edges = list(edges)
@@ -182,7 +183,9 @@ def _edge_array(edges) -> np.ndarray:
     else:
         if arr.size == 0:
             return np.empty((0, 2), dtype=np.int64)
-        if arr.ndim == 2 and arr.shape[1] == 2 and arr.dtype.kind in "iu":
+        if arr.ndim == 2 and arr.shape[1] == 2 and (
+            arr.dtype.kind == "i" or arr.dtype.kind == "u" and arr.max() < 1 << 63
+        ):
             return arr.astype(np.int64, copy=False)
         rows, read_as = arr.tolist(), f"numpy reads them as {arr.dtype} of shape {arr.shape}"
     for i, e in enumerate(rows):

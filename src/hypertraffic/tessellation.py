@@ -2,8 +2,10 @@
 
 The complex is grown as a combinatorial disk: faces are always created as
 complete p-gons, the outer boundary is a single cycle, and a vertex leaves the
-boundary exactly when its wheel of q faces is complete. Twins are implicit:
-half-edge h pairs with h ^ 1.
+boundary exactly when its wheel of q faces is complete. The map stores each
+fact once, in org, nxt, adj and bnd_in: half-edge h pairs with h ^ 1, the rim
+is the nxt cycle of the half-edges bnd_in names, every other nxt cycle is a
+face, and the rim edge before rim half-edge h is bnd_in[org[h]].
 
 Face attachment is forced by the structure: when a face is glued onto a run of
 boundary edges, the run must extend through every vertex that already has q
@@ -23,11 +25,11 @@ symmetries as int64 arrays, relabelled in numpy.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, count
 
 import numpy as np
 
-from .errors import CorruptMap, NotAutomorphism, NotHyperbolic, SizeOverflow
+from .errors import CorruptMap, NotHyperbolic, SizeOverflow
 from .graphs import node_cap
 
 
@@ -40,12 +42,9 @@ class TessellationMap:
         self.q = q
         self.cap = node_cap()
         self.org = []     # half-edge -> origin vertex
-        self.nxt = []     # next half-edge around its face (outer cycle if face -1)
-        self.prv = []
-        self.face = []    # face id, -1 for the outer boundary
+        self.nxt = []     # next half-edge around its face, or along the rim
         self.adj = []     # vertex -> neighbours, in edge creation order
-        self.bnd_in = []  # vertex -> boundary half-edge pointing into it, -1 if interior
-        self.face_count = 0
+        self.bnd_in = []  # vertex -> rim half-edge pointing into it, -1 if interior
 
     @property
     def vertex_count(self):
@@ -65,24 +64,19 @@ class TessellationMap:
             self._new_vertex()
         for i in range(p):
             j, back = (i + 1) % p, (i - 1) % p
-            # edge i: half-edge 2i runs i -> j around face 0, 2i + 1 runs j -> i on the rim
+            # edge i: half-edge 2i runs i -> j around the first face, 2i + 1 runs j -> i on the rim
             self.org += (i, j)
             self.nxt += (2 * j, 2 * back + 1)
-            self.prv += (2 * back, 2 * j + 1)
-            self.face += (0, -1)
             self.adj[i].append(j)
             self.adj[j].append(i)
             self.bnd_in[i] = 2 * i + 1
-        self.face_count = 1
 
     def saturate(self, v):
         """Close faces around v until its wheel of q faces is complete: each
         face is one complete p-gon glued onto the outer side of the rim edge
         into v."""
         p, q = self.p, self.q
-        org, nxt, prv, face, adj, bnd_in = (
-            self.org, self.nxt, self.prv, self.face, self.adj, self.bnd_in
-        )
+        org, nxt, adj, bnd_in = self.org, self.nxt, self.adj, self.bnd_in
         while (h0 := bnd_in[v]) != -1:
             # the run of rim edges the face covers: from h0 on through every
             # vertex whose wheel is full, then back the same way
@@ -92,21 +86,15 @@ class TessellationMap:
                 last = nxt[last]
                 run.append(last)
             while len(run) < p and len(adj[org[start]]) >= q:
-                start = prv[start]
+                start = bnd_in[org[start]]
                 run.insert(0, start)
             length = len(run)
-            fid = self.face_count
-            self.face_count += 1
-            for h in run:
-                if face[h] != -1:
-                    raise CorruptMap(f"half-edge {h} of face {fid} already bounds face {face[h]}")
-                face[h] = fid
 
             a, b = org[start], org[last ^ 1]
             if length == p:
                 # face closes entirely along existing boundary edges
                 if a != b or nxt[last] != start:
-                    raise CorruptMap(f"the {p} rim edges of face {fid} do not close")
+                    raise CorruptMap(f"the {p} rim edges from half-edge {start} do not close")
                 for h in run:
                     bnd_in[org[h ^ 1]] = -1
                 continue
@@ -120,15 +108,12 @@ class TessellationMap:
             for _ in range(k - 1):
                 chain.append(self._new_vertex())
             chain.append(a)
-            h_prev, h_next = prv[start], nxt[last]
-            for table in (org, nxt, prv):
+            h_prev, h_next = bnd_in[a], nxt[last]
+            for table in (org, nxt):
                 table += ids  # placeholders, each overwritten below
             org[first::2], org[first + 1::2] = chain[:-1], chain[1:]
             nxt[first::2], nxt[first + 1::2] = ids[2::2] + [start], [h_next] + ids[1:-2:2]
-            prv[first::2], prv[first + 1::2] = [last] + ids[:-2:2], ids[3::2] + [h_prev]
-            face += [fid, -1] * k
-            nxt[last], prv[start] = ids[0], ids[-2]
-            nxt[h_prev], prv[h_next] = ids[-1], ids[1]
+            nxt[last], nxt[h_prev] = ids[0], ids[-1]
             u = b
             for w in chain[1:]:
                 adj[u].append(w)
@@ -141,45 +126,36 @@ class TessellationMap:
                 bnd_in[w] = o
 
     def root_symmetry(self, image, reflect, depths, depth):
-        """Vertex map of the root-fixing map automorphism taking dart 1 to `image`.
+        """Vertex map of the root-fixing map automorphism taking dart 1, from
+        vertex 1 into the root, to the dart `image`.
 
-        Dart 1 runs from vertex 1 into the root, and `image` must point into
-        the root too. A map automorphism is fixed by the image of one dart
-        (Weinberg's walk): turning to the next dart into the same vertex,
-        nxt[h] ^ 1, commutes with it, and a reflection turns the image the
-        other way, prv[h ^ 1]. Only vertices closer than `depth` are turned
-        around, since only their wheels are complete; every vertex of the
-        ball is a neighbor of one of them. `depths` may come from a bounded
-        BFS: a vertex it left unreached (-1) is not closer than `depth`.
-        Raises NotAutomorphism when the image darts do not close into
-        consistent wheels.
+        A map automorphism is fixed by the image of one dart (Weinberg's
+        walk): turning to the next dart into the same vertex, nxt[h] ^ 1,
+        commutes with it, and a reflection turns the image the other way.
+        Only vertices closer than `depth` are turned around, since only their
+        wheels are complete; every vertex of the ball is a neighbor of one of
+        them. `depths` may come from a bounded BFS: a vertex it left
+        unreached (-1) is not closer than `depth`. The walk checks nothing:
+        build_graph refuses the map unless it is a root-fixing automorphism
+        of the ball.
         """
-        org, nxt, prv = self.org, self.nxt, self.prv
-        if org[image ^ 1] != 0:
-            raise NotAutomorphism(f"dart {image} does not point into the root")
+        org, nxt, q = self.org, self.nxt, self.q
         vmap = [-1] * self.vertex_count
         vmap[0] = 0
         queue = [(1, image)]
-        for start in queue:  # the loop also visits the darts appended while it runs
-            h, g = start
-            for _ in range(self.q):
-                u, w = org[h], org[g]
+        for h, g in queue:  # the loop also visits the darts appended while it runs
+            turns = [g]
+            for _ in range(q - 1):
+                turns.append(nxt[turns[-1]] ^ 1)
+            if reflect:
+                turns[1:] = turns[:0:-1]
+            for t in turns:
+                u = org[h]
                 if vmap[u] < 0:
-                    vmap[u] = w
+                    vmap[u] = org[t]
                     if 0 <= depths[u] < depth:
-                        queue.append((h ^ 1, g ^ 1))
-                elif vmap[u] != w:
-                    raise NotAutomorphism(
-                        f"({self.p},{self.q}) dart walk sends vertex {u} to both "
-                        f"{vmap[u]} and {w}"
-                    )
+                        queue.append((h ^ 1, t ^ 1))
                 h = nxt[h] ^ 1
-                g = prv[g ^ 1] if reflect else nxt[g] ^ 1
-            if (h, g) != start:
-                raise NotAutomorphism(
-                    f"({self.p},{self.q}) dart walk does not close around vertex "
-                    f"{org[start[0] ^ 1]}"
-                )
         return vmap
 
     def audit(self):
@@ -193,76 +169,55 @@ class TessellationMap:
 
         def table(name, size, low, high):
             values = getattr(self, name)
-            try:
-                arr = np.fromiter(values, dtype=ids)
-            except (OverflowError, TypeError, ValueError):
-                fits = np.iinfo(ids)
-                i = next(i for i, x in enumerate(values)
-                         if not (isinstance(x, int) and fits.min <= x <= fits.max))
-                raise CorruptMap(
-                    f"{name}[{i}] = {values[i]!r} is not an {fits.dtype} entry"
-                ) from None
-            if arr.size != size:
-                raise CorruptMap(f"{name} has {arr.size} entries, not {size}")
-            bad = np.flatnonzero((arr < low) | (arr >= high))
-            if bad.size:
-                raise CorruptMap(f"{name}[{bad[0]}] = {arr[bad[0]]} is outside [{low}, {high})")
-            return arr
+            if len(values) != size:
+                raise CorruptMap(f"{name} has {len(values)} entries, not {size}")
+            return _int_array(values, low, high, (f"{name}[{i}]" for i in count())).astype(ids)
 
         org = table("org", n_half, 0, vertices)
         nxt = table("nxt", n_half, 0, n_half)
-        face = table("face", n_half, -1, self.face_count)
         bnd_in = table("bnd_in", vertices, -1, n_half)
-        h = np.arange(n_half, dtype=ids)
-        prv = table("prv", n_half, 0, n_half)
-        bad = np.flatnonzero((prv[nxt] != h) | (nxt[prv] != h))
+        hit = np.zeros(n_half, dtype=bool)
+        hit[nxt] = True
+        bad = np.flatnonzero(~hit)
         if bad.size:
-            raise CorruptMap(f"nxt and prv do not invert each other at half-edge {bad[0]}")
-        del prv  # freed early, like low and sides below: the map's peak memory caps its size
+            raise CorruptMap(f"nxt is not a permutation: no half-edge has nxt {bad[0]}")
+        h = np.arange(n_half, dtype=ids)
         head = org[h ^ 1]
         bad = np.flatnonzero(org[nxt] != head)
         if bad.size:
             raise CorruptMap(f"half-edge {nxt[bad[0]]} does not start where {bad[0]} ends")
 
-        # every face is one p-cycle of nxt under one id; the outer boundary,
-        # id -1, may split into cycles
-        bad = np.flatnonzero(face[nxt] != face)
+        # the rim: the half-edges bnd_in names, one into each vertex on it,
+        # closed under nxt into one cycle; every other cycle is a p-gon
+        on_rim = bnd_in >= 0
+        bad = np.flatnonzero(on_rim & (head[bnd_in] != np.arange(vertices)))
         if bad.size:
-            cycle = [int(bad[0])]
-            while (cur := self.nxt[cycle[-1]]) != cycle[0]:
-                cycle.append(cur)
-            raise CorruptMap(
-                f"the face of half-edge {min(cycle)} has face ids "
-                f"{sorted({self.face[x] for x in cycle})}"
-            )
-        inner = face >= 0
-        low = _cycle_min(np.where(inner, nxt, h))  # rim half-edges stay put
+            raise CorruptMap(f"bnd_in of vertex {bad[0]} is not a half-edge into it")
+        rim = np.zeros(n_half, dtype=bool)
+        rim[bnd_in[on_rim]] = True
+        bad = np.flatnonzero(rim & ~rim[nxt])
+        if bad.size:
+            raise CorruptMap(f"rim half-edge {bad[0]} is followed by unmarked half-edge {nxt[bad[0]]}")
+        low = _cycle_min(nxt)
+        first = low == h
+        rims = np.count_nonzero(first & rim)
+        if rims != 1:
+            raise CorruptMap(f"the rim is {rims} cycles, not one")
+        faces = np.count_nonzero(first) - 1
         sides = np.bincount(low, minlength=n_half)[low]
-        bad = np.flatnonzero(inner & (sides != p))
+        bad = np.flatnonzero(~rim & (sides != p))
         if bad.size:
             raise CorruptMap(f"the face of half-edge {low[bad[0]]} has {sides[bad[0]]} sides")
-        count = np.bincount(face[inner], minlength=self.face_count)
-        bad = np.flatnonzero(count != p)
-        if bad.size:
-            raise CorruptMap(f"face {bad[0]} has {count[bad[0]]} half-edges, not {p}")
-        del low, sides
+        del low, first, sides  # freed early: the map's peak memory caps its size
 
-        # rim vertices appear exactly once on the boundary; degrees within cap
+        # degrees within cap, full off the rim
         degree = np.fromiter(map(len, self.adj), dtype=np.int64, count=vertices)
-        on_rim = np.bincount(head[~inner], minlength=vertices)
-        if on_rim.max(initial=0) > 1:
-            raise CorruptMap("the rim passes through a vertex twice")
         bad = np.flatnonzero((degree < 1) | (degree > q))
         if bad.size:
             raise CorruptMap(f"vertex {bad[0]} has degree {degree[bad[0]]}")
-        interior = bnd_in < 0
-        bad = np.flatnonzero(interior & ((degree != q) | (on_rim > 0)))
+        bad = np.flatnonzero(~on_rim & (degree != q))
         if bad.size:
-            raise CorruptMap(f"vertex {bad[0]} is marked interior but lies on the rim")
-        into = (face[bnd_in] == -1) & (head[bnd_in] == np.arange(vertices))
-        bad = np.flatnonzero(~interior & ~into)
-        if bad.size:
-            raise CorruptMap(f"bnd_in of vertex {bad[0]} is not a rim half-edge into it")
+            raise CorruptMap(f"vertex {bad[0]} is marked interior but has degree {degree[bad[0]]}")
 
         # turning about a vertex, h -> nxt[h] ^ 1, keeps the head (checked
         # above): the half-edges into each vertex form one such cycle, and
@@ -270,15 +225,11 @@ class TessellationMap:
         cycles = np.bincount(head[_cycle_min(nxt ^ 1) == h], minlength=vertices)
         bad = np.flatnonzero(cycles != 1)
         if bad.size:
-            if cycles[bad[0]] == 0:
-                raise CorruptMap(f"vertex {bad[0]} has no half-edge into it")
-            raise CorruptMap(
-                f"the rotation about vertex {bad[0]} splits into {cycles[bad[0]]} cycles"
-            )
-        nbr = np.fromiter(chain.from_iterable(self.adj), dtype=np.int64, count=degree.sum())
-        bad = np.flatnonzero((nbr < 0) | (nbr >= vertices))
-        if bad.size:
-            raise CorruptMap(f"a neighbour list holds {nbr[bad[0]]}, which is no vertex")
+            raise CorruptMap(f"the half-edges into vertex {bad[0]} form {cycles[bad[0]]} rotations")
+        nbr = _int_array(
+            list(chain.from_iterable(self.adj)), 0, vertices,
+            (f"adj[{v}][{j}]" for v, row in enumerate(self.adj) for j in range(len(row))),
+        )
         bad = np.flatnonzero(np.bincount(head, minlength=vertices) != degree)
         if not bad.size:  # equal in-degrees, so both key lists group the same vertices
             keys = np.sort(head.astype(np.int64) * vertices + org)
@@ -290,9 +241,26 @@ class TessellationMap:
             )
 
         # Euler characteristic of a disk
-        if vertices - n_half // 2 + self.face_count != 1:
+        if vertices - n_half // 2 + faces != 1:
             raise CorruptMap("the map is not a disk: V - E + F != 1")
         return org
+
+
+def _int_array(values, low, high, labels):
+    """The list `values` as an int64 array if each entry is an int in [low,
+    high); else CorruptMap names the first that is not by its label, from
+    `labels` in the order of `values`. (np.fromiter would also read a float
+    or a numeric string as an int.)"""
+    try:
+        arr = np.array(values)
+    except ValueError:  # some entry is a sequence, so numpy reads no array
+        arr = np.array(values, dtype=object)
+    if arr.size and not (arr.shape == (len(values),) and arr.dtype.kind == "i"
+                         and low <= arr.min() and arr.max() < high):
+        label, x = next((label, x) for label, x in zip(labels, values)
+                        if not (isinstance(x, (int, np.integer)) and low <= x < high))
+        raise CorruptMap(f"{label} = {x!r} is not an int in [{low}, {high})")
+    return arr
 
 
 def _cycle_min(perm):
@@ -348,9 +316,7 @@ def build_ball(p: int, q: int, depth: int):
     order 2q. build_graph raises NotAutomorphism unless each is an
     automorphism of the ball. Saturates every vertex closer than `depth` to
     the root, audits the half-edge map, then truncates to the ball; the map,
-    larger than the ball, must fit under node_cap(). Each saturation round's
-    BFS stops at depth - 1 and the labelling BFS at `depth`, so of the
-    traversals only the audit reads the vertices past the ball.
+    larger than the ball, must fit under node_cap().
     """
     check_hyperbolic(p, q)
     tmap = TessellationMap(p, q)  # reads the cap, so a bad one fails at depth 0 too

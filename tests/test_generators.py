@@ -33,6 +33,7 @@ from hypertraffic.generators import (
 )
 from hypertraffic.graphs import (
     DEFAULT_NODE_CAP,
+    build_graph,
     four_point_delta,
     graph_from_json_dict,
     graph_to_json_dict,
@@ -135,8 +136,8 @@ class TestTessellation:
                 assert len(g.adjacency[v]) <= q
 
     def test_half_edge_audit_runs(self):
-        # the builder's own structural audit: faces are p-cycles, rim is
-        # simple, rotations close, Euler characteristic of a disk
+        # the builder's own structural audit: faces are p-cycles, the rim is
+        # one cycle, rotations close, Euler characteristic of a disk
         for p, q in [(5, 4), (4, 5), (7, 3), (3, 7)]:
             build_ball(p, q, 3)
 
@@ -240,25 +241,34 @@ class TestTessellation:
 
     def test_walk_that_does_not_close_raises(self):
         # saturating only the first face's corners leaves the map without
-        # the rotation symmetry at depth 1
+        # the rotation symmetry at depth 2: root_symmetry checks nothing, and
+        # build_graph refuses its vertex map, relabelled as build_ball does
         tmap = TessellationMap(5, 4)
         tmap.bootstrap()
         for v in range(5):
             tmap.saturate(v)
-        depths, _ = _bfs(tmap.adj, 0, len(tmap.adj))
+
+        def ball_with_symmetry(image, depth):
+            depths, ball = _bfs(tmap.adj, 0, depth)
+            label = np.full(tmap.vertex_count + 1, -1)  # label[-1] is -1
+            label[ball] = np.arange(len(ball))
+            ends = label[np.array(tmap.org).reshape(-1, 2)]
+            vmap = np.array(tmap.root_symmetry(image, False, depths, depth))
+            return build_graph(ends[(ends >= 0).all(axis=1)], 0, [label[vmap[ball]]])
+
         rotation = tmap.nxt[1] ^ 1
-        assert tmap.root_symmetry(rotation, False, depths, 1)[0] == 0
+        assert ball_with_symmetry(rotation, 1).symmetries[0][0] == 0
         with pytest.raises(NotAutomorphism):
-            tmap.root_symmetry(rotation, False, depths, 2)
-        with pytest.raises(NotAutomorphism, match="root"):
-            tmap.root_symmetry(0, False, depths, 1)  # dart 0 points away
+            ball_with_symmetry(rotation, 2)
+        with pytest.raises(NotAutomorphism, match="permutation"):
+            ball_with_symmetry(0, 1)  # dart 0 points away from the root
 
     def test_bootstrap_invariants(self):
         tmap = TessellationMap(5, 4)
         tmap.bootstrap()
         tmap.audit()
         assert tmap.vertex_count == 5
-        assert tmap.face_count == 1
+        assert tmap.bnd_in == [1, 3, 5, 7, 9]
 
 
 # a (5,4) map grown by saturating its first twelve vertices, as a script so
@@ -284,8 +294,6 @@ def _corrupt(tmap, table_name, seed):
     half_edges = range(len(tmap.org))
     table, values = {
         "nxt": (tmap.nxt, half_edges),
-        "prv": (tmap.prv, half_edges),
-        "face": (tmap.face, range(-1, tmap.face_count)),
         "org": (tmap.org, range(tmap.vertex_count)),
         "adj": (tmap.adj[rng.randrange(tmap.vertex_count)], range(tmap.vertex_count)),
         "bnd_in": (tmap.bnd_in, range(-1, len(tmap.org))),
@@ -295,7 +303,7 @@ def _corrupt(tmap, table_name, seed):
 
 
 def _rim_vertices(tmap):
-    return sorted(tmap.org[h ^ 1] for h in range(len(tmap.org)) if tmap.face[h] == -1)
+    return [v for v, h in enumerate(tmap.bnd_in) if h >= 0]
 
 
 def _merge(tmap, gone, kept):
@@ -305,87 +313,98 @@ def _merge(tmap, gone, kept):
     tmap.org[:] = [kept if v == gone else v for v in tmap.org]
 
 
-def _second_disk(tmap):
-    """Append a separate bootstrapped (5,4) pentagon to the map's tables."""
-    other = TessellationMap(5, 4)
-    other.bootstrap()
+def _append(tmap, other):
+    """Append the tables of map `other` to tmap's, as a second component."""
     vertices, half = tmap.vertex_count, len(tmap.org)
     tmap.org += [v + vertices for v in other.org]
     tmap.nxt += [h + half for h in other.nxt]
-    tmap.prv += [h + half for h in other.prv]
-    tmap.face += [f + tmap.face_count if f >= 0 else -1 for f in other.face]
     tmap.adj += [[w + vertices for w in a] for a in other.adj]
-    tmap.bnd_in += [h + half for h in other.bnd_in]
-    tmap.face_count += other.face_count
+    tmap.bnd_in += [h + half if h >= 0 else -1 for h in other.bnd_in]
 
 
-def _targeted(tmap, invariant):
-    """Break one invariant of the grown map; the message the audit must give."""
-    half = len(tmap.org)
+def _disk_beside_a_sphere():
+    """A (5,3) disk, one pentagon saturated about vertex 0, beside a closed
+    dodecahedron: every local invariant holds, but V - E + F is 1 + 2."""
+    sphere = TessellationMap(5, 3)
+    sphere.bootstrap()
+    for v in range(20):
+        sphere.saturate(v)
+    tmap = TessellationMap(5, 3)
+    tmap.bootstrap()
+    tmap.saturate(0)
+    _append(tmap, sphere)
+    return tmap
+
+
+def _targeted(invariant):
+    """A grown map with one invariant broken, and the message the audit must
+    give."""
+    tmap = _grown_map()
+    half, vertices = len(tmap.org), tmap.vertex_count
     rim = _rim_vertices(tmap)
-    inner_into = {tmap.org[h ^ 1]: h for h in range(half) if tmap.face[h] >= 0}
+    marked = set(tmap.bnd_in) - {-1}
+    inner_into = {tmap.org[h ^ 1]: h for h in range(half) if h not in marked}
     if invariant == "odd count":
         tmap.org.append(0)
-        return f"odd half-edge count {half + 1}"
+        return tmap, f"odd half-edge count {half + 1}"
     if invariant == "table size":
-        tmap.face.pop()
-        return f"face has {half - 1} entries, not {half}"
+        tmap.nxt.pop()
+        return tmap, f"nxt has {half - 1} entries, not {half}"
     if invariant == "range":
         tmap.nxt[3] = half
-        return f"nxt[3] = {half} is outside [0, {half})"
-    if invariant == "inverse":
-        tmap.prv[4], tmap.prv[6] = tmap.prv[6], tmap.prv[4]
-        return f"nxt and prv do not invert each other at half-edge {min(tmap.prv[4], tmap.prv[6])}"
+        return tmap, f"nxt[3] = {half} is not an int in [0, {half})"
+    if invariant == "permutation":
+        lost, tmap.nxt[3] = tmap.nxt[3], tmap.nxt[5]
+        return tmap, f"nxt is not a permutation: no half-edge has nxt {lost}"
     if invariant == "origins":
         h = 7
-        tmap.org[h] = next(v for v in range(tmap.vertex_count) if v != tmap.org[h])
-        first = min(tmap.prv[h], h ^ 1)
-        return f"half-edge {tmap.nxt[first]} does not start where {first} ends"
-    if invariant == "face ids":
-        tmap.face[0] = -1
-        return "the face of half-edge 0 has face ids [-1, 0]"
+        tmap.org[h] = next(v for v in range(vertices) if v != tmap.org[h])
+        first = min(tmap.nxt.index(h), h ^ 1)
+        return tmap, f"half-edge {tmap.nxt[first]} does not start where {first} ends"
+    if invariant == "rim half-edge":
+        tmap.bnd_in[rim[0]] ^= 1
+        return tmap, f"bnd_in of vertex {rim[0]} is not a half-edge into it"
+    if invariant == "rim closed":
+        tmap.bnd_in[rim[0]] = inner_into[rim[0]]
+        marked = set(tmap.bnd_in) - {-1}
+        first = min(h for h in marked if tmap.nxt[h] not in marked)
+        return tmap, f"rim half-edge {first} is followed by unmarked half-edge {tmap.nxt[first]}"
+    if invariant == "one rim":  # a second, separate pentagon
+        other = TessellationMap(5, 4)
+        other.bootstrap()
+        _append(tmap, other)
+        return tmap, "the rim is 2 cycles, not one"
     if invariant == "sides":
         tmap.p = 6
-        return "the face of half-edge 0 has 5 sides"
-    if invariant == "faces per id":
-        tmap.face_count += 1
-        return f"face {tmap.face_count - 1} has 0 half-edges, not 5"
-    if invariant == "simple rim":
-        a, b = rim[0], next(v for v in rim[1:] if v not in tmap.adj[rim[0]])
-        _merge(tmap, b, a)
-        return "the rim passes through a vertex twice"
+        return tmap, "the face of half-edge 0 has 5 sides"
     if invariant == "degree":
         tmap.adj[0].append(rim[0])
-        return "vertex 0 has degree 5"
-    if invariant == "interior mark":
-        tmap.bnd_in[rim[0]] = -1
-        return f"vertex {rim[0]} is marked interior but lies on the rim"
-    if invariant == "rim half-edge":
-        tmap.bnd_in[rim[0]] = inner_into[rim[0]]
-        return f"bnd_in of vertex {rim[0]} is not a rim half-edge into it"
-    if invariant == "one rotation":  # vertices 0..11 are interior
+        return tmap, "vertex 0 has degree 5"
+    if invariant == "interior mark":  # vertices 0..11 are interior
+        tmap.adj[0].pop()
+        return tmap, "vertex 0 is marked interior but has degree 3"
+    if invariant == "one rotation":
         far = next(v for v in range(12) if v not in tmap.adj[0] and v != 0)
         _merge(tmap, far, 0)
-        return "the rotation about vertex 0 splits into 2 cycles"
+        return tmap, "the half-edges into vertex 0 form 2 rotations"
     if invariant == "into every vertex":
         far = next(v for v in range(12) if v not in tmap.adj[0] and v != 0)
         _merge(tmap, 0, far)
-        return "vertex 0 has no half-edge into it"
+        return tmap, "the half-edges into vertex 0 form 0 rotations"
     if invariant == "neighbour ids":
-        tmap.adj[5][0] = tmap.vertex_count
-        return f"a neighbour list holds {tmap.vertex_count}, which is no vertex"
+        tmap.adj[5][0] = vertices
+        return tmap, f"adj[5][0] = {vertices} is not an int in [0, {vertices})"
     if invariant == "neighbour lists":
-        tmap.adj[0][0] = next(v for v in range(tmap.vertex_count) if v not in tmap.adj[0])
-        return "the rotation about vertex 0 disagrees with its neighbour list"
+        tmap.adj[0][0] = next(v for v in range(vertices) if v not in tmap.adj[0])
+        return tmap, "the rotation about vertex 0 disagrees with its neighbour list"
     if invariant == "disk":
-        _second_disk(tmap)
-        return "the map is not a disk: V - E + F != 1"
+        return _disk_beside_a_sphere(), "the map is not a disk: V - E + F != 1"
     raise ValueError(invariant)
 
 
 INVARIANTS = [
-    "odd count", "table size", "range", "inverse", "origins", "face ids", "sides",
-    "faces per id", "simple rim", "degree", "interior mark", "rim half-edge", "one rotation",
+    "odd count", "table size", "range", "permutation", "origins", "rim half-edge",
+    "rim closed", "one rim", "sides", "degree", "interior mark", "one rotation",
     "into every vertex", "neighbour ids", "neighbour lists", "disk",
 ]
 
@@ -398,35 +417,39 @@ class TestMapAudit:
 
     @pytest.mark.parametrize("invariant", INVARIANTS)
     def test_each_invariant_has_its_message(self, invariant):
-        tmap = _grown_map()
-        message = _targeted(tmap, invariant)
+        tmap, message = _targeted(invariant)
         with pytest.raises(CorruptMap) as info:
             tmap.audit()
         assert str(info.value) == message
 
-    @pytest.mark.parametrize("seed", range(8))
-    @pytest.mark.parametrize("table", ["nxt", "prv", "face", "org", "adj", "bnd_in"])
+    @pytest.mark.parametrize("seed", range(32))
+    @pytest.mark.parametrize("table", ["nxt", "org", "adj", "bnd_in"])
     def test_one_corrupted_entry_raises(self, table, seed):
         tmap = _grown_map()
         _corrupt(tmap, table, seed)
         with pytest.raises(CorruptMap):
             tmap.audit()
 
-    @pytest.mark.parametrize("table,value", [("nxt", 1 << 40), ("face", None), ("bnd_in", "x")])
+    @pytest.mark.parametrize("table,value", [
+        ("nxt", 1 << 40), ("org", None), ("bnd_in", "x"), ("org", "2"), ("nxt", 2.0),
+        ("adj", None), ("adj", 1.0),
+    ])
     def test_entry_that_does_not_convert_is_named(self, table, value):
-        # numpy's own OverflowError, TypeError and ValueError stay inside
+        # numpy would read 1 << 40 as int64, "2" and 2.0 as 2, and raise its
+        # own error on None and "x"; the audit names each entry instead
         tmap = _grown_map()
-        getattr(tmap, table)[0] = value
+        row, where = (tmap.adj[1], "adj[1]") if table == "adj" else (getattr(tmap, table), table)
+        row[0] = value
         with pytest.raises(CorruptMap) as info:
             tmap.audit()
-        assert str(info.value) == f"{table}[0] = {value!r} is not an int32 entry"
+        assert str(info.value).startswith(f"{where}[0] = {value!r} is not an int in [")
 
     def test_audit_raises_under_python_O(self):
         # python -O strips assert statements, so the audit must not use them
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
         script = GROW_MAP + textwrap.dedent("""
-            tmap.face[0] = 1  # half-edge 0 bounds face 0
+            tmap.nxt[0] = tmap.nxt[1]  # two half-edges have one successor
             tmap.audit()
         """)
         proc = subprocess.run(
@@ -441,12 +464,12 @@ class TestMapAudit:
 
         def corrupted(tmap):
             bootstrap(tmap)
-            tmap.face[0] = -1
+            tmap.nxt[0] = 0  # inside the first face, which saturation never reads
 
         monkeypatch.setattr(tessellation.TessellationMap, "bootstrap", corrupted)
         assert main(["generate", "--family", "tess", "--p", "5", "--q", "4",
                      "--depth", "2", "--out", str(tmp_path / "g.json")]) == 3
-        assert "face ids [-1, 0]" in capsys.readouterr().err
+        assert "nxt is not a permutation: no half-edge has nxt 2" in capsys.readouterr().err
 
 
 class TestGrid:
@@ -576,14 +599,22 @@ class TestNodeCap:
     def test_default_cap_fits_in_2_gib(self):
         # the peak bytes per node of a build, measured on small graphs: the
         # default cap times the dearer of the two must stay under 2 GiB
-        def per_node(build):
-            tracemalloc.start()
-            try:
-                g = build()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            return peak / g.node_count
-
-        worst = max(per_node(lambda: gen_grid(101)), per_node(lambda: gen_tessellation(5, 4, 8)))
+        worst = max(_peak_per_node(lambda: gen_grid(101)),
+                    _peak_per_node(lambda: gen_tessellation(5, 4, 8)))
         assert DEFAULT_NODE_CAP * worst <= 2 << 30
+
+    def test_tessellation_map_stores_each_fact_once(self):
+        # with org, nxt, adj and bnd_in only, the (5,4) d=8 build peaks near
+        # 780 B per ball node; predecessor and face-id tables took it to 920
+        assert _peak_per_node(lambda: gen_tessellation(5, 4, 8)) < 850
+
+
+def _peak_per_node(build):
+    """Peak traced bytes while `build()` runs, per node of the graph it returns."""
+    tracemalloc.start()
+    try:
+        g = build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / g.node_count

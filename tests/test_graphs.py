@@ -202,6 +202,10 @@ class TestEdgeInputs:
         with pytest.raises(MalformedEdge, match=r"^edge 0 \[0, 1180591620717411303424\] is not a "
                            r"pair of integers; numpy reads them as object of shape \(1, 2\)$"):
             build_graph([(0, 1 << 70)], 0)
+        # a uint64 id past int64 is refused like the list holding it, not wrapped
+        with pytest.raises(MalformedEdge, match=r"^edge 0 \[0, 9223372036854775808\] is not a "
+                           r"pair of integers; numpy reads them as uint64 of shape \(1, 2\)$"):
+            build_graph(np.array([(0, 1 << 63)], dtype=np.uint64), 0)
 
     @pytest.mark.parametrize("as_array", [False, True], ids=["pairs", "int64"])
     @pytest.mark.parametrize("edges,root,cap,error,message", [
