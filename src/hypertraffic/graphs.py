@@ -33,7 +33,8 @@ class Graph:
     """Simple connected graph rooted at `root`, layered by BFS depth.
 
     adjacency[v] is sorted ascending; csr = (degree, indptr, indices) holds
-    it as read-only int64 arrays. layers[t] lists the nodes at depth t,
+    it as read-only int64 arrays, and pages = (page, more) as the neighbour
+    pages _walk reads (see _pages). layers[t] lists the nodes at depth t,
     ascending. symmetries holds read-only int64 permutations of the node
     ids, each checked by _check_symmetry to be an automorphism fixing the
     root: generators supply those they know, the loaders those
@@ -47,6 +48,7 @@ class Graph:
     depth: tuple[int, ...]
     layers: tuple[tuple[int, ...], ...]
     csr: tuple[np.ndarray, np.ndarray, np.ndarray] = field(compare=False, repr=False)
+    pages: tuple[np.ndarray, np.ndarray] = field(compare=False, repr=False)
     symmetries: tuple[np.ndarray, ...] = field(default=(), compare=False)
 
     @property
@@ -94,14 +96,52 @@ def _csr(keys: np.ndarray, n: int) -> tuple:
     return arrays
 
 
-def _walk(csr, sources: np.ndarray, reach: int):
-    """Level-synchronous BFS over the CSR arrays (degree, indptr, indices)
-    from every source in a batch at once, out to distance `reach`; the one
-    traversal of a Graph.
+def _pages(csr) -> tuple:
+    """(page, more): the CSR (degree, indptr, indices) as neighbour pages,
+    read-only int64 arrays, the ELL/HYB layout of Bell & Garland (SC 2009).
+
+    page has one row of width W per page. Row v is node v's first page and
+    holds its first W neighbours in adjacency order; a node with more than
+    W neighbours continues on its overflow pages, rows more[v] to
+    more[v + 1] - 1, all at or after row n. A node's own id pads the empty
+    slots of its pages. W is the largest degree, capped at 4 times the mean
+    (degree + 1), so a graph without hubs has no overflow pages, and for m
+    directed edges first pages hold under 4 (m + n) + n entries and
+    overflow pages at most m.
+    """
+    degree, indptr, indices = csr
+    n = degree.size
+    width = max(1, min(int(degree.max(initial=0)), -(-4 * (indices.size + n) // n)))
+    more = np.full(n + 1, n, dtype=np.int64)
+    np.cumsum(np.maximum(degree - 1, 0) // width, out=more[1:])
+    more[1:] += n
+    node = np.arange(n, dtype=np.int64)
+    owner = np.concatenate([node, np.repeat(node, np.diff(more))])
+    page = np.repeat(owner, width).reshape(owner.size, width)
+    # neighbour k of v lands at flat position v W + k while k < W, and at
+    # (more[v] - 1) W + k on v's overflow pages
+    pos = np.arange(indices.size, dtype=np.int64) + np.repeat(node * width - indptr[:-1], degree)
+    if owner.size > n:
+        over = pos >= np.repeat((node + 1) * width, degree)
+        pos[over] += np.repeat((more[:-1] - 1 - node) * width, degree)[over]
+    page.flat[pos] = indices
+    for arr in (page, more):
+        arr.flags.writeable = False
+    return page, more
+
+
+def _walk(pages, sources: np.ndarray, reach: int):
+    """Level-synchronous BFS over the neighbour pages (page, more) of
+    _pages from every source in a batch at once, out to distance `reach`;
+    the one traversal of a Graph.
 
     Row r of the batch walks from sources[r]; its state for node v sits at
     slot r * n + v of flat arrays, so one numpy call serves the whole batch
-    while the frontier stays sparse.
+    while the frontier stays sparse. A level gathers each frontier node's
+    first page, shifted to its row's slots, and keeps the slots not yet
+    reached; a padded slot is the node's own, reached already. Only a graph
+    with overflow pages reads them, for the frontier nodes that have any,
+    and then stable-sorts the level's edges by source.
 
     Returns (dist, levels): dist per slot (-1 if not reached) and, per
     level t >= 1, (below, src, tgt). below are the level t-1 slots that
@@ -110,8 +150,10 @@ def _walk(csr, sources: np.ndarray, reach: int):
     next level's below. Edges are listed by source slot, then in adjacency
     order.
     """
-    degree, indptr, indices = csr
-    n = degree.size
+    page, more = pages
+    n = more.size - 1
+    width = page.shape[1]
+    overflow = page.shape[0] > n
     dist = np.full(sources.size * n, -1, dtype=np.int64)
     frontier = np.arange(sources.size, dtype=np.int64) * n + sources
     dist[frontier] = 0
@@ -119,14 +161,28 @@ def _walk(csr, sources: np.ndarray, reach: int):
     level = 0
     while frontier.size and level < reach:
         node = frontier % n
-        lens = degree[node]
-        src = np.repeat(np.arange(frontier.size, dtype=np.int64), lens)
-        offset = indptr[node] - (np.cumsum(lens) - lens)
-        pos = np.arange(src.size, dtype=np.int64) + offset[src]
-        nbr = indices[pos] + (frontier - node)[src]
-        fresh = dist[nbr] < 0
-        tgt = nbr[fresh]
-        src = src[fresh]
+        base = frontier - node
+        nbr = page[node]
+        nbr += base[:, None]
+        index = np.flatnonzero(dist[nbr] < 0)
+        tgt = nbr.ravel()[index]
+        src = index // width
+        if overflow:
+            first, last = more[node], more[node + 1]
+            (has,) = np.nonzero(last > first)
+            if has.size:
+                count = (last - first)[has]
+                owner = np.repeat(has, count)
+                row = np.arange(owner.size, dtype=np.int64) + np.repeat(
+                    first[has] - (np.cumsum(count) - count), count
+                )
+                nbr = page[row]
+                nbr += base[owner][:, None]
+                index = np.flatnonzero(dist[nbr] < 0)
+                src = np.concatenate([src, owner[index // width]])
+                order = np.argsort(src, kind="stable")
+                src = src[order]
+                tgt = np.concatenate([tgt, nbr.ravel()[index]])[order]
         level += 1
         dist[tgt] = level
         levels.append((frontier, src, tgt))
@@ -207,6 +263,9 @@ def build_graph(edges, root, symmetries=()) -> Graph:
     the root; so does any other node the walk from the root misses. Each
     of `symmetries` must be a permutation of the node ids that fixes the
     root and maps edges onto edges, else NotAutomorphism is raised.
+
+    The graph carries its CSR and the neighbour pages _pages derives from
+    it, and is layered by one _walk from the root over those pages.
     """
     if not isinstance(root, int) or root < 0:
         raise MalformedEdge(f"root {root!r} is not a non-negative integer")
@@ -237,7 +296,8 @@ def build_graph(edges, root, symmetries=()) -> Graph:
     flat, ends = csr[2].tolist(), csr[1].tolist()
     adjacency = tuple(tuple(flat[a:b]) for a, b in zip(ends, ends[1:]))
 
-    dist, levels = _walk(csr, np.array([root]), n)  # no path is n hops long
+    pages = _pages(csr)
+    dist, levels = _walk(pages, np.array([root]), n)  # no path is n hops long
     missing = np.flatnonzero(dist < 0)
     if missing.size:
         raise DisconnectedGraph(
@@ -250,6 +310,7 @@ def build_graph(edges, root, symmetries=()) -> Graph:
         depth=tuple(dist.tolist()),
         layers=tuple(tuple(below.tolist()) for below, _, _ in levels),
         csr=csr,
+        pages=pages,
     )
     return replace(g, symmetries=tuple(_check_symmetry(s, g) for s in symmetries))
 
@@ -488,7 +549,7 @@ def four_point_delta(g: Graph, cap: int = FOUR_POINT_CAP) -> float:
     if n > cap:
         raise GraphTooLarge(f"{n} nodes exceeds four-point cap {cap}")
     # one batched walk from every node, out to n hops, which no path reaches
-    d = _walk(g.csr, np.arange(n), n)[0].reshape(n, n).astype(np.int32)
+    d = _walk(g.pages, np.arange(n), n)[0].reshape(n, n).astype(np.int32)
     reps = np.flatnonzero(_orbit_labels(n, g.symmetries) == np.arange(n)).tolist()
     best = 0
     for x in reps:

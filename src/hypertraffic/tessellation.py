@@ -211,6 +211,9 @@ class TessellationMap:
         del low, first, sides  # freed early: the map's peak memory caps its size
 
         # degrees within cap, full off the rim
+        if set(map(type, self.adj)) - {list}:
+            v, row = next((v, row) for v, row in enumerate(self.adj) if type(row) is not list)
+            raise CorruptMap(f"adj[{v}] = {row!r} is not a list of neighbours")
         degree = np.fromiter(map(len, self.adj), dtype=np.int64, count=vertices)
         bad = np.flatnonzero((degree < 1) | (degree > q))
         if bad.size:

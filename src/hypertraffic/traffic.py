@@ -4,9 +4,11 @@ All pair sums are ordered and include the diagonal. Geometry (distances,
 geodesic counts, minimum depth over geodesics) is computed once per source
 from the levels of graphs._walk, the package's one BFS over a Graph, into an
 integer census over (distance, h) pairs; T and T_r are a pure function of the
-census and a per-distance table of the rate. Every walk from a source on S_n
-stops at distance 2n, since any two nodes of S_n are joined through the
-root: no pair is farther apart.
+census and a per-distance table of the rate. _walk reads each level's
+neighbours from the Graph's fixed-width neighbour pages (graphs._pages), and
+lists its BFS-DAG edges by source, then in adjacency order, whatever the
+page layout. Every walk from a source on S_n stops at distance 2n, since any
+two nodes of S_n are joined through the root: no pair is farther apart.
 
 The census and the node loads walk one source per orbit of the graph's
 checked root-fixing symmetries (the dihedral group about the root for
@@ -118,14 +120,14 @@ def _walks(g: Graph, boundary: np.ndarray, label: np.ndarray, reach: int):
 
     Yields (sources, orbit_size, dist, levels) per batch: the batch's
     sources, the size of each source's boundary orbit, and graphs._walk's
-    (dist, levels) on g.csr out to distance `reach`.
+    (dist, levels) on g.pages out to distance `reach`.
     """
     orbit_size = np.bincount(label[boundary], minlength=g.node_count)
     reps = np.flatnonzero(orbit_size)
     size = max(1, _BATCH_SLOTS // g.node_count)
     for i in range(0, reps.size, size):
         sources = reps[i : i + size]
-        yield (sources, orbit_size[sources], *_walk(g.csr, sources, reach))
+        yield (sources, orbit_size[sources], *_walk(g.pages, sources, reach))
 
 
 def pair_census(g: Graph, n: int) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 Everything here recomputes from first principles (no shared code paths with
 the engine beyond the Graph container and its error types): Floyd-Warshall
-distances, explicit enumeration of every geodesic path, traffic/load
+distances, a batched walk over CSR ranges, explicit enumeration of every geodesic path, traffic/load
 accumulation path by path with equal splitting, exact geodesic fields in
 Python integers, exact Brandes loads in fractions, Gromov products, the
 slim-triangle delta, the k-ary tree closed forms (distance counts, the root
@@ -42,6 +42,34 @@ def floyd_warshall(g):
                 if alt < row[j]:
                     row[j] = alt
     return d
+
+
+def csr_walk(csr, sources, reach):
+    """The batched level-synchronous BFS graphs._walk computes, listing each
+    frontier node's neighbours through its CSR range (degree, indptr,
+    indices): (dist, levels) with dist per slot r * n + v for source r, -1
+    where not reached, and per level (below, src, tgt) with edges by source
+    slot, then in adjacency order."""
+    degree, indptr, indices = csr
+    n = degree.size
+    dist = np.full(sources.size * n, -1, dtype=np.int64)
+    frontier = np.arange(sources.size, dtype=np.int64) * n + sources
+    dist[frontier] = 0
+    levels = []
+    level = 0
+    while frontier.size and level < reach:
+        node = frontier % n
+        lens = degree[node]
+        src = np.repeat(np.arange(frontier.size, dtype=np.int64), lens)
+        offset = indptr[node] - (np.cumsum(lens) - lens)
+        pos = np.arange(src.size, dtype=np.int64) + offset[src]
+        nbr = indices[pos] + (frontier - node)[src]
+        fresh = dist[nbr] < 0
+        level += 1
+        dist[nbr[fresh]] = level
+        levels.append((frontier, src[fresh], nbr[fresh]))
+        frontier = np.flatnonzero(dist == level)
+    return dist, levels
 
 
 def bfs_dist(g, source):

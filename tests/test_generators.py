@@ -432,17 +432,23 @@ class TestMapAudit:
 
     @pytest.mark.parametrize("table,value", [
         ("nxt", 1 << 40), ("org", None), ("bnd_in", "x"), ("org", "2"), ("nxt", 2.0),
-        ("adj", None), ("adj", 1.0),
+        ("adj", None), ("adj", 1.0), ("adj-row", None), ("adj-row", 5),
     ])
     def test_entry_that_does_not_convert_is_named(self, table, value):
         # numpy would read 1 << 40 as int64, "2" and 2.0 as 2, and raise its
-        # own error on None and "x"; the audit names each entry instead
+        # own error on None and "x"; len() raises on a row that is not a
+        # list; the audit names each entry instead
         tmap = _grown_map()
-        row, where = (tmap.adj[1], "adj[1]") if table == "adj" else (getattr(tmap, table), table)
-        row[0] = value
+        if table == "adj-row":
+            tmap.adj[3] = value
+            message = f"adj[3] = {value!r} is not a list of neighbours"
+        else:
+            row, where = (tmap.adj[1], "adj[1]") if table == "adj" else (getattr(tmap, table), table)
+            row[0] = value
+            message = f"{where}[0] = {value!r} is not an int in ["
         with pytest.raises(CorruptMap) as info:
             tmap.audit()
-        assert str(info.value).startswith(f"{where}[0] = {value!r} is not an int in [")
+        assert str(info.value).startswith(message)
 
     def test_audit_raises_under_python_O(self):
         # python -O strips assert statements, so the audit must not use them

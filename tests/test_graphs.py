@@ -27,7 +27,8 @@ from hypertraffic.graphs import (
 )
 from hypertraffic.tessellation import _bfs
 from hypertraffic.traffic import pair_census
-from oracles import bfs_dist, floyd_warshall, gromov_product, slim_delta_exact
+from oracles import bfs_dist, csr_walk, floyd_warshall, gromov_product, slim_delta_exact
+from test_traffic import diamond_chain
 
 PATH3 = [(0, 1), (1, 2)]
 CYCLE4 = [(0, 1), (1, 2), (2, 3), (3, 0)]
@@ -313,7 +314,7 @@ class TestSymmetries:
 
 def engine_dist(g, source):
     """Distances from graphs._walk, the package's one BFS over a Graph."""
-    return _walk(g.csr, np.array([source]), g.node_count)[0].tolist()
+    return _walk(g.pages, np.array([source]), g.node_count)[0].tolist()
 
 
 class TestDistances:
@@ -374,6 +375,67 @@ class TestDistances:
             # it reads no neighbour list of a node at or past the bound
             lists = [adjacency[v] if 0 <= dist[v] < bound else None for v in range(n)]
             assert _bfs(lists, source, bound) == (near, prefix)
+
+
+def hub_graph(seed, n=240):
+    """A random tree plus random chords, one node of which joins a third of
+    the others."""
+    rng = random.Random(seed)
+    hub = rng.randrange(n)
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    edges += [(hub, v) for v in rng.sample(range(n), n // 3) if v != hub]
+    edges += [(u, v) for u, v in ((rng.randrange(n), rng.randrange(n)) for _ in range(n)) if u != v]
+    return build_graph(edges, rng.randrange(n))
+
+
+# (graph, whether it has overflow pages)
+WALK_GRAPHS = {
+    "star": (lambda: build_graph([(0, v) for v in range(1, 20001)], 0), True),
+    "diamond_chain": (diamond_chain, False),
+    **{f"hub-{seed}": (lambda seed=seed: hub_graph(seed), True) for seed in range(6)},
+    "tree-3-4": (lambda: gen_kary_tree(3, 4), False),
+    "tree-2-6": (lambda: gen_kary_tree(2, 6), False),
+    "grid-9": (lambda: gen_grid(9), False),
+    "ball-5-4-5": (lambda: gen_tessellation(5, 4, 5), False),
+    "ball-3-7-4": (lambda: gen_tessellation(3, 7, 4), False),
+}
+
+
+class TestPagedWalk:
+    @pytest.mark.parametrize("name", WALK_GRAPHS)
+    def test_walk_equals_csr_walk(self, name):
+        # the paged walk lists the same levels, edge for edge, as the CSR
+        # range expansion, for one source, an uneven split and all sources
+        build, overflow = WALK_GRAPHS[name]
+        g = build()
+        n = g.node_count
+        page, more = g.pages
+        assert not (page.flags.writeable or more.flags.writeable)
+        # a graph without hubs has one page per node, as wide as its largest degree
+        assert (page.shape != (n, g.csr[0].max())) == overflow
+        every = np.arange(n)[:: max(1, n * n >> 18)]  # at most 2^18 slots a batch
+        batches = [np.array([g.root]), np.array([n - 1]), *np.split(every, [1, 1 + every.size // 3])]
+        expanded = 0  # frontier nodes read past their first page
+        for sources in batches:
+            dist, levels = _walk(g.pages, sources, n)
+            want_dist, want_levels = csr_walk(g.csr, sources, n)
+            assert np.array_equal(dist, want_dist)
+            assert len(levels) == len(want_levels)
+            for got, want in zip(levels, want_levels):
+                assert all(np.array_equal(a, b) for a, b in zip(got, want))
+                node = got[0] % n
+                expanded += np.count_nonzero(more[node + 1] > more[node])
+        assert (expanded > 0) == overflow
+
+    def test_star_pages_are_linear(self):
+        # one 20,000-neighbour hub: a table as wide as the largest degree
+        # would hold 20,001 x 20,000 entries. First pages take under
+        # 4 (m + n) + n entries and overflow pages at most m, for m directed
+        # edges, and `more` n + 1
+        g = WALK_GRAPHS["star"][0]()
+        page, more = g.pages
+        entries = g.csr[2].size + 2 * g.node_count
+        assert page.shape[1] == 12 and page.size + more.size <= 6 * entries
 
 
 class TestGromovProduct:
