@@ -135,6 +135,8 @@ def cmd_analyze(args):
 
 
 def cmd_traffic(args):
+    if args.include_endpoints and not args.loads_out:
+        raise HypertrafficError("--include-endpoints needs --loads-out: it changes only the loads")
     rate = _rate_from_args(args)
     traffic.check_epsilon(args.epsilon)
     g = _load_graph(args.graph)
@@ -156,12 +158,10 @@ def cmd_traffic(args):
         line += f"  T_{args.r}/T {report.ratio(args.r):.6f}"
     print(line)
     if args.loads_out:
-        loads = traffic.node_loads(
-            g, rate, n, include_endpoints=args.include_endpoints
-        )
+        loads = traffic.node_loads(g, rate, n, include_endpoints=args.include_endpoints)
         rows = [
-            f"{v},{g.depth[v]},{serialize.fmt_float(loads[v])}"
-            for v in range(g.node_count)
+            f"{v},{d},{serialize.fmt_float(x)}"
+            for v, (d, x) in enumerate(zip(g.depth.tolist(), loads))
         ]
         serialize.write_text(args.loads_out, serialize.csv_lines("node,depth,load", rows))
     return 0

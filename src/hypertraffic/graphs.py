@@ -28,28 +28,33 @@ _SEARCH_BUDGET = 1 << 25  # node+edge visits a symmetry search may spend
 _MATCH_PASSES = 16  # a match and its check, in Python, priced as refinement rounds
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Simple connected graph rooted at `root`, layered by BFS depth.
+    """Simple connected graph rooted at `root`, held in read-only int64 arrays.
 
-    adjacency[v] is sorted ascending; csr = (degree, indptr, indices) holds
-    it as read-only int64 arrays, and pages = (page, more) as the neighbour
-    pages _walk reads (see _pages). layers[t] lists the nodes at depth t,
-    ascending. symmetries holds read-only int64 permutations of the node
-    ids, each checked by _check_symmetry to be an automorphism fixing the
-    root: generators supply those they know, the loaders those
-    find_symmetries verifies, and graphs built directly carry none.
-    Instances are immutable.
+    csr = (degree, indptr, indices) lists each node's neighbours ascending,
+    pages = (page, more) as the neighbour pages _walk reads (see _pages);
+    adjacency slices the CSR into lists on each read. depth[v] is v's BFS
+    depth and layers[t] the nodes at depth t, ascending. symmetries holds
+    permutations of the node ids, each checked by _check_symmetry to be an
+    automorphism fixing the root: generators supply those they know, the
+    loaders those find_symmetries verifies, and graphs built directly carry
+    none. Instances are immutable and compare by identity.
     """
 
     node_count: int
-    adjacency: tuple[tuple[int, ...], ...]
     root: int
-    depth: tuple[int, ...]
-    layers: tuple[tuple[int, ...], ...]
-    csr: tuple[np.ndarray, np.ndarray, np.ndarray] = field(compare=False, repr=False)
-    pages: tuple[np.ndarray, np.ndarray] = field(compare=False, repr=False)
-    symmetries: tuple[np.ndarray, ...] = field(default=(), compare=False)
+    depth: np.ndarray
+    layers: tuple[np.ndarray, ...]
+    csr: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
+    pages: tuple[np.ndarray, np.ndarray] = field(repr=False)
+    symmetries: tuple[np.ndarray, ...] = ()
+
+    @property
+    def adjacency(self) -> list[list[int]]:
+        """Neighbour lists, ascending, sliced off the CSR on every read."""
+        flat, ends = self.csr[2].tolist(), self.csr[1].tolist()
+        return [flat[a:b] for a, b in zip(ends, ends[1:])]
 
     @property
     def max_depth(self) -> int:
@@ -83,6 +88,13 @@ def node_cap() -> int:
     return cap
 
 
+def _frozen(*arrays) -> tuple:
+    """arrays, each made read-only."""
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
 def _csr(keys: np.ndarray, n: int) -> tuple:
     """(degree, indptr, indices) as read-only int64 arrays, from the
     ascending keys u * n + v of the directed edges (u, v)."""
@@ -90,10 +102,7 @@ def _csr(keys: np.ndarray, n: int) -> tuple:
     degree = np.bincount(src, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(degree, out=indptr[1:])
-    arrays = (degree, indptr, indices)
-    for arr in arrays:
-        arr.flags.writeable = False
-    return arrays
+    return _frozen(degree, indptr, indices)
 
 
 def _pages(csr) -> tuple:
@@ -125,9 +134,7 @@ def _pages(csr) -> tuple:
         over = pos >= np.repeat((node + 1) * width, degree)
         pos[over] += np.repeat((more[:-1] - 1 - node) * width, degree)[over]
     page.flat[pos] = indices
-    for arr in (page, more):
-        arr.flags.writeable = False
-    return page, more
+    return _frozen(page, more)
 
 
 def _walk(pages, sources: np.ndarray, reach: int):
@@ -211,8 +218,7 @@ def _check_symmetry(perm, g: Graph) -> np.ndarray:
     src = np.repeat(np.arange(n, dtype=np.int64), degree)
     if not (np.sort(arr[src] * n + arr[indices]) == src * n + indices).all():
         raise NotAutomorphism("symmetry does not map edges onto edges")
-    arr.flags.writeable = False
-    return arr
+    return _frozen(arr)[0]
 
 
 def _int64_value(x) -> bool:
@@ -264,8 +270,9 @@ def build_graph(edges, root, symmetries=()) -> Graph:
     of `symmetries` must be a permutation of the node ids that fixes the
     root and maps edges onto edges, else NotAutomorphism is raised.
 
-    The graph carries its CSR and the neighbour pages _pages derives from
-    it, and is layered by one _walk from the root over those pages.
+    The graph carries its CSR, the neighbour pages _pages derives from it,
+    and the distances and frontiers of one _walk from the root over those
+    pages as its depth and layers.
     """
     if not isinstance(root, int) or root < 0:
         raise MalformedEdge(f"root {root!r} is not a non-negative integer")
@@ -293,9 +300,6 @@ def build_graph(edges, root, symmetries=()) -> Graph:
     n = top + 1
     keys = np.sort(np.concatenate([u * n + v, v * n + u]))
     csr = _csr(keys[np.diff(keys, prepend=-1) != 0], n)  # duplicates collapse
-    flat, ends = csr[2].tolist(), csr[1].tolist()
-    adjacency = tuple(tuple(flat[a:b]) for a, b in zip(ends, ends[1:]))
-
     pages = _pages(csr)
     dist, levels = _walk(pages, np.array([root]), n)  # no path is n hops long
     missing = np.flatnonzero(dist < 0)
@@ -305,10 +309,9 @@ def build_graph(edges, root, symmetries=()) -> Graph:
         )
     g = Graph(
         node_count=n,
-        adjacency=adjacency,
         root=root,
-        depth=tuple(dist.tolist()),
-        layers=tuple(tuple(below.tolist()) for below, _, _ in levels),
+        depth=_frozen(dist)[0],
+        layers=_frozen(*(below for below, _, _ in levels)),
         csr=csr,
         pages=pages,
     )
@@ -415,27 +418,26 @@ class _Refiner:
         return self.refine(colour)
 
 
-def _match(g: Graph, a, b, start: int):
+def _match(adj, root: int, a, b, start: int):
     """A bijection that sends each node of colour c under colouring `a` to a
-    node of colour c under `b`, built by BFS from the root: the unmatched
-    neighbours of a matched pair are paired in colour order, ties broken by
-    id in `a` and by id counted cyclically from `start` in `b`. None if some
-    pair's unmatched neighbours differ in colours.
+    node of colour c under `b`, built by BFS over the neighbour lists `adj`
+    from `root`: the unmatched neighbours of a matched pair are paired in
+    colour order, ties broken by id in `a` and by id counted cyclically from
+    `start` in `b`. None if some pair's unmatched neighbours differ in colours.
 
     Where every colour is one node this is the only such bijection; on a
     tree refined to equitable colourings it is an automorphism whenever one
     exists, without a discrete partition. The cyclic tie-break makes one
     match on a star turn all the leaves at once rather than swap two.
     """
-    adj = g.adjacency
-    n = g.node_count
+    n = len(adj)
     a = a.tolist()
     b = b.tolist()
     perm = [-1] * n
     used = [False] * n
-    perm[g.root] = g.root
-    used[g.root] = True
-    queue = [g.root]
+    perm[root] = root
+    used[root] = True
+    queue = [root]
     for u in queue:  # the loop also visits the nodes appended while it runs
         ours = sorted((a[x], x) for x in adj[u] if perm[x] < 0)
         theirs = sorted((b[y], (y - start) % n, y) for y in adj[perm[u]] if not used[y])
@@ -469,6 +471,7 @@ def find_symmetries(g: Graph) -> tuple:
     if n < 3:  # a root-fixing permutation of at most two nodes fixes both
         return (), 0
     refiner = _Refiner(g)
+    adj = g.adjacency
     found = []
 
     def automorphism(a, b, start):
@@ -482,7 +485,7 @@ def find_symmetries(g: Graph) -> tuple:
                 perm[b] = np.arange(n)
                 perm = perm[a]
             else:
-                perm = _match(g, a, b, start)
+                perm = _match(adj, g.root, a, b, start)
             if perm is not None:
                 try:
                     return _check_symmetry(perm, g)
@@ -496,7 +499,7 @@ def find_symmetries(g: Graph) -> tuple:
         return None
 
     try:
-        colour = refiner.refine(np.array(g.depth, dtype=np.int64))
+        colour = refiner.refine(g.depth)
         cells = int(colour.max()) + 1
         labels = np.arange(n)
         sizes = np.bincount(colour)

@@ -106,11 +106,9 @@ def rate_table(f, max_d: int) -> np.ndarray:
     return np.array([f.eval(d) for d in range(max_d + 1)], dtype=np.float64)
 
 
-def boundary_nodes(g: Graph, n: int) -> tuple:
+def boundary_nodes(g: Graph, n: int) -> np.ndarray:
     if n < 0 or n > g.max_depth:
-        raise EmptyBoundary(
-            f"no nodes at depth {n}; graph has max depth {g.max_depth}"
-        )
+        raise EmptyBoundary(f"no nodes at depth {n}; graph has max depth {g.max_depth}")
     return g.layers[n]
 
 
@@ -138,15 +136,14 @@ def pair_census(g: Graph, n: int) -> np.ndarray:
     sources in one orbit of g.symmetries have equal rows: only the smallest
     id of each boundary orbit is walked, and its row counts orbit-size times.
     """
-    boundary = np.array(boundary_nodes(g, n), dtype=np.int64)
-    depth = np.array(g.depth, dtype=np.int64)
+    boundary = boundary_nodes(g, n)
     label = _orbit_labels(g.node_count, g.symmetries)
     width = n + 1
     size = (2 * n + 1) * width
     total = np.zeros(size, dtype=np.int64)
     for sources, orbit_size, dist, levels in _walks(g, boundary, label, 2 * n):
         rows = sources.size
-        md = np.tile(depth, rows)
+        md = np.tile(g.depth, rows)
         for below, src, tgt in levels:
             np.minimum.at(md, tgt, md[below[src]])
         slots = (np.arange(rows) * g.node_count)[:, None] + boundary
@@ -230,7 +227,7 @@ def node_loads(g: Graph, f, n: int, include_endpoints: bool = False) -> tuple:
     a load past float64's range raises TrafficOverflow. Counts past 2^53
     round, and each ratio of counts then carries a float64 rounding error.
     """
-    boundary = np.array(boundary_nodes(g, n), dtype=np.int64)
+    boundary = boundary_nodes(g, n)
     label = _orbit_labels(g.node_count, g.symmetries)
     rates = rate_table(f, 2 * n)
     nn = g.node_count

@@ -27,8 +27,8 @@ def floyd_warshall(g):
     d = [[inf] * n for _ in range(n)]
     for v in range(n):
         d[v][v] = 0
-    for u in range(n):
-        for w in g.adjacency[u]:
+    for u, nbrs in enumerate(g.adjacency):
+        for w in nbrs:
             d[u][w] = 1
     for k in range(n):
         dk = d[k]
@@ -72,7 +72,16 @@ def csr_walk(csr, sources, reach):
     return dist, levels
 
 
+def same_graph(a, b):
+    """True when a and b are the same rooted graph: equal node count, root
+    and CSR arrays. Graphs compare by identity, and symmetries do not count."""
+    return (a.node_count, a.root) == (b.node_count, b.root) and all(
+        np.array_equal(x, y) for x, y in zip(a.csr, b.csr)
+    )
+
+
 def bfs_dist(g, source):
+    adj = g.adjacency
     dist = [-1] * g.node_count
     dist[source] = 0
     queue = [source]
@@ -80,7 +89,7 @@ def bfs_dist(g, source):
     while head < len(queue):
         u = queue[head]
         head += 1
-        for w in g.adjacency[u]:
+        for w in adj[u]:
             if dist[w] < 0:
                 dist[w] = dist[u] + 1
                 queue.append(w)
@@ -150,6 +159,7 @@ def root_automorphism_orbits(g, max_nodes=12):
 def all_geodesics(g, x, y):
     """Every geodesic node-path from x to y, as tuples."""
     dist = bfs_dist(g, x)
+    adj = g.adjacency
     paths = []
     stack = [(y, (y,))]
     while stack:
@@ -157,7 +167,7 @@ def all_geodesics(g, x, y):
         if node == x:
             paths.append(suffix)
             continue
-        for w in g.adjacency[node]:
+        for w in adj[node]:
             if dist[w] == dist[node] - 1:
                 stack.append((w, (w,) + suffix))
     return paths
@@ -165,7 +175,8 @@ def all_geodesics(g, x, y):
 
 def brute_traffic(g, rate, n):
     """(T, T_r, loads) by enumerating all geodesics for all ordered pairs."""
-    boundary = g.layers[n]
+    boundary = g.layers[n].tolist()
+    depth = g.depth.tolist()
     loads = [0.0] * g.node_count
     t_terms = []
     mass_by_h = [[] for _ in range(n + 1)]
@@ -175,7 +186,7 @@ def brute_traffic(g, rate, n):
             paths = all_geodesics(g, x, y)
             w = rate.eval(dist[y])
             t_terms.append(w)
-            h = min(min(g.depth[v] for v in p) for p in paths)
+            h = min(min(depth[v] for v in p) for p in paths)
             mass_by_h[h].append(w)
             if x != y:
                 share = w / len(paths)
@@ -191,7 +202,8 @@ def brute_traffic(g, rate, n):
 
 
 def brute_pair_h(g, x, y):
-    return min(min(g.depth[v] for v in p) for p in all_geodesics(g, x, y))
+    depth = g.depth.tolist()
+    return min(min(depth[v] for v in p) for p in all_geodesics(g, x, y))
 
 
 @dataclass(frozen=True)
@@ -220,9 +232,10 @@ def geodesic_field(g, source):
     dist = bfs_dist(g, source)
     sigma = [0] * g.node_count
     sigma[source] = 1
-    md = list(g.depth)
+    adj = g.adjacency
+    md = g.depth.tolist()
     for v in sorted((v for v in range(g.node_count) if dist[v] > 0), key=dist.__getitem__):
-        preds = [u for u in g.adjacency[v] if dist[u] == dist[v] - 1]
+        preds = [u for u in adj[v] if dist[u] == dist[v] - 1]
         sigma[v] = sum(sigma[u] for u in preds)
         md[v] = min([md[v]] + [md[u] for u in preds])
     return GeodesicField(
@@ -247,7 +260,7 @@ def exact_loads(g, rate, n, include_endpoints=False):
     R(d) = Fraction(rate.eval(d)) is the float rate taken exactly. The
     endpoints, which take R each, count only with include_endpoints.
     """
-    fields = {x: geodesic_field(g, x) for x in g.layers[n]}
+    fields = {x: geodesic_field(g, x) for x in g.layers[n].tolist()}
     dist = {x: np.array(f.dist.dist) for x, f in fields.items()}
     # integer numerators summed per (node, denominator); one Fraction each at the end
     acc = [defaultdict(int) for _ in range(g.node_count)]

@@ -315,8 +315,8 @@ def test_criterion_8_tessellation_structural_audit():
     for p, q in ((5, 4), (4, 5), (7, 3)):
         build_ball(p, q, 6)  # audits face sizes, rim, rotations, Euler
         g = gen_tessellation(p, q, 6)
-        for v in range(g.node_count):
-            if g.depth[v] <= 4 and len(g.adjacency[v]) != q:
+        for d, nbrs in zip(g.depth.tolist(), g.adjacency):
+            if d <= 4 and len(nbrs) != q:
                 ok = False
         if len(g.layers[1]) != q:
             ok = False

@@ -62,8 +62,9 @@ class TestGenerate:
         assert doc["node_count"] == 1 + 3 + 6 + 12
         assert doc["family"]["root_degree"] == 3
         g = graph_from_json_dict(doc)
-        assert len(g.adjacency[g.root]) == 3
-        assert [len(g.adjacency[v]) for v in g.layers[1]] == [3, 3, 3]
+        adj = g.adjacency
+        assert len(adj[g.root]) == 3
+        assert [len(adj[v]) for v in g.layers[1]] == [3, 3, 3]
 
     def test_grid(self, tmp_path):
         out = tmp_path / "g.json"
@@ -296,6 +297,19 @@ class TestTraffic:
         rate = traffic.ExponentialRate(1.3)
         assert read_loads(ends) == list(traffic.node_loads(g, rate, 3, include_endpoints=True))
         assert read_loads(ends) != read_loads(plain)
+
+    def test_include_endpoints_without_loads_exit_3(self, tmp_path, capsys):
+        gfile = tmp_path / "t.json"
+        run("generate", "--family", "tree", "--k", "2", "--depth", "3",
+            "--out", str(gfile))
+        capsys.readouterr()
+        out = tmp_path / "r.json"
+        assert run("traffic", "--graph", str(gfile), "--beta", "1.5", "--include-endpoints",
+                   "--out", str(out)) == 3
+        assert capsys.readouterr().err == (
+            "error: --include-endpoints needs --loads-out: it changes only the loads\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("table", ["4e307,4e307,4e307", "1e308,1e308"])
     def test_overflowing_table_exit_3(self, tmp_path, capsys, table):

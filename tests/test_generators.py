@@ -79,7 +79,7 @@ class TestKaryTree:
     def test_depth2_binary(self):
         g = gen_kary_tree(2, 2, root_degree=2)
         assert g.node_count == 7
-        leaves = [v for v in range(7) if len(g.adjacency[v]) == 1]
+        leaves = [v for v, nbrs in enumerate(g.adjacency) if len(nbrs) == 1]
         assert len(leaves) == 4
 
     def test_regular_variant_boundary_count(self):
@@ -129,11 +129,11 @@ class TestTessellation:
     def test_interior_saturation(self, p, q):
         depth = 4
         g = gen_tessellation(p, q, depth)
-        for v in range(g.node_count):
-            if g.depth[v] <= depth - 2:
-                assert len(g.adjacency[v]) == q
+        for d, nbrs in zip(g.depth.tolist(), g.adjacency):
+            if d <= depth - 2:
+                assert len(nbrs) == q
             else:
-                assert len(g.adjacency[v]) <= q
+                assert len(nbrs) <= q
 
     def test_half_edge_audit_runs(self):
         # the builder's own structural audit: faces are p-cycles, the rim is
@@ -526,13 +526,13 @@ class TestGrid:
 class TestEdgeList:
     def test_path(self):
         g = load_edge_list("0 1\n1 2")
-        assert g.depth == (0, 1, 2)
+        assert g.depth.tolist() == [0, 1, 2]
         assert g.root == 0
 
     def test_root_directive(self):
         g = load_edge_list("# root 2\n0 1\n1 2")
         assert g.root == 2
-        assert g.depth == (2, 1, 0)
+        assert g.depth.tolist() == [2, 1, 0]
 
     def test_self_loop(self):
         with pytest.raises(MalformedEdge):
@@ -614,6 +614,14 @@ class TestNodeCap:
         # 780 B per ball node; predecessor and face-id tables took it to 920
         assert _peak_per_node(lambda: gen_tessellation(5, 4, 8)) < 850
 
+    @pytest.mark.parametrize("build", [lambda: gen_grid(101), lambda: gen_tessellation(5, 4, 8)],
+                             ids=["grid-101", "tessellation-5-4-8"])
+    def test_graph_keeps_only_its_arrays(self, build):
+        # a Graph of int64 arrays (CSR, pages, depth, layers, symmetries)
+        # keeps 120-130 B per node; tuples of neighbours, depths and layers
+        # beside them kept 250-360
+        assert _retained_per_node(build) < 160
+
 
 def _peak_per_node(build):
     """Peak traced bytes while `build()` runs, per node of the graph it returns."""
@@ -624,3 +632,15 @@ def _peak_per_node(build):
     finally:
         tracemalloc.stop()
     return peak / g.node_count
+
+
+def _retained_per_node(build):
+    """Traced bytes still held once `build()` returns, per node of the
+    graph it returns, which is alive: what the graph keeps."""
+    tracemalloc.start()
+    try:
+        g = build()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return retained / g.node_count
