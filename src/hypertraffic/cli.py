@@ -7,6 +7,7 @@ invariant or engine error is raised; the message on stderr names it.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -341,4 +342,9 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    code = main()
+    # Every object is still live, so the collection the interpreter runs at
+    # exit would only traverse them: freezing moves them out of its reach.
+    # Here and not in main, which callers run in process.
+    gc.freeze()
+    sys.exit(code)

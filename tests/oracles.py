@@ -5,12 +5,13 @@ the engine beyond the Graph container and its error types): Floyd-Warshall
 distances, a batched walk over CSR ranges, explicit enumeration of every geodesic path, traffic/load
 accumulation path by path with equal splitting, exact geodesic fields in
 Python integers, exact Brandes loads in fractions, Gromov products, the
-slim-triangle delta, the k-ary tree closed forms (distance counts, the root
-share's limit, and T and P as exact rationals), a set-lookup test for
-root-fixing automorphisms, and the orbits of every root-fixing automorphism
-by exhaustive backtracking.
+four-point delta over every 4-subset, the slim-triangle delta, the k-ary
+tree closed forms (distance counts, the root share's limit, and T and P as
+exact rationals), a set-lookup test for root-fixing automorphisms, and the
+orbits of every root-fixing automorphism by exhaustive backtracking.
 """
 
+import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -281,6 +282,17 @@ def gromov_product(g, y, z, base):
     """(y,z)_base = (d(base,y) + d(base,z) - d(y,z)) / 2, exactly."""
     db = bfs_dist(g, base)
     return Fraction(db[y] + db[z] - bfs_dist(g, y)[z], 2)
+
+
+def four_point_brute(g):
+    """The four-point delta, max over every 4-subset of nodes of (largest
+    pair-sum - second largest) / 2, from BFS distances."""
+    d = [bfs_dist(g, s) for s in range(g.node_count)]
+    best = 0
+    for x, y, z, w in itertools.combinations(range(g.node_count), 4):
+        sums = sorted((d[x][y] + d[z][w], d[x][z] + d[y][w], d[x][w] + d[y][z]))
+        best = max(best, sums[2] - sums[1])
+    return best / 2
 
 
 def slim_delta_exact(g, cap=64):

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -33,6 +34,14 @@ def exit_code(*argv):
         return main(list(argv))
     except SystemExit as exc:
         return exc.code
+
+
+def child_python(code, cwd=None):
+    """The CompletedProcess of `python -c code` on this checkout's package,
+    output captured as text."""
+    src = str(Path(hypertraffic.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
 
 
 class TestGenerate:
@@ -662,6 +671,26 @@ class TestGraphSchema:
                    "--out", str(tmp_path / "r.json")) == 3
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("edges,message", [
+        ([[0, True]], "edge endpoint must be an integer, got True"),
+        ([[0, 1], [1, 2], [2, None], [3]], "edge endpoint must be an integer, got None"),
+        ([[0, 1], [1.0, "2"]], "edge endpoint must be an integer, got 1.0"),
+        ([[0, 1], [1, "2"]], "edge endpoint must be an integer, got '2'"),
+        ([[0, 1], [1], [2, "x"]], "edge [1] is not a pair"),
+        ([[0, 1], [1, 2, 3]], "edge [1, 2, 3] is not a pair"),
+        ([[0, 1], 5], "edge 5 is not a pair"),
+        ([[0, 1], "ab"], "edge 'ab' is not a pair"),
+        ([[0, 1], {"a": 1, "b": 2}], "edge {'a': 1, 'b': 2} is not a pair"),
+        ([[0, 1], [1, 10**30]], "edge 1 [1, 1000000000000000000000000000000] is not a pair "
+         "of integers; numpy reads them as object of shape (2, 2)"),
+    ])
+    def test_bad_edge_is_named(self, edges, message):
+        """The first edge that is not a pair of integers is named, wherever
+        it sits in the list."""
+        with pytest.raises(MalformedEdge) as info:
+            graph_from_json_dict({**PATH_DOC, "node_count": 4, "edges": edges})
+        assert str(info.value) == message
+
     def test_deeply_nested_json_exit_3(self, tmp_path):
         gfile = tmp_path / "g.json"
         gfile.write_text("[" * 100000)
@@ -909,16 +938,13 @@ def test_cli_import_leaves_fractions_unloaded(tmp_path):
     edges.write_text("0 1\n1 2\n2 3\n3 4\n4 0\n")
     gfile, out = tmp_path / "g.json", tmp_path / "a.json"
     assert run("generate", "--family", "edges", "--path", str(edges), "--out", str(gfile)) == 0
-    src = str(Path(hypertraffic.__file__).resolve().parents[1])
-    code = (
+    child = child_python(
         "import sys, hypertraffic.cli\n"
         f"code = hypertraffic.cli.main(['analyze', '--graph', {str(gfile)!r}, '--out', {str(out)!r}])\n"
         "print(code, sorted({'fractions', 'decimal'} & set(sys.modules)))\n"
     )
-    env = {**os.environ, "PYTHONPATH": src}
-    stdout = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, check=True).stdout
-    assert stdout.splitlines()[-1] == "0 []"
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines()[-1] == "0 []"
     assert json.loads(out.read_text())["delta_four_point"] == 0.5
 
 
@@ -943,14 +969,77 @@ def test_commands_leave_numpy_ma_unloaded(tmp_path):
          "--out", out["s.csv"]],
         ["tree-oracle", "--k", "2", "--beta", "2.0", "--n-max", "2", "--out", out["o.csv"]],
     ]
-    src = str(Path(hypertraffic.__file__).resolve().parents[1])
-    code = (
+    child = child_python(
         "import sys, hypertraffic.cli\n"
         f"codes = [hypertraffic.cli.main(argv) for argv in {commands!r}]\n"
         "print(codes, 'numpy.ma' in sys.modules)\n"
     )
-    env = {**os.environ, "PYTHONPATH": src}
-    stdout = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, check=True).stdout
-    assert stdout.splitlines()[-1] == f"{[0] * len(commands)} False"
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines()[-1] == f"{[0] * len(commands)} False"
     assert all(Path(path).stat().st_size for path in out.values())
+
+
+# run as `python -m hypertraffic.cli`, with a probe that reports, after the
+# interpreter has begun to exit, how many objects the collector skips
+AS_MAIN = (
+    "import atexit, gc, runpy, sys\n"
+    "atexit.register(lambda: print('frozen', gc.get_freeze_count()))\n"
+    "sys.argv = ['hypertraffic', *{argv!r}]\n"
+    "runpy.run_module('hypertraffic.cli', run_name='__main__')\n"
+)
+
+
+class TestRunAsMain:
+    """`python -m hypertraffic.cli` freezes the heap once main returns, so
+    the collection at interpreter exit skips every object; nothing else about
+    the run changes."""
+
+    @pytest.mark.parametrize("beta,code", [("2.0", 0), ("1.0", 3)])
+    def test_heap_frozen_and_run_unchanged(self, tmp_path, monkeypatch, capsys, beta, code):
+        argv = ["tree-oracle", "--k", "3", "--beta", beta, "--n-max", "4", "--out", "o.csv"]
+        (tmp_path / "child").mkdir()
+        (tmp_path / "main").mkdir()
+        child = child_python(AS_MAIN.format(argv=argv), cwd=tmp_path / "child")
+        *stdout, probe = child.stdout.splitlines(keepends=True)
+        assert probe.startswith("frozen ") and int(probe.split()[1]) > 0
+        monkeypatch.chdir(tmp_path / "main")
+        assert run(*argv) == child.returncode == code
+        assert capsys.readouterr() == ("".join(stdout), child.stderr)
+        outputs = [sorted((p.name, p.read_bytes()) for p in (tmp_path / d).iterdir())
+                   for d in ("child", "main")]
+        assert outputs[0] == outputs[1]
+
+    def test_flag_error_exits_2(self, tmp_path, capsys):
+        argv = ["tree-oracle", "--k", "3"]
+        child = child_python(AS_MAIN.format(argv=argv), cwd=tmp_path)
+        assert exit_code(*argv) == child.returncode == 2
+        assert capsys.readouterr().err == child.stderr
+
+    def test_main_in_process_leaves_the_collector_alone(self, tmp_path):
+        before = gc.get_freeze_count(), gc.isenabled()
+        for beta, code in (("2.0", 0), ("1.0", 3)):
+            assert run("tree-oracle", "--k", "2", "--beta", beta, "--n-max", "3",
+                       "--out", str(tmp_path / "o.csv")) == code
+            assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+# what `import hypertraffic.cli` may load beyond `import numpy`: the package,
+# and the standard library its modules and argparse need; gc is built into
+# the interpreter
+START_UP_ALLOWANCE = {"argparse", "gettext", "json", "_json", "dataclasses", "copy",
+                      "__future__", "gc"}
+
+
+def test_start_up_imports_only_the_allowance():
+    """A module that joins the CLI's start-up, beyond numpy's, fails here:
+    multiprocessing would add about 3.4 ms to every run, numpy.ma about 13."""
+    child = child_python(
+        "import json, sys\nimport numpy\nbefore = set(sys.modules)\nimport hypertraffic.cli\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    assert child.returncode == 0, child.stderr
+    loaded = json.loads(child.stdout.splitlines()[-1])
+    extra = [name for name in loaded if name not in START_UP_ALLOWANCE
+             and name.split(".")[0] not in ("hypertraffic", "json")]
+    assert extra == []
+    assert "hypertraffic.cli" in loaded

@@ -24,6 +24,7 @@ from hypertraffic.graphs import (
     four_point_delta,
     graph_from_json_dict,
     graph_to_json_dict,
+    with_found_symmetries,
 )
 from hypertraffic.tessellation import _bfs
 from hypertraffic.traffic import pair_census
@@ -31,6 +32,7 @@ from oracles import (
     bfs_dist,
     csr_walk,
     floyd_warshall,
+    four_point_brute,
     gromov_product,
     same_graph,
     slim_delta_exact,
@@ -500,6 +502,15 @@ class TestFourPointDelta:
         g = gen_grid(5)
         with pytest.raises(GraphTooLarge):
             four_point_delta(g, cap=10)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_equals_the_brute_scan(self, seed):
+        """The scan with z, w above y equals the scan over every 4-subset,
+        with and without the symmetries a loaded graph finds."""
+        g = random_connected_graph(seed)
+        expected = four_point_brute(g)
+        assert four_point_delta(g) == expected
+        assert four_point_delta(with_found_symmetries(g)) == expected
 
     def test_orbit_scan_equals_plain_scan(self):
         """Taking x over orbit representatives gives the full scan's delta on
