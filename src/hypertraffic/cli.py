@@ -21,12 +21,22 @@ _THREADS_HELP = (
 )
 
 
+# per --family: the FamilySpec variant, the flags it takes, and the flags it
+# needs, grouped as its refusal names them
+_FAMILIES = (
+    ("tree", "tree", ("k", "root_degree", "depth"), (("depth",), ("k",))),
+    ("tess", "tessellation", ("p", "q", "depth"), (("depth",), ("p", "q"))),
+    ("grid", "grid", ("side",), (("side",),)),
+    ("edges", "edge_list", ("path",), (("path",),)),
+)
+
+
 def _family_from_args(args, takes_depth=True) -> generators.FamilySpec:
     """The family spec the flags name. A flag the family does not take, or
     --depth where the command takes --depths, is refused, not ignored."""
     fam = args.family
-    takes = {"tree": ("k", "root_degree", "depth"), "tess": ("p", "q", "depth"),
-             "grid": ("side",), "edges": ("path",)}[fam]
+    variant, takes, needs = next(row[1:] for row in _FAMILIES if row[0] == fam)
+    given = {}
     for name in ("k", "root_degree", "p", "q", "depth", "side", "path"):
         if getattr(args, name) is None:
             continue
@@ -35,31 +45,12 @@ def _family_from_args(args, takes_depth=True) -> generators.FamilySpec:
             raise HypertrafficError(f"{fam} family does not take {flag}")
         if name == "depth" and not takes_depth:
             raise HypertrafficError(f"{args.command} of the {fam} family takes --depths, not {flag}")
-    depth = args.depth
-    if fam in ("tree", "tess") and depth is None:
-        if takes_depth:
-            raise HypertrafficError(f"{fam} family needs --depth")
-        depth = 0
-    if fam == "tree":
-        if args.k is None:
-            raise HypertrafficError("tree family needs --k")
-        return generators.FamilySpec(
-            variant="tree", depth=depth, k=args.k,
-            root_degree=args.root_degree,
-        )
-    if fam == "tess":
-        if args.p is None or args.q is None:
-            raise HypertrafficError("tess family needs --p and --q")
-        return generators.FamilySpec(
-            variant="tessellation", depth=depth, p=args.p, q=args.q
-        )
-    if fam == "grid":
-        if args.side is None:
-            raise HypertrafficError("grid family needs --side")
-        return generators.FamilySpec(variant="grid", side=args.side)
-    if args.path is None:
-        raise HypertrafficError("edges family needs --path")
-    return generators.FamilySpec(variant="edge_list", source=args.path)
+        given[name] = getattr(args, name)
+    for group in needs:
+        if not given.keys() >= set(group) and (takes_depth or group != ("depth",)):
+            raise HypertrafficError(f"{fam} family needs " + " and ".join("--" + n for n in group))
+    given["source"] = given.pop("path", None)
+    return generators.FamilySpec(variant=variant, **given)
 
 
 def _add_family_flags(parser):
@@ -341,10 +332,15 @@ def main(argv=None) -> int:
         return 3
 
 
-if __name__ == "__main__":
+def run():
+    """The console script: main, then exit with its code. Every object is
+    still live, so the collection the interpreter runs at exit would only
+    traverse them: freezing moves them out of its reach. Here and not in
+    main, which callers run in process."""
     code = main()
-    # Every object is still live, so the collection the interpreter runs at
-    # exit would only traverse them: freezing moves them out of its reach.
-    # Here and not in main, which callers run in process.
     gc.freeze()
     sys.exit(code)
+
+
+if __name__ == "__main__":
+    run()

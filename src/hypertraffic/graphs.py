@@ -457,16 +457,17 @@ def find_symmetries(g: Graph) -> tuple:
 
     Nodes are coloured by root depth and refined to an equitable partition.
     An automorphism fixing the root keeps each of its cells, so the orbits
-    are never coarser than the cells. For each cell that is not yet one
-    orbit, its smallest id v0 is individualized in one copy and each
-    candidate w outside v0's orbit in another, and both are refined. Where
-    _match then gives no automorphism, both copies individualize the
-    smallest id of their first cell with more than one node and try again,
-    down to a discrete partition. Each candidate goes through
-    _check_symmetry and is dropped if it fails, so the result never rests on
-    the search. The search stops when the orbits equal the cells, or when
-    the next pass over the graph would take the work past _SEARCH_BUDGET;
-    it returns the verified generators found so far, possibly none.
+    are never coarser than the cells. Until a cell is one orbit, each of its
+    nodes v that is still the smallest id in its orbit, in ascending order,
+    is individualized in one copy and each candidate w outside v's orbit in
+    another, and both are refined. Where _match then gives no automorphism,
+    both copies individualize the smallest id of their first cell with more
+    than one node and try again, down to a discrete partition. Each
+    candidate goes through _check_symmetry and is dropped if it fails, so
+    the result never rests on the search. The search stops when the orbits
+    equal the cells, or when the next pass over the graph would take the
+    work past _SEARCH_BUDGET; it returns the verified generators found so
+    far, possibly none.
     """
     n = g.node_count
     if n < 3:  # a root-fixing permutation of at most two nodes fixes both
@@ -508,20 +509,21 @@ def find_symmetries(g: Graph) -> tuple:
         ends = np.cumsum(np.sort(sizes)[::-1]).tolist()
         for lo, hi in zip([0] + ends[:-1], ends):
             members = by_cell[lo:hi].tolist()
-            if all(labels[w] == labels[members[0]] for w in members):
-                continue
-            fixed = refiner.individualize(colour, members[0])
-            for w in members[1:]:
-                if labels[w] == labels[members[0]]:
+            for v in members:
+                if labels[v] != v or all(labels[w] == v for w in members):
                     continue
-                perm = automorphism(fixed, refiner.individualize(colour, w), w)
-                if perm is None:
-                    continue
-                found.append(perm)
-                # joining each node to its label keeps the orbits found so far
-                labels = _orbit_labels(n, (labels, perm))
-                if np.count_nonzero(labels == np.arange(n)) == cells:
-                    return tuple(found), refiner.work
+                fixed = refiner.individualize(colour, v)
+                for w in members:
+                    if labels[w] == labels[v]:
+                        continue
+                    perm = automorphism(fixed, refiner.individualize(colour, w), w)
+                    if perm is None:
+                        continue
+                    found.append(perm)
+                    # joining each node to its label keeps the orbits found so far
+                    labels = _orbit_labels(n, (labels, perm))
+                    if np.count_nonzero(labels == np.arange(n)) == cells:
+                        return tuple(found), refiner.work
     except _SearchStopped:
         pass
     return tuple(found), refiner.work

@@ -25,6 +25,7 @@ symmetries as int64 arrays, relabelled in numpy.
 
 from __future__ import annotations
 
+from bisect import insort
 from itertools import chain, count
 
 import numpy as np
@@ -43,7 +44,7 @@ class TessellationMap:
         self.cap = node_cap()
         self.org = []     # half-edge -> origin vertex
         self.nxt = []     # next half-edge around its face, or along the rim
-        self.adj = []     # vertex -> neighbours, in edge creation order
+        self.adj = []     # vertex -> neighbours, ascending: labels follow map-id order
         self.bnd_in = []  # vertex -> rim half-edge pointing into it, -1 if interior
 
     @property
@@ -67,8 +68,8 @@ class TessellationMap:
             # edge i: half-edge 2i runs i -> j around the first face, 2i + 1 runs j -> i on the rim
             self.org += (i, j)
             self.nxt += (2 * j, 2 * back + 1)
-            self.adj[i].append(j)
-            self.adj[j].append(i)
+            insort(self.adj[i], j)
+            insort(self.adj[j], i)
             self.bnd_in[i] = 2 * i + 1
 
     def saturate(self, v):
@@ -116,8 +117,8 @@ class TessellationMap:
             nxt[last], nxt[h_prev] = ids[0], ids[-1]
             u = b
             for w in chain[1:]:
-                adj[u].append(w)
-                adj[w].append(u)
+                insort(adj[u], w)
+                insort(adj[w], u)
                 u = w
 
             for h in run[:-1]:
@@ -283,7 +284,8 @@ def _bfs(adjacency, source, bound):
     """(dist, order): hop distances from `source` to each node within
     `bound` hops, -1 for the rest, and the reached nodes in visiting order,
     so dist never decreases along order. Neighbours are visited in adjacency
-    order, and the map's labels follow that order, not ascending ids.
+    order; the map keeps each row ascending, so its labels follow map-id
+    order by construction.
 
     Nodes at distance `bound` are reached but not expanded: only the
     neighbour lists of nodes closer than `bound` are read."""
@@ -336,12 +338,8 @@ def build_ball(p: int, q: int, depth: int):
             tmap.saturate(v)
     org = tmap.audit()
 
-    # labels follow a BFS that takes neighbours in map-id order; only the
-    # vertices closer than `depth`, the last round's `inner`, are expanded
-    ordered = [()] * tmap.vertex_count
-    for v in inner:
-        ordered[v] = sorted(tmap.adj[v])
-    ball = np.array(_bfs(ordered, 0, depth)[1], dtype=np.int64)
+    # labels follow a BFS that takes neighbours in map-id order
+    ball = np.array(_bfs(tmap.adj, 0, depth)[1], dtype=np.int64)
     # a spare last slot, so label[-1] is -1
     label = np.full(tmap.vertex_count + 1, -1, dtype=np.int64)
     label[ball] = np.arange(ball.size)

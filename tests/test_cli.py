@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tomllib
 import tracemalloc
 from pathlib import Path
 
@@ -139,6 +140,19 @@ class TestGenerate:
         assert run(command, *flags, "--out", str(out)) == 3
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists() and not summ.exists()
+
+    @pytest.mark.parametrize("flags,message", [
+        (("--family", "tess", "--p", "5", "--q", "4", "--depth", "-1"),
+         "depth must be >= 0, got -1"),
+        (("--family", "edges", "--path", "{bad}"), "line 1: bad root directive '# root x'"),
+    ])
+    def test_bad_family_value_exit_3(self, tmp_path, capsys, flags, message):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("# root x\n0 1\n")
+        out = tmp_path / "x.json"
+        assert run("generate", *(f.format(bad=bad) for f in flags), "--out", str(out)) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_node_cap_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HYPERTRAFFIC_NODE_CAP", "100")
@@ -537,6 +551,9 @@ class TestSweep:
         (("--family", "edges", "--path", "{bad}"), None, "line 1: odd token count in '0 1 2'"),
         (("--family", "tree", "--k", "2"), "abc",
          "HYPERTRAFFIC_NODE_CAP must be an integer, got 'abc'"),
+        (("--family", "tess", "--p", "2", "--q", "7"), None, "need p >= 3 and q >= 3, got (2, 7)"),
+        (("--family", "tree", "--k", "3", "--root-degree", "0"), None,
+         "root_degree must be >= 1, got 0"),
     ])
     def test_depth_free_error_named_once(self, tmp_path, monkeypatch, capsys,
                                          flags, cap, message):
@@ -985,21 +1002,25 @@ AS_MAIN = (
     "import atexit, gc, runpy, sys\n"
     "atexit.register(lambda: print('frozen', gc.get_freeze_count()))\n"
     "sys.argv = ['hypertraffic', *{argv!r}]\n"
-    "runpy.run_module('hypertraffic.cli', run_name='__main__')\n"
+    "{entry}\n"
 )
+# the two ways a run starts: python -m hypertraffic.cli, and the console
+# script pyproject.toml names
+RUN_MODULE = "runpy.run_module('hypertraffic.cli', run_name='__main__')"
+RUN_SCRIPT = "from hypertraffic.cli import run; run()"
 
 
 class TestRunAsMain:
-    """`python -m hypertraffic.cli` freezes the heap once main returns, so
-    the collection at interpreter exit skips every object; nothing else about
-    the run changes."""
+    """`python -m hypertraffic.cli` and the console script both end in
+    cli.run, which freezes the heap once main returns, so the collection at
+    interpreter exit skips every object; nothing else about the run changes."""
 
-    @pytest.mark.parametrize("beta,code", [("2.0", 0), ("1.0", 3)])
-    def test_heap_frozen_and_run_unchanged(self, tmp_path, monkeypatch, capsys, beta, code):
+    @staticmethod
+    def check_frozen_run(entry, beta, code, tmp_path, monkeypatch, capsys):
         argv = ["tree-oracle", "--k", "3", "--beta", beta, "--n-max", "4", "--out", "o.csv"]
         (tmp_path / "child").mkdir()
         (tmp_path / "main").mkdir()
-        child = child_python(AS_MAIN.format(argv=argv), cwd=tmp_path / "child")
+        child = child_python(AS_MAIN.format(argv=argv, entry=entry), cwd=tmp_path / "child")
         *stdout, probe = child.stdout.splitlines(keepends=True)
         assert probe.startswith("frozen ") and int(probe.split()[1]) > 0
         monkeypatch.chdir(tmp_path / "main")
@@ -1009,9 +1030,22 @@ class TestRunAsMain:
                    for d in ("child", "main")]
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("beta,code", [("2.0", 0), ("1.0", 3)])
+    def test_heap_frozen_and_run_unchanged(self, tmp_path, monkeypatch, capsys, beta, code):
+        self.check_frozen_run(RUN_MODULE, beta, code, tmp_path, monkeypatch, capsys)
+
+    @pytest.mark.parametrize("beta,code", [("2.0", 0), ("1.0", 3)])
+    def test_console_script_freezes_too(self, tmp_path, monkeypatch, capsys, beta, code):
+        self.check_frozen_run(RUN_SCRIPT, beta, code, tmp_path, monkeypatch, capsys)
+
+    def test_console_script_is_run(self):
+        pyproject = Path(hypertraffic.__file__).resolve().parents[2] / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+        assert scripts == {"hypertraffic": "hypertraffic.cli:run"}
+
     def test_flag_error_exits_2(self, tmp_path, capsys):
         argv = ["tree-oracle", "--k", "3"]
-        child = child_python(AS_MAIN.format(argv=argv), cwd=tmp_path)
+        child = child_python(AS_MAIN.format(argv=argv, entry=RUN_MODULE), cwd=tmp_path)
         assert exit_code(*argv) == child.returncode == 2
         assert capsys.readouterr().err == child.stderr
 

@@ -135,6 +135,19 @@ class TestTessellation:
             else:
                 assert len(nbrs) <= q
 
+    def test_map_rows_stay_ascending(self, monkeypatch):
+        # saturation and the labelling BFS read one neighbour order, map-id order
+        maps = []
+        audit = tessellation.TessellationMap.audit
+
+        def kept(tmap):
+            maps.append(tmap)
+            return audit(tmap)
+
+        monkeypatch.setattr(tessellation.TessellationMap, "audit", kept)
+        gen_tessellation(5, 4, 8)
+        assert [row for row in maps[0].adj if row != sorted(row)] == []
+
     def test_half_edge_audit_runs(self):
         # the builder's own structural audit: faces are p-cycles, the rim is
         # one cycle, rotations close, Euler characteristic of a disk
@@ -432,12 +445,12 @@ class TestMapAudit:
 
     @pytest.mark.parametrize("table,value", [
         ("nxt", 1 << 40), ("org", None), ("bnd_in", "x"), ("org", "2"), ("nxt", 2.0),
-        ("adj", None), ("adj", 1.0), ("adj-row", None), ("adj-row", 5),
+        ("adj", None), ("adj", 1.0), ("adj-row", None), ("adj-row", 5), ("org", [1, 2]),
     ])
     def test_entry_that_does_not_convert_is_named(self, table, value):
         # numpy would read 1 << 40 as int64, "2" and 2.0 as 2, and raise its
-        # own error on None and "x"; len() raises on a row that is not a
-        # list; the audit names each entry instead
+        # own error on None, "x" and a sequence; len() raises on a row that
+        # is not a list; the audit names each entry instead
         tmap = _grown_map()
         if table == "adj-row":
             tmap.adj[3] = value

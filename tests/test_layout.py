@@ -3,8 +3,8 @@
 It holds only what the package itself runs: every public module-level
 function or class, and every public method, must be referenced somewhere in
 src/ outside its own definition, as a name or an attribute. Test-only
-references belong in tests/oracles.py. cli.main, the console-script entry
-point, is exempt.
+references belong in tests/oracles.py. No name is exempt: cli.run, the
+console-script entry point, has its call in cli's __main__ block.
 
 It reads the environment in one place: graphs.node_cap, the owner of
 HYPERTRAFFIC_NODE_CAP. It catches the base HypertrafficError in one place:
@@ -30,7 +30,6 @@ from pathlib import Path
 import hypertraffic
 
 SRC = Path(hypertraffic.__file__).resolve().parent
-EXEMPT = {"cli.main"}
 ENV_NAMES = {"environ", "environb", "getenv", "getenvb"}
 # handlers that catch HypertrafficError: the base itself, or anything above it
 BROAD_NAMES = {"HypertrafficError", "Exception", "BaseException"}
@@ -67,7 +66,7 @@ def unreferenced_names(src=SRC):
             own = range(node.lineno, node.end_lineno + 1)
             if not any(n == name and not (m == module and line in own) for m, n, line in refs):
                 missing.append(f"{module}.{qualname}")
-    return [name for name in missing if name not in EXEMPT]
+    return missing
 
 
 def test_every_public_name_has_a_caller_in_src():

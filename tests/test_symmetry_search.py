@@ -325,6 +325,19 @@ def hung_copies(copies, seed):
     return build_graph(sorted(set(edges)), 0)
 
 
+def hung_cubic(seed):
+    """A random cubic graph on 8 or 10 nodes, each node joined to a new root
+    0, so one cell by depth can hold two or more orbits."""
+    rng = random.Random(seed)
+    m = rng.choice((8, 10))
+    while True:
+        stubs = [v for v in range(1, m + 1) for _ in range(3)]
+        rng.shuffle(stubs)
+        pairs = {tuple(sorted(stubs[i:i + 2])) for i in range(0, 3 * m, 2)}
+        if len(pairs) == 3 * m // 2 and all(u != v for u, v in pairs):
+            return build_graph(sorted(pairs) + [(0, v) for v in range(1, m + 1)], 0)
+
+
 def petersen():
     outer = [(i, (i + 1) % 5) for i in range(5)]
     spokes = [(i, i + 5) for i in range(5)]
@@ -375,4 +388,10 @@ class TestCompleteness:
                              ids=sorted(SYMMETRIC))
     def test_symmetric_graphs(self, seed, name):
         g = relabelled(SYMMETRIC[name], seed)
+        assert search_orbits(g) == root_automorphism_orbits(g)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_hung_cubic_graphs(self, seed):
+        # the search completes every orbit of a cell, not only its smallest id's
+        g = graphs.with_found_symmetries(hung_cubic(seed))
         assert search_orbits(g) == root_automorphism_orbits(g)
