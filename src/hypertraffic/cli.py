@@ -16,8 +16,9 @@ from .errors import GraphTooLarge, HypertrafficError, MalformedEdge
 
 
 _THREADS_HELP = (
-    "accepted for compatibility and ignored: the engine runs one batched "
-    "walk on a single thread"
+    "accepted for compatibility and ignored: a deep census or load pass "
+    "splits its sources across the CPUs by itself, with the bytes of a "
+    "single-process run"
 )
 
 

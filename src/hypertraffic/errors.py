@@ -64,3 +64,8 @@ class WindowTooLarge(HypertrafficError):
 
 class EmptySphere(HypertrafficError):
     """Sphere sizes inside the estimation window must be positive."""
+
+
+class WorkerFailed(HypertrafficError):
+    """A worker process of a split census or load pass exited non-zero, was
+    killed, or sent a short result."""

@@ -17,7 +17,12 @@ import hypertraffic
 from hypertraffic import cli, generators, traffic
 from hypertraffic.analysis import classify_transition
 from hypertraffic.cli import main
-from hypertraffic.errors import DisconnectedGraph, MalformedEdge, SizeOverflow
+from hypertraffic.errors import (
+    DisconnectedGraph,
+    MalformedEdge,
+    SizeOverflow,
+    TrafficOverflow,
+)
 from hypertraffic.generators import load_edge_list
 from hypertraffic.graphs import GRAPH_FORMAT, graph_from_json_dict, graph_to_json_dict
 from hypertraffic.serialize import dumps
@@ -945,6 +950,75 @@ class TestExitCodeContract:
             code = exit_code("tree-oracle", f"--k={k}", f"--n-max={n_max}", f"--beta={beta!r}",
                              "--out", str(Path(tmp) / "o.csv"))
         assert code in (0, 2, 3)
+
+
+class TestWorkerProcesses:
+    """A split census or load pass writes the serial bytes, or exits 3
+    naming a worker's failure; the forks fixture checks that no process is
+    left behind either way."""
+
+    @pytest.fixture
+    def ball(self, tmp_path, monkeypatch):
+        """A (5,4) d=4 ball's JSON, with every pass of two sources or more
+        split across worker processes."""
+        gfile = tmp_path / "ball.json"
+        assert run("generate", "--family", "tess", "--p", "5", "--q", "4", "--depth", "4",
+                   "--out", str(gfile)) == 0
+        monkeypatch.setattr(traffic, "_FORK_WORK", 1)
+        return gfile
+
+    def traffic_run(self, gfile, tag):
+        out, loads = gfile.with_name(f"r{tag}.json"), gfile.with_name(f"l{tag}.csv")
+        code = run("traffic", "--graph", str(gfile), "--beta", "1.3", "--include-endpoints",
+                   "--out", str(out), "--loads-out", str(loads))
+        return code, out, loads
+
+    def test_split_run_writes_the_serial_bytes(self, ball, monkeypatch, forks):
+        monkeypatch.setattr(traffic, "_KAHAN_GROUP", 2)  # so the loads split too
+        code, out, loads = self.traffic_run(ball, "split")
+        assert code == 0 and len(forks) >= 2  # the census and the loads
+        monkeypatch.setattr(traffic, "_FORK_WORK", 1 << 62)
+        serial = self.traffic_run(ball, "serial")
+        assert serial[0] == 0
+        assert out.read_bytes() == serial[1].read_bytes()
+        assert loads.read_bytes() == serial[2].read_bytes()
+
+    @pytest.mark.parametrize("fail,how", [
+        (lambda: 1 / 0, "exited with status 1"),
+        (lambda: os.kill(os.getpid(), 9), "was killed by signal 9"),
+    ], ids=["raises", "killed"])
+    def test_a_failing_worker_exits_3_named(self, ball, monkeypatch, capsys, forks, fail, how):
+        """The failure is injected into the walk only where the pid is not
+        the caller's, so the caller's own part succeeds."""
+        parent, walk = os.getpid(), traffic._walk
+
+        def walk_or_fail(*args):
+            if os.getpid() != parent:
+                fail()
+            return walk(*args)
+
+        monkeypatch.setattr(traffic, "_walk", walk_or_fail)
+        capsys.readouterr()
+        code, out, _ = self.traffic_run(ball, "")
+        err = capsys.readouterr().err
+        assert code == 3 and not out.exists()
+        assert err.startswith("error: worker failed: the process walking part 2 of ")
+        assert how in err and forks
+
+    def test_a_failing_own_part_reaps_every_worker(self, ball, monkeypatch, capsys, forks):
+        parent, walk = os.getpid(), traffic._walk
+
+        def fail_here(*args):
+            if os.getpid() == parent:
+                raise TrafficOverflow("injected overflow")
+            return walk(*args)
+
+        monkeypatch.setattr(traffic, "_walk", fail_here)
+        capsys.readouterr()
+        code, out, _ = self.traffic_run(ball, "")
+        assert code == 3 and not out.exists()
+        assert capsys.readouterr().err == "error: injected overflow\n"
+        assert forks
 
 
 def test_cli_import_leaves_fractions_unloaded(tmp_path):

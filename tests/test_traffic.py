@@ -2,6 +2,8 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import os
+import threading
 import warnings
 from fractions import Fraction
 
@@ -17,6 +19,7 @@ from hypertraffic.errors import (
     InvalidRate,
     NotAutomorphism,
     TrafficOverflow,
+    WorkerFailed,
 )
 from hypertraffic.generators import _odometer, gen_grid, gen_kary_tree, gen_tessellation
 from hypertraffic.graphs import (
@@ -48,6 +51,19 @@ from oracles import (
 )
 
 DIAMOND = build_graph([(0, 1), (0, 2), (1, 3), (2, 3)], 0)
+
+CPUS = len(os.sched_getaffinity(0))
+SERIAL = 1 << 62  # a _FORK_WORK no pass reaches, so every pass walks in-process
+
+
+def counted(forks, spread, fn, *args, **kwargs):
+    """fn(*args, **kwargs), after checking that it started at most one
+    process per CPU beside this one; the count goes on the list `spread`."""
+    forks.clear()
+    out = fn(*args, **kwargs)
+    assert len(forks) <= CPUS - 1
+    spread.append(len(forks))
+    return out
 
 
 def cycle(n):
@@ -447,26 +463,32 @@ class TestSandwiches:
 
 class TestDeterminism:
     @pytest.mark.parametrize("name,g,n_max", BRUTE_CASES, ids=[c[0] for c in BRUTE_CASES])
-    def test_batch_sizes_bit_identical(self, name, g, n_max, monkeypatch):
+    def test_batch_sizes_bit_identical(self, name, g, n_max, monkeypatch, forks):
         """One source per batch, an uneven split, and the whole boundary in one
-        batch give the same bits; on trees, tessellations, grids and the longer
-        cycles an n < max_depth stops the walk at distance 2n with nodes of
-        the graph still unreached."""
+        batch give the same bits, walked in this process or split across
+        worker processes, with and without endpoint loads; on trees,
+        tessellations, grids and the longer cycles an n < max_depth stops the
+        walk at distance 2n with nodes of the graph still unreached."""
         rate = ExponentialRate(1.7)
+        spread = []
         for n in range(1, g.max_depth + 1):
             size = len(g.layers[n])
             uneven = next(k for k in itertools.count(3) if size % k)
             results = []
             for batch in (1, uneven, size):
                 monkeypatch.setattr(traffic, "_BATCH_SLOTS", batch * g.node_count)
-                census = pair_census(g, n)
-                rep = traffic_totals(census, rate)
-                results.append((census, rep, node_loads(g, rate, n)))
-            (census, rep, loads), *rest = results
-            for other_census, other_rep, other_loads in rest:
+                for fork_work in (SERIAL, 1):
+                    monkeypatch.setattr(traffic, "_FORK_WORK", fork_work)
+                    census = counted(forks, spread, pair_census, g, n)
+                    rep = traffic_totals(census, rate)
+                    loads = counted(forks, spread, node_loads, g, rate, n)
+                    ends = counted(forks, spread, node_loads, g, rate, n, include_endpoints=True)
+                    results.append((census, rep, loads, ends))
+            (census, rep, loads, ends), *rest = results
+            for other_census, other_rep, other_loads, other_ends in rest:
                 assert np.array_equal(census, other_census)
                 assert rep.T == other_rep.T and rep.T_r == other_rep.T_r
-                assert loads == other_loads
+                assert loads == other_loads and ends == other_ends
             want_t, want_tr, want_loads = brute_traffic(g, rate, n)
             assert rep.T == pytest.approx(want_t, rel=1e-12)
             for got, want in zip(rep.T_r, want_tr):
@@ -475,20 +497,175 @@ class TestDeterminism:
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
+class TestSplitPass:
+    """A census or load pass with enough work splits its walked sources into
+    contiguous parts, walks all but the first in forked workers, and gives
+    the bytes of the serial walk."""
+
+    @pytest.mark.parametrize("group", [1, 2, 3])
+    def test_split_loads_fold_the_serial_groups(self, group, monkeypatch, forks):
+        """Groups small enough that every boundary of more than one source
+        splits: the worker groups folded in boundary order equal the serial
+        fold bit for bit."""
+        monkeypatch.setattr(traffic, "_KAHAN_GROUP", group)
+        rate = ExponentialRate(1.7)
+        spread = []
+        for name, g, _ in BRUTE_CASES:
+            plain = dataclasses.replace(g, symmetries=())
+            for n, ends in itertools.product(range(1, g.max_depth + 1), (False, True)):
+                got = []
+                for fork_work in (SERIAL, 1):
+                    monkeypatch.setattr(traffic, "_FORK_WORK", fork_work)
+                    got.append(counted(forks, spread, node_loads, plain, rate, n,
+                                       include_endpoints=ends))
+                assert np.array(got[0]).tobytes() == np.array(got[1]).tobytes(), (name, n, ends)
+        assert max(spread) >= min(CPUS, 2) - 1  # some call split
+
+    def test_threshold_splits_the_d8_sweep_ball_and_keeps_d7_serial(self, monkeypatch, forks):
+        """At the default _FORK_WORK the (5,4) d=8 census and loads split
+        onto every CPU (up to the 7 processes its work affords; the loads'
+        225 sources make 4 groups of 64), while d=7, the loads benchmark's
+        ball, and every tree stay in one process."""
+        rate = ExponentialRate(1.3)
+        default = traffic._FORK_WORK
+        for d, census_procs, loads_procs in ((7, 1, 1), (8, min(CPUS, 7), min(CPUS, 4))):
+            g = gen_tessellation(5, 4, d)
+            spread = []
+            census = counted(forks, spread, pair_census, g, d)
+            loads = counted(forks, spread, node_loads, g, rate, d)
+            assert spread == [census_procs - 1, loads_procs - 1]
+            monkeypatch.setattr(traffic, "_FORK_WORK", SERIAL)
+            assert np.array_equal(census, pair_census(g, d))
+            assert loads == node_loads(g, rate, d)
+            monkeypatch.setattr(traffic, "_FORK_WORK", default)
+        tree = gen_kary_tree(3, 6)
+        forks.clear()
+        pair_census(tree, 6)
+        node_loads(tree, rate, 6)
+        assert forks == []
+
+    def test_a_live_thread_keeps_the_pass_serial(self, monkeypatch, forks):
+        """A forked child holds only the forking thread, so no pass forks
+        while another thread runs; once it ends, the same call splits."""
+        monkeypatch.setattr(traffic, "_FORK_WORK", 1)
+        g = dataclasses.replace(gen_tessellation(5, 4, 3), symmetries=())
+        rate = ExponentialRate(1.3)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            forks.clear()
+            census, loads = pair_census(g, 3), node_loads(g, rate, 3)
+            assert forks == []
+        finally:
+            stop.set()
+            thread.join()
+        assert np.array_equal(pair_census(g, 3), census)
+        assert node_loads(g, rate, 3) == loads
+        # the census splits onto every CPU; its boundary is one group of loads
+        assert len(forks) == min(CPUS, len(g.layers[3])) - 1 and len(g.layers[3]) <= 64
+
+    def test_a_worker_overflow_is_relayed_by_name(self, monkeypatch, forks):
+        """A TrafficOverflow in a worker is raised in the caller with its
+        message, and huge rates overflow with the serial message."""
+        monkeypatch.setattr(traffic, "_FORK_WORK", 1)
+        monkeypatch.setattr(traffic, "_KAHAN_GROUP", 1)
+        parent, walk = os.getpid(), traffic._walk
+
+        def overflow_in_workers(*args):
+            if os.getpid() != parent:
+                raise TrafficOverflow("injected overflow")
+            return walk(*args)
+
+        g = dataclasses.replace(gen_kary_tree(2, 3), symmetries=())
+        with monkeypatch.context() as m:
+            m.setattr(traffic, "_walk", overflow_in_workers)
+            for call in (lambda: pair_census(g, 3), lambda: node_loads(g, ExponentialRate(2), 3)):
+                forks.clear()
+                with pytest.raises(TrafficOverflow, match="^injected overflow$"):
+                    call()
+                assert forks
+        rate = TableRate((1e308,) * 7)
+        messages = []
+        for fork_work in (SERIAL, 1):
+            monkeypatch.setattr(traffic, "_FORK_WORK", fork_work)
+            with pytest.raises(TrafficOverflow) as info:
+                node_loads(g, rate, 3, include_endpoints=True)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+    @pytest.mark.skipif(CPUS < 2, reason="a split needs a second CPU")
+    def test_items_arrive_in_part_order_and_before_a_relayed_error(self, forks):
+        """_fan_out hands over every part's items in the order of the parts,
+        one part per CPU, and a worker's items before its TrafficOverflow."""
+
+        def walk(part, take):
+            for x in part:
+                take(np.array([x]))
+            if part[-1] == stop:
+                raise TrafficOverflow(f"stopped at {stop}")
+
+        parts = np.array_split(np.arange(3 * CPUS), CPUS)
+        like = np.zeros(1, dtype=np.int64)
+        for stop in (-1, parts[-1][-1]):
+            got = []
+            try:
+                traffic._fan_out(parts, walk, got.append, like)
+            except TrafficOverflow as exc:
+                assert str(exc) == f"stopped at {stop}"
+            else:
+                assert stop == -1
+            assert [int(x[0]) for x in got] == list(range(3 * CPUS))
+        assert len(forks) == 2 * (CPUS - 1)
+
+    @pytest.mark.parametrize("payload,status", [
+        (b"", 0),  # nothing sent
+        (b"\x01\x00\x00\x00", 0),  # a short count
+        ((1).to_bytes(8, "little") + bytes(8), 0),  # a short item
+        ((1).to_bytes(8, "little") + bytes(24), 0),  # bytes past the item
+        ((1).to_bytes(8, "little") + bytes(16), 1 << 8),  # exit status 1
+        ((0).to_bytes(8, "little"), traffic._RELAYED << 8),  # a relay without a message
+        ((1).to_bytes(8, "little") + bytes(16), 9),  # killed by SIGKILL
+    ])
+    def test_a_bad_payload_is_a_named_failure(self, payload, status):
+        like = np.zeros(2, dtype=np.int64)
+        with pytest.raises(WorkerFailed, match="^worker failed: the process walking part 2 of 2"):
+            traffic._received(payload, status, like, "2 of 2")
+
+    def test_a_whole_payload_gives_its_items(self):
+        like = np.zeros(2, dtype=np.int64)
+        items = np.arange(4, dtype=np.int64)
+        payload = (2).to_bytes(8, "little") + items.tobytes()
+        got, message = traffic._received(payload, 0, like, "2 of 2")
+        assert got.tolist() == [[0, 1], [2, 3]] and message == ""
+        got, message = traffic._received(payload + b"too big", traffic._RELAYED << 8, like, "2 of 2")
+        assert got.tolist() == [[0, 1], [2, 3]] and message == "too big"
+
+
 # (p, q, deepest ball): every ball up to that depth is checked at every n
 ORBIT_BALLS = [(5, 4, 8), (7, 3, 9), (4, 5, 6), (3, 7, 8)]
 
 
 class TestOrbitCensus:
     @pytest.mark.parametrize("p,q,d_max", ORBIT_BALLS)
-    def test_reduced_census_equals_full(self, p, q, d_max):
-        """Walking one source per orbit gives the census of every source."""
+    def test_reduced_census_equals_full(self, p, q, d_max, monkeypatch, forks):
+        """Walking one source per orbit gives the census of every source, and
+        splitting the walked sources across worker processes changes no
+        bit: the full census, split wherever it has two sources, equals the
+        reduced census walked in one process and split."""
+        spread = []
         for d in range(d_max + 1):
             g = gen_tessellation(p, q, d)
             assert len(g.symmetries) == 2
             plain = dataclasses.replace(g, symmetries=())
             for n in range(d + 1):
-                assert np.array_equal(pair_census(g, n), pair_census(plain, n)), (d, n)
+                monkeypatch.setattr(traffic, "_FORK_WORK", 1)
+                full = counted(forks, spread, pair_census, plain, n)
+                split = counted(forks, spread, pair_census, g, n)
+                monkeypatch.setattr(traffic, "_FORK_WORK", SERIAL)
+                assert np.array_equal(pair_census(g, n), full), (d, n)
+                assert np.array_equal(split, full), (d, n)
+        assert max(spread) >= min(CPUS, 2) - 1  # some call split
 
     def test_sources_walked_on_the_sweep_balls(self):
         # the dihedral group of order 8 about the (5,4) root leaves this many
