@@ -68,4 +68,4 @@ class EmptySphere(HypertrafficError):
 
 class WorkerFailed(HypertrafficError):
     """A worker process of a split census or load pass exited non-zero, was
-    killed, or sent a short result."""
+    killed, or sent no whole pickle of its result."""

@@ -223,9 +223,12 @@ def _check_symmetry(perm, g: Graph) -> np.ndarray:
 
 
 def _int64_value(x) -> bool:
-    """Whether x is an int64 value, held as an int or as a float: numpy
-    reads every endpoint of a list as a float once one of them is."""
-    return (type(x) is int or type(x) is float and x.is_integer()) and -(1 << 63) <= x < 1 << 63
+    """Whether x is an int64 value, held as an int, a numpy integer or a
+    float: numpy reads every endpoint of a list as a float once one of them
+    is. A bool is not one."""
+    return (
+        type(x) is int or isinstance(x, np.integer) or type(x) is float and x.is_integer()
+    ) and -(1 << 63) <= x < 1 << 63
 
 
 def _edge_array(edges) -> np.ndarray:
@@ -235,9 +238,12 @@ def _edge_array(edges) -> np.ndarray:
     id of 2^63 or more does not), MalformedEdge names the first edge, as
     numpy read it, that is not a pair of int64 values; if each is one, held
     as floats, it names none. A list and the array numpy makes of it are
-    thus refused alike.
+    thus refused alike, with one exception: numpy reads a bool endpoint
+    beside ints as 0 or 1, so a list holding one is refused, naming its
+    first edge that holds one as given.
     """
-    if not isinstance(edges, np.ndarray):
+    listed = not isinstance(edges, np.ndarray)
+    if listed:
         edges = list(edges)
     try:
         arr = np.asarray(edges)
@@ -246,11 +252,14 @@ def _edge_array(edges) -> np.ndarray:
     else:
         if arr.size == 0:
             return np.empty((0, 2), dtype=np.int64)
-        if arr.ndim == 2 and arr.shape[1] == 2 and (
+        if not (arr.ndim == 2 and arr.shape[1] == 2 and (
             arr.dtype.kind == "i" or arr.dtype.kind == "u" and arr.max() < 1 << 63
-        ):
+        )):
+            rows, read_as = arr.tolist(), f"numpy reads them as {arr.dtype} of shape {arr.shape}"
+        elif listed and not {bool, np.bool_}.isdisjoint(map(type, chain.from_iterable(edges))):
+            rows, read_as = edges, "a bool is not a node id"
+        else:
             return arr.astype(np.int64, copy=False)
-        rows, read_as = arr.tolist(), f"numpy reads them as {arr.dtype} of shape {arr.shape}"
     for i, e in enumerate(rows):
         if not (isinstance(e, (list, tuple)) and len(e) == 2 and all(map(_int64_value, e))):
             raise MalformedEdge(f"edge {i} {e!r} is not a pair of integers; {read_as}")
@@ -263,11 +272,12 @@ def build_graph(edges, root, symmetries=()) -> Graph:
     loaded, is built here, so this is the one gate its node ids pass.
 
     Duplicate and reversed edges collapse; self-loops, negative indices and
-    pairs that are not integers raise MalformedEdge. Then, checked on the
-    edge array before any per-node allocation, an id at or above node_cap()
-    raises SizeOverflow, and an id below the largest that is neither an
-    endpoint nor the root raises DisconnectedGraph, as nothing joins it to
-    the root; so does any other node the walk from the root misses. Each
+    pairs that are not integers, such as a bool endpoint, raise
+    MalformedEdge. Then, checked on the edge array before any per-node
+    allocation, an id at or above node_cap() raises SizeOverflow, and an
+    id below the largest that is neither an endpoint nor the root raises
+    DisconnectedGraph, as nothing joins it to the root; so does any other
+    node the walk from the root misses. Each
     of `symmetries` must be a permutation of the node ids that fixes the
     root and maps edges onto edges, else NotAutomorphism is raised.
 

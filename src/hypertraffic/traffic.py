@@ -25,16 +25,18 @@ source alone would, so geodesic counts and dependency sums are bit-identical
 for every batch size. Node loads are folded in boundary order with
 compensated accumulation. A deep pass splits its walked sources into
 contiguous parts and walks all but the first in forked worker processes
-(_split, _fan_out): the census adds integers, and the loads fold the same
+(_split, _fan_out). Each worker pickles back its items and the exception, if
+any, that stopped its walk; WorkerFailed means only that a worker died or
+sent no whole pickle. The census adds integers, and the loads fold the same
 groups of rows in the same order, so the bytes equal the serial walk's for
 every worker count.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import os
+import pickle
 import sys
 import threading
 from dataclasses import dataclass
@@ -47,7 +49,6 @@ from .graphs import Graph, _orbit_labels, _walk
 _BATCH_SLOTS = 1 << 14  # slots (source x node) per batch of the walk
 _FORK_WORK = 1 << 18  # directed-edge visits each process needs before a pass splits
 _KAHAN_GROUP = 64
-_RELAYED = 4  # a worker's exit status when it sends back a TrafficOverflow
 _SIGKILL = 9  # signal.SIGKILL, whose module the CLI does not otherwise load
 
 
@@ -167,18 +168,17 @@ def _split(g: Graph, reps: np.ndarray, unit: int) -> list:
     return [reps]
 
 
-def _fan_out(parts: list, walk, take, like: np.ndarray) -> None:
+def _fan_out(parts: list, walk, take) -> None:
     """Run walk(part, take) on every part, handing take the items of each
-    part after those of every earlier part. Each item is an array shaped
-    and typed like `like`.
+    part after those of every earlier part.
 
     The first part runs here. Every other part runs in a child made by
-    os.fork, whose take keeps its items; the child then writes them back
-    through a pipe as raw bytes and ends with os._exit, so it never runs on
-    into the caller. A TrafficOverflow in a child is raised here, by name
-    and message, after its items that came before it; any other failure of
-    a child raises WorkerFailed, never a partial result. Every child is
-    killed and reaped before this returns or raises.
+    os.fork, whose take keeps its items; the child then pickles back its
+    items and the exception, if any, that stopped its walk, and ends with
+    os._exit, so it never runs on into the caller. That exception is raised
+    here after the child's items; a child that exits non-zero, is killed,
+    or sends no whole pickle raises WorkerFailed, never a partial result.
+    Every child is killed and reaped before this returns or raises.
     """
     children = []
     try:
@@ -197,11 +197,11 @@ def _fan_out(parts: list, walk, take, like: np.ndarray) -> None:
             status = os.waitpid(pid, 0)[1]
             children.remove((pid, fd))
             os.close(fd)
-            items, message = _received(b"".join(chunks), status, like, f"{index} of {len(parts)}")
+            items, error = _received(b"".join(chunks), status, f"{index} of {len(parts)}")
             for item in items:
                 take(item)
-            if message:
-                raise TrafficOverflow(message)
+            if error is not None:
+                raise error
     finally:
         for pid, fd in children:
             os.kill(pid, _SIGKILL)
@@ -210,46 +210,42 @@ def _fan_out(parts: list, walk, take, like: np.ndarray) -> None:
 
 
 def _work(walk, part: np.ndarray, fd: int):
-    """A child's side of _fan_out: walk the part, then write to fd the
-    number of items (8 bytes), the items, and a TrafficOverflow's message,
-    if one stopped the walk. Never returns."""
+    """A child's side of _fan_out: walk the part, then pickle to fd its
+    items and the TrafficOverflow or FloatingPointError that stopped the
+    walk, or None. Never returns."""
     items = []
     status = 1
     try:
         try:
             walk(part, items.append)
-            message = b""
-        except TrafficOverflow as exc:
-            message = str(exc).encode()
-        for chunk in (len(items).to_bytes(8, "little"), *items, message):
-            view = memoryview(chunk).cast("B")
-            while view:
-                view = view[os.write(fd, view) :]
-        status = _RELAYED if message else 0
+            error = None
+        except (TrafficOverflow, FloatingPointError) as exc:
+            error = exc
+        with open(fd, "wb") as pipe:
+            pickle.dump((items, error), pipe)
+        status = 0
     finally:
         try:
-            if status == 1:  # an exception is on its way out: name it
+            if status:  # an exception is on its way out: name it
                 os.write(2, f"worker {os.getpid()}: {sys.exc_info()[1]!r}\n".encode())
         finally:
             os._exit(status)
 
 
-def _received(payload: bytes, status: int, like: np.ndarray, part: str) -> tuple:
-    """(items, message) from a child's payload and wait status; raises
-    WorkerFailed unless the child exited 0 with exactly its items, or with
-    _RELAYED and a message after them."""
+def _received(payload: bytes, status: int, part: str) -> tuple:
+    """(items, error) from a child's pickle and wait status; raises
+    WorkerFailed unless the child exited 0 after sending a whole pickle."""
     code = os.waitstatus_to_exitcode(status)
-    count = int.from_bytes(payload[:8], "little")
-    end = 8 + count * like.nbytes
-    message = payload[end:].decode(errors="replace")
-    if code not in (0, _RELAYED) or len(payload) < end or bool(message) != (code == _RELAYED):
-        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-        raise WorkerFailed(
-            f"worker failed: the process walking part {part} of the boundary {how} "
-            f"after sending {len(payload)} bytes"
-        )
-    items = np.frombuffer(payload, like.dtype, count * like.size, 8)
-    return items.reshape(count, *like.shape), message
+    if code == 0:
+        try:
+            return pickle.loads(payload)
+        except (EOFError, pickle.UnpicklingError):
+            pass
+    how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+    raise WorkerFailed(
+        f"worker failed: the process walking part {part} of the boundary {how} "
+        f"after sending {len(payload)} bytes"
+    )
 
 
 def pair_census(g: Graph, n: int) -> np.ndarray:
@@ -279,7 +275,7 @@ def pair_census(g: Graph, n: int) -> np.ndarray:
         take(total)
 
     totals = []
-    _fan_out(_split(g, reps, 1), walk, totals.append, np.zeros(size, dtype=np.int64))
+    _fan_out(_split(g, reps, 1), walk, totals.append)
     return np.sum(totals, axis=0).reshape(2 * n + 1, width)
 
 
@@ -371,38 +367,37 @@ def node_loads(g: Graph, f, n: int, include_endpoints: bool = False) -> tuple:
         _KAHAN_GROUP rows of the part, in boundary order."""
         acc = comp = np.zeros(nn)
         done = 0
-        with _load_errors(n):
-            for sources, orbits, dist, levels in _walks(g, part, orbit_size, 2 * n):
-                rows = sources.size
-                start = np.arange(rows, dtype=np.int64) * nn + sources
-                sigma = np.zeros(rows * nn)
-                sigma[start] = 1.0
-                for below, src, tgt in levels:
-                    np.add.at(sigma, tgt, sigma[below[src]])
-                weight = np.zeros((rows, nn))
-                weight[:, boundary] = rates[dist.reshape(rows, nn)[:, boundary]]
-                weight.flat[start] = 0.0
-                weight = weight.ravel()
-                delta = np.zeros(rows * nn)
-                for below, src, tgt in reversed(levels):
-                    coef = (weight[tgt] + delta[tgt]) / sigma[tgt]
-                    sums = np.bincount(src, weights=coef, minlength=below.size)
-                    delta[below] = sigma[below] * sums
-                delta[start] = 0.0
-                delta = delta.reshape(rows, nn)
-                if include_endpoints:
-                    ends = weight.reshape(rows, nn)[:, boundary]
-                    delta.flat[start] = [_fsum(row, n) for row in ends]
-                    delta[:, boundary] += ends
-                delta *= orbits[:, None]
-                for row in delta:
-                    acc, comp = _kahan(acc, comp, row)
-                    done += 1
-                    if done % _KAHAN_GROUP == 0:
-                        take(np.stack((acc, comp)))
-                        acc = comp = np.zeros(nn)
-            if done % _KAHAN_GROUP:
-                take(np.stack((acc, comp)))
+        for sources, orbits, dist, levels in _walks(g, part, orbit_size, 2 * n):
+            rows = sources.size
+            start = np.arange(rows, dtype=np.int64) * nn + sources
+            sigma = np.zeros(rows * nn)
+            sigma[start] = 1.0
+            for below, src, tgt in levels:
+                np.add.at(sigma, tgt, sigma[below[src]])
+            weight = np.zeros((rows, nn))
+            weight[:, boundary] = rates[dist.reshape(rows, nn)[:, boundary]]
+            weight.flat[start] = 0.0
+            weight = weight.ravel()
+            delta = np.zeros(rows * nn)
+            for below, src, tgt in reversed(levels):
+                coef = (weight[tgt] + delta[tgt]) / sigma[tgt]
+                sums = np.bincount(src, weights=coef, minlength=below.size)
+                delta[below] = sigma[below] * sums
+            delta[start] = 0.0
+            delta = delta.reshape(rows, nn)
+            if include_endpoints:
+                ends = weight.reshape(rows, nn)[:, boundary]
+                delta.flat[start] = [_fsum(row, n) for row in ends]
+                delta[:, boundary] += ends
+            delta *= orbits[:, None]
+            for row in delta:
+                acc, comp = _kahan(acc, comp, row)
+                done += 1
+                if done % _KAHAN_GROUP == 0:
+                    take(np.stack((acc, comp)))
+                    acc = comp = np.zeros(nn)
+        if done % _KAHAN_GROUP:
+            take(np.stack((acc, comp)))
 
     total = carry = np.zeros(nn)
 
@@ -412,24 +407,16 @@ def node_loads(g: Graph, f, n: int, include_endpoints: bool = False) -> tuple:
         nonlocal total, carry
         total, carry = _kahan(*_kahan(total, carry, group[0]), -group[1])
 
-    with _load_errors(n):
-        _fan_out(_split(g, reps, _KAHAN_GROUP), walk, fold, np.zeros((2, nn)))
-        mean = np.bincount(label, weights=total)[label] / np.bincount(label)[label]
-    return tuple(float(x) for x in mean)
-
-
-@contextlib.contextmanager
-def _load_errors(n: int):
-    """The floating-point error scope of a load pass at depth n: an
-    overflow or an invalid value raises TrafficOverflow."""
     try:
-        with np.errstate(over="raise", invalid="raise"):
-            yield
+        with np.errstate(over="raise", invalid="raise"):  # forked workers inherit it
+            _fan_out(_split(g, reps, _KAHAN_GROUP), walk, fold)
+            mean = np.bincount(label, weights=total)[label] / np.bincount(label)[label]
     except FloatingPointError as exc:
         raise TrafficOverflow(
             f"node loads at depth {n} overflow float64 ({exc}); "
             "the geodesic counts or the rates are too large"
         ) from None
+    return tuple(float(x) for x in mean)
 
 
 def check_epsilon(epsilon: float) -> None:

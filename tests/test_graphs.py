@@ -257,6 +257,22 @@ class TestEdgeInputs:
         assert str(info.value) == message
         assert peak < 1 << 20
 
+    def test_a_bool_endpoint_is_refused(self):
+        """numpy reads a bool beside ints as 0 or 1; build_graph refuses it,
+        naming the first edge that holds one, as it refuses a pair of
+        bools."""
+        for edges, named in (
+            ([(True, 2), (0, 2)], "edge 0 (True, 2)"),
+            ([(0, 2), (np.int64(1), np.True_)], "edge 1 (np.int64(1), np.True_)"),
+            ([(0, 1), [2, False]], "edge 1 [2, False]"),
+        ):
+            with pytest.raises(MalformedEdge) as info:
+                build_graph(edges, 0)
+            assert str(info.value) == f"{named} is not a pair of integers; a bool is not a node id"
+        with pytest.raises(MalformedEdge, match=r"^edge 0 \[True, False\] is not a pair of "
+                           r"integers; numpy reads them as bool of shape \(1, 2\)$"):
+            build_graph([(True, False)], 0)
+
     def test_any_iterable_of_pairs(self):
         assert same_graph(build_graph(iter(PATH3), 0), build_graph(PATH3, 0))
         path = np.array([(0, 1), (1, 2), (2, 3)])

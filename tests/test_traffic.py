@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import os
+import pickle
 import threading
 import warnings
 from fractions import Fraction
@@ -497,6 +498,10 @@ class TestDeterminism:
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
+# a worker's whole payload: two items and no exception
+WHOLE = pickle.dumps(([np.arange(2), np.arange(2, 4)], None))
+
+
 class TestSplitPass:
     """A census or load pass with enough work splits its walked sources into
     contiguous parts, walks all but the first in forked workers, and gives
@@ -606,11 +611,10 @@ class TestSplitPass:
                 raise TrafficOverflow(f"stopped at {stop}")
 
         parts = np.array_split(np.arange(3 * CPUS), CPUS)
-        like = np.zeros(1, dtype=np.int64)
         for stop in (-1, parts[-1][-1]):
             got = []
             try:
-                traffic._fan_out(parts, walk, got.append, like)
+                traffic._fan_out(parts, walk, got.append)
             except TrafficOverflow as exc:
                 assert str(exc) == f"stopped at {stop}"
             else:
@@ -620,26 +624,58 @@ class TestSplitPass:
 
     @pytest.mark.parametrize("payload,status", [
         (b"", 0),  # nothing sent
-        (b"\x01\x00\x00\x00", 0),  # a short count
-        ((1).to_bytes(8, "little") + bytes(8), 0),  # a short item
-        ((1).to_bytes(8, "little") + bytes(24), 0),  # bytes past the item
-        ((1).to_bytes(8, "little") + bytes(16), 1 << 8),  # exit status 1
-        ((0).to_bytes(8, "little"), traffic._RELAYED << 8),  # a relay without a message
-        ((1).to_bytes(8, "little") + bytes(16), 9),  # killed by SIGKILL
-    ])
+        (WHOLE[:-1], 0),  # a truncated pickle
+        (WHOLE, 1 << 8),  # exit status 1 after a whole pickle
+        (WHOLE, 9),  # killed by SIGKILL after a whole pickle
+    ], ids=["empty", "truncated", "status-1", "killed"])
     def test_a_bad_payload_is_a_named_failure(self, payload, status):
-        like = np.zeros(2, dtype=np.int64)
         with pytest.raises(WorkerFailed, match="^worker failed: the process walking part 2 of 2"):
-            traffic._received(payload, status, like, "2 of 2")
+            traffic._received(payload, status, "2 of 2")
+
+    def test_no_prefix_of_a_whole_payload_is_taken(self):
+        """A worker that dies while writing leaves a prefix of its pickle:
+        every cut is refused, none unpickles to fewer items."""
+        for cut in range(len(WHOLE)):
+            with pytest.raises(WorkerFailed, match=f"after sending {cut} bytes$"):
+                traffic._received(WHOLE[:cut], 0, "2 of 2")
 
     def test_a_whole_payload_gives_its_items(self):
-        like = np.zeros(2, dtype=np.int64)
-        items = np.arange(4, dtype=np.int64)
-        payload = (2).to_bytes(8, "little") + items.tobytes()
-        got, message = traffic._received(payload, 0, like, "2 of 2")
-        assert got.tolist() == [[0, 1], [2, 3]] and message == ""
-        got, message = traffic._received(payload + b"too big", traffic._RELAYED << 8, like, "2 of 2")
-        assert got.tolist() == [[0, 1], [2, 3]] and message == "too big"
+        """The items and the exception come back as pickled; bytes past the
+        pickle are ignored, since only the worker writes its pipe."""
+        items, error = traffic._received(WHOLE, 0, "2 of 2")
+        assert [x.tolist() for x in items] == [[0, 1], [2, 3]] and error is None
+        payload = pickle.dumps((items, TrafficOverflow("too big"))) + b"more"
+        items, error = traffic._received(payload, 0, "2 of 2")
+        assert [x.tolist() for x in items] == [[0, 1], [2, 3]]
+        assert type(error) is TrafficOverflow and str(error) == "too big"
+
+    @pytest.mark.skipif(CPUS < 2, reason="a split needs a second CPU")
+    def test_a_worker_floating_point_error_is_named_as_serial(self, monkeypatch, forks):
+        """A FloatingPointError raised only in the workers, under the error
+        scope they inherit, is named in the caller as a serial run names
+        it."""
+        monkeypatch.setattr(traffic, "_KAHAN_GROUP", 1)
+        parent, walk = os.getpid(), traffic._walk
+        g = dataclasses.replace(gen_kary_tree(2, 3), symmetries=())
+        messages = []
+        for fork_work, where in ((1, "workers"), (SERIAL, "everywhere")):
+
+            def overflow(*args):
+                if where == "everywhere" or os.getpid() != parent:
+                    np.float64(1e308) * 10.0
+                return walk(*args)
+
+            monkeypatch.setattr(traffic, "_FORK_WORK", fork_work)
+            monkeypatch.setattr(traffic, "_walk", overflow)
+            forks.clear()
+            with pytest.raises(TrafficOverflow) as info:
+                node_loads(g, ExponentialRate(2), 3)
+            messages.append(str(info.value))
+            assert bool(forks) == (where == "workers")
+        assert messages == 2 * [
+            "node loads at depth 3 overflow float64 (overflow encountered in scalar multiply); "
+            "the geodesic counts or the rates are too large"
+        ]
 
 
 # (p, q, deepest ball): every ball up to that depth is checked at every n
