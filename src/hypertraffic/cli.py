@@ -9,7 +9,13 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
+
+# One OS thread per run: the package makes no BLAS call, so numpy's OpenBLAS
+# thread only burns CPU, and a split pass forks from this process. Set before
+# the imports below load numpy; a value the caller set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import analysis, generators, graphs, serialize, traffic
 from .errors import GraphTooLarge, HypertrafficError, MalformedEdge

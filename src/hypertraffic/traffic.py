@@ -19,17 +19,19 @@ a mean over each node orbit. A graph without symmetries, such as one built
 directly by build_graph, walks every source and sums its loads in boundary
 order.
 
-Determinism: one batched _walk takes many boundary sources together. Each
-source sees its frontier in ascending node order, exactly as a walk from that
-source alone would, so geodesic counts and dependency sums are bit-identical
-for every batch size. Node loads are folded in boundary order with
-compensated accumulation. A deep pass splits its walked sources into
-contiguous parts and walks all but the first in forked worker processes
-(_split, _fan_out). Each worker pickles back its items and the exception, if
-any, that stopped its walk; WorkerFailed means only that a worker died or
-sent no whole pickle. The census adds integers, and the loads fold the same
-groups of rows in the same order, so the bytes equal the serial walk's for
-every worker count.
+Determinism: the census and the loads each make one pass (_pass), which
+owns the boundary orbits, the batches, the split and the compensated fold.
+One batched _walk takes many boundary sources together. Each source sees its
+frontier in ascending node order, exactly as a walk from that source alone
+would, so geodesic counts and dependency sums are bit-identical for every
+batch size. A deep pass splits its walked sources into contiguous parts and
+walks all but the first in forked worker processes (_split, _fan_out), on
+Linux only: where os.sched_getaffinity is missing it walks serially. Each
+worker pickles back its items and the exception, if any, that stopped its
+walk; WorkerFailed means only that a worker died or sent no whole pickle.
+Census rows are exact integers, and the loads split on the edges of their
+compensated groups, folded in boundary order, so the bytes equal the serial
+walk's for every worker count.
 """
 
 from __future__ import annotations
@@ -124,28 +126,6 @@ def boundary_nodes(g: Graph, n: int) -> np.ndarray:
     return g.layers[n]
 
 
-def _orbits(g: Graph, boundary: np.ndarray, label: np.ndarray) -> tuple:
-    """(reps, orbit_size): the smallest id of each boundary orbit under the
-    orbit labels `label`, ascending, and per node the size of the boundary
-    orbit it represents (0 for a node that represents none)."""
-    orbit_size = np.bincount(label[boundary], minlength=g.node_count)
-    return np.flatnonzero(orbit_size), orbit_size
-
-
-def _walks(g: Graph, reps: np.ndarray, orbit_size: np.ndarray, reach: int):
-    """Walk the sources `reps`, in order, in batches of about _BATCH_SLOTS
-    slots.
-
-    Yields (sources, orbit_size[sources], dist, levels) per batch: the
-    batch's sources, the size of each source's boundary orbit, and
-    graphs._walk's (dist, levels) on g.pages out to distance `reach`.
-    """
-    size = max(1, _BATCH_SLOTS // g.node_count)
-    for i in range(0, reps.size, size):
-        sources = reps[i : i + size]
-        yield (sources, orbit_size[sources], *_walk(g.pages, sources, reach))
-
-
 def _split(g: Graph, reps: np.ndarray, unit: int) -> list:
     """reps cut into contiguous parts, one per process, every part but the
     last a multiple of `unit` sources long.
@@ -154,13 +134,15 @@ def _split(g: Graph, reps: np.ndarray, unit: int) -> list:
     directed-edge visits (sources walked x directed edges), onto at most
     one process per CPU this process may run on, and never while another
     thread runs: a forked child holds only the forking thread, so a lock
-    another thread held would stay locked in it.
+    another thread held would stay locked in it. Where os.sched_getaffinity
+    is missing (macOS, Windows) the pass stays serial, since os.fork there
+    is missing or unsafe once numpy is loaded.
     """
     edges = g.csr[2].size
     groups = -(-reps.size // unit)
-    most = min(len(os.sched_getaffinity(0)), reps.size * edges // _FORK_WORK, groups)
-    if threading.active_count() > 1:
-        most = 1
+    most = 1
+    if hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
+        most = min(len(os.sched_getaffinity(0)), reps.size * edges // _FORK_WORK, groups)
     for procs in range(most, 1, -1):
         parts = np.split(reps, [groups * i // procs * unit for i in range(1, procs)])
         if min(part.size for part in parts) * edges >= _FORK_WORK:
@@ -248,6 +230,55 @@ def _received(payload: bytes, status: int, part: str) -> tuple:
     )
 
 
+def _kahan(total, carry, x):
+    """One compensated add: (total + x, the new compensation term). Arrays
+    are added elementwise and never changed in place."""
+    y = x - carry
+    t = total + y
+    return t, (t - total) - y
+
+
+def _pass(g: Graph, n: int, label: np.ndarray, unit: int, rows) -> np.ndarray:
+    """The compensated sum of the rows that rows(sources, orbits, dist,
+    levels) gives for each batch of one walk from the depth-n boundary.
+
+    It walks the smallest id of each boundary orbit under the orbit labels
+    `label`, ascending, in batches of about _BATCH_SLOTS slots out to
+    distance 2n, and hands `rows` each batch's sources, their boundary
+    orbit sizes and graphs._walk's (dist, levels). Rows are summed in
+    compensated groups of _KAHAN_GROUP, folded in boundary order. A deep
+    pass splits on multiples of `unit` sources: _KAHAN_GROUP for float
+    rows, one per source, so that each group sums the serial walk's rows;
+    1 for integer rows, exact in any grouping.
+    """
+    orbit_size = np.bincount(label[boundary_nodes(g, n)], minlength=g.node_count)
+    size = max(1, _BATCH_SLOTS // g.node_count)
+
+    def walk(part, take):
+        acc = comp = 0  # takes the rows' dtype, so integer rows stay exact
+        done = 0
+        for i in range(0, part.size, size):
+            sources = part[i : i + size]
+            for row in rows(sources, orbit_size[sources], *_walk(g.pages, sources, 2 * n)):
+                acc, comp = _kahan(acc, comp, row)
+                done += 1
+                if done % _KAHAN_GROUP == 0:
+                    take(np.stack((acc, comp)))
+                    acc = comp = 0
+        if done % _KAHAN_GROUP:
+            take(np.stack((acc, comp)))
+
+    total = carry = 0
+
+    def fold(group):
+        # an inf that np.bincount let through turns into inf - inf here
+        nonlocal total, carry
+        total, carry = _kahan(*_kahan(total, carry, group[0]), -group[1])
+
+    _fan_out(_split(g, np.flatnonzero(orbit_size), unit), walk, fold)
+    return total
+
+
 def pair_census(g: Graph, n: int) -> np.ndarray:
     """Integer counts of ordered boundary pairs by (distance, h).
 
@@ -257,26 +288,20 @@ def pair_census(g: Graph, n: int) -> np.ndarray:
     id of each boundary orbit is walked, and its row counts orbit-size times.
     """
     boundary = boundary_nodes(g, n)
-    reps, orbit_size = _orbits(g, boundary, _orbit_labels(g.node_count, g.symmetries))
     width = n + 1
     size = (2 * n + 1) * width
 
-    def walk(part, take):
-        total = np.zeros(size, dtype=np.int64)
-        for sources, orbits, dist, levels in _walks(g, part, orbit_size, 2 * n):
-            rows = sources.size
-            md = np.tile(g.depth, rows)
-            for below, src, tgt in levels:
-                np.minimum.at(md, tgt, md[below[src]])
-            slots = (np.arange(rows) * g.node_count)[:, None] + boundary
-            keys = dist[slots] * width + md[slots] + (np.arange(rows) * size)[:, None]
-            counts = np.bincount(keys.ravel(), minlength=rows * size).reshape(rows, size)
-            total += (counts * orbits[:, None]).sum(0)
-        take(total)
+    def rows(sources, orbits, dist, levels):
+        count = sources.size
+        md = np.tile(g.depth, count)
+        for below, src, tgt in levels:
+            np.minimum.at(md, tgt, md[below[src]])
+        slots = (np.arange(count) * g.node_count)[:, None] + boundary
+        keys = dist[slots] * width + md[slots] + (np.arange(count) * size)[:, None]
+        counts = np.bincount(keys.ravel(), minlength=count * size).reshape(count, size)
+        return [(counts * orbits[:, None]).sum(0)]
 
-    totals = []
-    _fan_out(_split(g, reps, 1), walk, totals.append)
-    return np.sum(totals, axis=0).reshape(2 * n + 1, width)
+    return _pass(g, n, _orbit_labels(g.node_count, g.symmetries), 1, rows).reshape(2 * n + 1, width)
 
 
 @dataclass(frozen=True)
@@ -327,14 +352,6 @@ def traffic_totals(census: np.ndarray, f) -> TrafficReport:
     return TrafficReport(n=n, T=t_r[-1], T_r=tuple(t_r))
 
 
-def _kahan(total, carry, x):
-    """One compensated add: (total + x, the new compensation term). Arrays
-    are added elementwise and never changed in place."""
-    y = x - carry
-    t = total + y
-    return t, (t - total) - y
-
-
 def node_loads(g: Graph, f, n: int, include_endpoints: bool = False) -> tuple:
     """Per-node relay load with equal splitting across geodesics.
 
@@ -352,64 +369,43 @@ def node_loads(g: Graph, f, n: int, include_endpoints: bool = False) -> tuple:
     The walk and the fold run under one floating-point error scope: a
     geodesic count or a load past float64's range raises TrafficOverflow.
     Counts past 2^53 round, and each ratio of counts then carries a float64
-    rounding error. A deep pass splits on multiples of _KAHAN_GROUP walked
-    sources, so each group sums the same rows as the serial walk, and the
-    groups are folded here in boundary order.
+    rounding error. Each walked source gives one row to _pass, which sums
+    them in compensated groups of _KAHAN_GROUP and folds the groups in
+    boundary order.
     """
     boundary = boundary_nodes(g, n)
-    label = _orbit_labels(g.node_count, g.symmetries)
-    reps, orbit_size = _orbits(g, boundary, label)
     rates = rate_table(f, 2 * n)
     nn = g.node_count
 
-    def walk(part, take):
-        """Hand take a Kahan sum (acc, comp) over each group of
-        _KAHAN_GROUP rows of the part, in boundary order."""
-        acc = comp = np.zeros(nn)
-        done = 0
-        for sources, orbits, dist, levels in _walks(g, part, orbit_size, 2 * n):
-            rows = sources.size
-            start = np.arange(rows, dtype=np.int64) * nn + sources
-            sigma = np.zeros(rows * nn)
-            sigma[start] = 1.0
-            for below, src, tgt in levels:
-                np.add.at(sigma, tgt, sigma[below[src]])
-            weight = np.zeros((rows, nn))
-            weight[:, boundary] = rates[dist.reshape(rows, nn)[:, boundary]]
-            weight.flat[start] = 0.0
-            weight = weight.ravel()
-            delta = np.zeros(rows * nn)
-            for below, src, tgt in reversed(levels):
-                coef = (weight[tgt] + delta[tgt]) / sigma[tgt]
-                sums = np.bincount(src, weights=coef, minlength=below.size)
-                delta[below] = sigma[below] * sums
-            delta[start] = 0.0
-            delta = delta.reshape(rows, nn)
-            if include_endpoints:
-                ends = weight.reshape(rows, nn)[:, boundary]
-                delta.flat[start] = [_fsum(row, n) for row in ends]
-                delta[:, boundary] += ends
-            delta *= orbits[:, None]
-            for row in delta:
-                acc, comp = _kahan(acc, comp, row)
-                done += 1
-                if done % _KAHAN_GROUP == 0:
-                    take(np.stack((acc, comp)))
-                    acc = comp = np.zeros(nn)
-        if done % _KAHAN_GROUP:
-            take(np.stack((acc, comp)))
+    def rows(sources, orbits, dist, levels):
+        count = sources.size
+        start = np.arange(count, dtype=np.int64) * nn + sources
+        sigma = np.zeros(count * nn)
+        sigma[start] = 1.0
+        for below, src, tgt in levels:
+            np.add.at(sigma, tgt, sigma[below[src]])
+        weight = np.zeros((count, nn))
+        weight[:, boundary] = rates[dist.reshape(count, nn)[:, boundary]]
+        weight.flat[start] = 0.0
+        weight = weight.ravel()
+        delta = np.zeros(count * nn)
+        for below, src, tgt in reversed(levels):
+            coef = (weight[tgt] + delta[tgt]) / sigma[tgt]
+            sums = np.bincount(src, weights=coef, minlength=below.size)
+            delta[below] = sigma[below] * sums
+        delta[start] = 0.0
+        delta = delta.reshape(count, nn)
+        if include_endpoints:
+            ends = weight.reshape(count, nn)[:, boundary]
+            delta.flat[start] = [_fsum(row, n) for row in ends]
+            delta[:, boundary] += ends
+        delta *= orbits[:, None]
+        return delta
 
-    total = carry = np.zeros(nn)
-
-    def fold(group):
-        # a compensated fold of the group sums in boundary order; an inf
-        # that np.bincount let through turns into inf - inf here
-        nonlocal total, carry
-        total, carry = _kahan(*_kahan(total, carry, group[0]), -group[1])
-
+    label = _orbit_labels(nn, g.symmetries)
     try:
         with np.errstate(over="raise", invalid="raise"):  # forked workers inherit it
-            _fan_out(_split(g, reps, _KAHAN_GROUP), walk, fold)
+            total = _pass(g, n, label, _KAHAN_GROUP, rows)
             mean = np.bincount(label, weights=total)[label] / np.bincount(label)[label]
     except FloatingPointError as exc:
         raise TrafficOverflow(

@@ -42,12 +42,12 @@ def exit_code(*argv):
         return exc.code
 
 
-def child_python(code, cwd=None):
+def child_python(code, cwd=None, environ=os.environ):
     """The CompletedProcess of `python -c code` on this checkout's package,
-    output captured as text."""
+    in the environment `environ`, output captured as text."""
     src = str(Path(hypertraffic.__file__).resolve().parents[1])
     return subprocess.run([sys.executable, "-c", code], cwd=cwd, capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src})
+                          env={**environ, "PYTHONPATH": src})
 
 
 class TestGenerate:
@@ -1151,3 +1151,27 @@ def test_start_up_imports_only_the_allowance():
              and name.split(".")[0] not in ("hypertraffic", "json")]
     assert extra == []
     assert "hypertraffic.cli" in loaded
+
+
+# the variables OpenBLAS reads for its thread count, in its order
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_cli_import_keeps_one_os_thread():
+    """`import hypertraffic.cli` defaults OPENBLAS_NUM_THREADS to 1 before
+    numpy loads, so the process runs one OS thread and a split forks from
+    it alone; a value the caller set is kept."""
+    code = (
+        "import os, hypertraffic.cli\n"
+        "threads = [line.split()[1] for line in open('/proc/self/status')\n"
+        "           if line.startswith('Threads:')]\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'], *threads)\n"
+    )
+    bare = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    child = child_python(code, environ=bare)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == ["1", "1"]
+    child = child_python(code, environ={**bare, "OPENBLAS_NUM_THREADS": "3"})
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split()[0] == "3"

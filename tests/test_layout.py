@@ -6,14 +6,18 @@ src/ outside its own definition, as a name or an attribute. Test-only
 references belong in tests/oracles.py. No name is exempt: cli.run, the
 console-script entry point, has its call in cli's __main__ block.
 
-It reads the environment in one place: graphs.node_cap, the owner of
-HYPERTRAFFIC_NODE_CAP. It catches the base HypertrafficError in one place:
-cli.main, which turns any package error into exit 3. Library code names the
-subclasses it handles. It constructs a Graph in one place: graphs.build_graph,
-so every graph has its CSR and checked symmetries; dataclasses.replace may
-copy one. It traverses a Graph in one place: graphs._walk, the batched BFS
-that build_graph, the four-point table, the census and the loads share. Only
-tessellation names _bfs, the half-edge map's own scalar BFS.
+It reads the environment in two places: graphs.node_cap, the owner of
+HYPERTRAFFIC_NODE_CAP, and cli's module body, which defaults
+OPENBLAS_NUM_THREADS to 1 before numpy loads. It catches the base
+HypertrafficError in one place: cli.main, which turns any package error into
+exit 3. Library code names the subclasses it handles. It constructs a Graph
+in one place: graphs.build_graph, so every graph has its CSR and checked
+symmetries; dataclasses.replace may copy one. It traverses a Graph in one
+place: graphs._walk, the batched BFS that build_graph, the four-point table,
+the census and the loads share. Only tessellation names _bfs, the half-edge
+map's own scalar BFS. In traffic only _pass names _walk, _split and
+_fan_out: the census and the loads each give it their rows and hold no walk,
+split or fold of their own.
 
 It imports at module level only: no function or class body holds an
 import, so `import hypertraffic.cli` loads every module a command runs, and
@@ -138,7 +142,7 @@ def graph_constructors(src=SRC):
 
 
 def test_only_node_cap_reads_the_environment():
-    assert environ_readers() == ["graphs.node_cap"]
+    assert environ_readers() == ["cli", "graphs.node_cap"]
 
 
 def test_scan_sees_every_environment_read(tmp_path):
@@ -220,6 +224,38 @@ def test_scan_sees_every_second_traversal(tmp_path):
     (tmp_path / "cli.py").write_text("from .tessellation import _bfs as bfs\n")
     assert walk_definers(tmp_path) == ["graphs", "traffic"]
     assert bfs_namers(tmp_path) == ["analysis", "cli", "tessellation"]
+
+
+PASS_NAMES = {"_walk", "_split", "_fan_out"}
+
+
+def pass_namers(src=SRC):
+    """The module-level functions and classes of `src`'s traffic module, as
+    traffic.name, that use _walk, _split or _fan_out; "traffic" for a use at
+    module level. Importing a name is not a use."""
+    scopes = _scopes_where(
+        src, lambda node: isinstance(node, (ast.Name, ast.Attribute)) and _name(node) in PASS_NAMES
+    )
+    tops = {".".join(scope.split(".")[:2]) for scope in scopes}
+    return sorted(top for top in tops if top.split(".")[0] == "traffic")
+
+
+def test_only_the_pass_walks_splits_and_fans_out():
+    assert pass_namers() == ["traffic._pass"]
+
+
+def test_scan_sees_every_walk_split_and_fan_out(tmp_path):
+    (tmp_path / "traffic.py").write_text(
+        "from .graphs import _walk\n\nWALK = _walk\n\n\n"
+        "def _pass(g):\n    def walk(part):\n        return _walk(part)\n\n"
+        "    return _fan_out(_split(g), walk)\n\n\n"
+        "def pair_census(g):\n    def rows(part):\n        return _split(g)\n\n    return rows\n\n\n"
+        "class Box:\n    def loads(self):\n        return self._fan_out\n"
+    )
+    (tmp_path / "graphs.py").write_text("def _walk(csr):\n    return _walk\n")
+    assert pass_namers(tmp_path) == [
+        "traffic", "traffic.Box", "traffic._pass", "traffic.pair_census",
+    ]
 
 
 def nested_imports(src=SRC):

@@ -16,27 +16,10 @@ from hypothesis import strategies as st
 from hypertraffic import graphs
 from hypertraffic.errors import NotAutomorphism
 from hypertraffic.generators import gen_grid, gen_kary_tree, gen_tessellation, load_edge_list
-from hypertraffic.graphs import (
-    _orbit_labels,
-    build_graph,
-    find_symmetries,
-    graph_from_json_dict,
-    graph_to_json_dict,
-)
+from hypertraffic.graphs import _orbit_labels, build_graph, find_symmetries
 from hypertraffic.traffic import ExponentialRate, node_loads, pair_census
 from oracles import is_root_automorphism, root_automorphism_orbits
-from test_traffic import diamond_chain
-
-
-def relabelled(g, seed):
-    """g with its node ids shuffled by a seeded permutation, read back
-    through the JSON loader."""
-    perm = list(range(g.node_count))
-    random.Random(seed).shuffle(perm)
-    doc = graph_to_json_dict(g)
-    doc["root"] = perm[g.root]
-    doc["edges"] = sorted(sorted((perm[u], perm[v])) for u, v in g.edge_list())
-    return graph_from_json_dict(doc)
+from test_traffic import diamond_chain, relabelled
 
 
 def random_edge_list(seed, max_nodes=16):

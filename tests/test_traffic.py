@@ -4,6 +4,7 @@ import itertools
 import math
 import os
 import pickle
+import random
 import threading
 import warnings
 from fractions import Fraction
@@ -53,7 +54,8 @@ from oracles import (
 
 DIAMOND = build_graph([(0, 1), (0, 2), (1, 3), (2, 3)], 0)
 
-CPUS = len(os.sched_getaffinity(0))
+# a pass splits only where os.sched_getaffinity exists; elsewhere it walks serially
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 SERIAL = 1 << 62  # a _FORK_WORK no pass reaches, so every pass walks in-process
 
 
@@ -315,6 +317,30 @@ class TestBruteEquivalence:
             assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
+def relabelled(g, seed):
+    """g with its node ids shuffled by a seeded permutation, read back
+    through the JSON loader."""
+    perm = list(range(g.node_count))
+    random.Random(seed).shuffle(perm)
+    doc = graph_to_json_dict(g)
+    doc["root"] = perm[g.root]
+    doc["edges"] = sorted(sorted((perm[u], perm[v])) for u, v in g.edge_list())
+    return graph_from_json_dict(doc)
+
+
+# name -> the graphs of the total-load identity, built when a case runs
+IDENTITY_GRAPHS = {
+    "tess-5-4": lambda: [gen_tessellation(5, 4, d) for d in range(7)],
+    "tess-7-3": lambda: [gen_tessellation(7, 3, d) for d in range(7)],
+    "tess-4-5": lambda: [gen_tessellation(4, 5, d) for d in range(6)],
+    "grid-9": lambda: [gen_grid(9)],
+    "diamond": lambda: [DIAMOND],
+    "loaded-5-4-7": lambda: [relabelled(gen_tessellation(5, 4, 7), 7)],
+    "tree-2-3": lambda: [gen_kary_tree(2, 3)],
+    "tree-3-2": lambda: [gen_kary_tree(3, 2)],
+}
+
+
 class TestNodeLoads:
     def test_depth1_binary(self):
         g = gen_kary_tree(2, 1)
@@ -325,20 +351,24 @@ class TestNodeLoads:
         loads = node_loads(DIAMOND, ExponentialRate(2.0), 1)
         assert loads[0] == 0.25 and loads[3] == 0.25
 
-    @pytest.mark.parametrize("k,depth,beta", [(2, 3, 1.5), (3, 2, 2.0)])
-    def test_tree_total_load_identity(self, k, depth, beta):
-        # unique geodesics: total interior load is sum of f(d) * (d - 1)
-        g = gen_kary_tree(k, depth)
+    @pytest.mark.parametrize("beta", [1.2, 2.0])
+    @pytest.mark.parametrize("name", list(IDENTITY_GRAPHS))
+    def test_total_load_identity(self, name, beta):
+        """Each ordered pair at distance d >= 1 shares its rate out over the
+        d - 1 interior nodes of its geodesics, so sum_v load(v) = sum_d R(d)
+        (d - 1) sum_h C[d, h] over the census C; endpoints add R(d) at both
+        ends, making the factor d + 1. This ties the pass's two consumers
+        together on tied geodesics, walked per orbit and per source."""
         rate = ExponentialRate(beta)
-        loads = node_loads(g, rate, depth)
-        leaves = g.layers[depth]
-        want = math.fsum(
-            rate.eval(bfs_dist(g, x)[y]) * (bfs_dist(g, x)[y] - 1)
-            for x in leaves
-            for y in leaves
-            if x != y
-        )
-        assert math.fsum(loads) == pytest.approx(want, rel=1e-12)
+        for g in IDENTITY_GRAPHS[name]():
+            for n in range(g.max_depth + 1):
+                pairs = pair_census(g, n).sum(axis=1).tolist()
+                for ends, extra in ((False, -1), (True, 1)):
+                    want = math.fsum(rate.eval(d) * (d + extra) * pairs[d]
+                                     for d in range(1, len(pairs)))
+                    for walked in (g, dataclasses.replace(g, symmetries=())):
+                        got = math.fsum(node_loads(walked, rate, n, include_endpoints=ends))
+                        assert got == pytest.approx(want, rel=1e-12), (g.node_count, n, ends)
 
     def test_tree_root_load_is_t0(self):
         g = gen_kary_tree(3, 3)
@@ -599,10 +629,11 @@ class TestSplitPass:
             messages.append(str(info.value))
         assert messages[0] == messages[1]
 
-    @pytest.mark.skipif(CPUS < 2, reason="a split needs a second CPU")
     def test_items_arrive_in_part_order_and_before_a_relayed_error(self, forks):
         """_fan_out hands over every part's items in the order of the parts,
-        one part per CPU, and a worker's items before its TrafficOverflow."""
+        and a worker's items before its TrafficOverflow. It never reads the
+        CPU count, so dealing more parts than CPUs checks the order of
+        several workers on any machine."""
 
         def walk(part, take):
             for x in part:
@@ -610,7 +641,8 @@ class TestSplitPass:
             if part[-1] == stop:
                 raise TrafficOverflow(f"stopped at {stop}")
 
-        parts = np.array_split(np.arange(3 * CPUS), CPUS)
+        count = CPUS + 3
+        parts = np.array_split(np.arange(3 * count), count)
         for stop in (-1, parts[-1][-1]):
             got = []
             try:
@@ -619,8 +651,23 @@ class TestSplitPass:
                 assert str(exc) == f"stopped at {stop}"
             else:
                 assert stop == -1
-            assert [int(x[0]) for x in got] == list(range(3 * CPUS))
-        assert len(forks) == 2 * (CPUS - 1)
+            assert [int(x[0]) for x in got] == list(range(3 * count))
+        assert len(forks) == 2 * (count - 1)
+
+    def test_without_the_affinity_call_the_pass_walks_serially(self, monkeypatch, forks):
+        """Where os.sched_getaffinity is missing (macOS, Windows), os.fork is
+        missing or unsafe once numpy is loaded: no pass forks, however small
+        _FORK_WORK is, and the census and loads are the serial ones."""
+        g = dataclasses.replace(gen_tessellation(5, 4, 3), symmetries=())
+        rate = ExponentialRate(1.3)
+        monkeypatch.setattr(traffic, "_FORK_WORK", SERIAL)
+        census, loads = pair_census(g, 3), node_loads(g, rate, 3, include_endpoints=True)
+        monkeypatch.setattr(traffic, "_FORK_WORK", 1)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        forks.clear()
+        assert np.array_equal(pair_census(g, 3), census)
+        assert node_loads(g, rate, 3, include_endpoints=True) == loads
+        assert forks == []
 
     @pytest.mark.parametrize("payload,status", [
         (b"", 0),  # nothing sent
