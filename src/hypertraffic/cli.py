@@ -28,6 +28,11 @@ _THREADS_HELP = (
 )
 
 
+# the flags that name files, by argparse dest: what a command writes, and
+# what it reads
+_OUTPUTS = ("out", "loads_out", "summary_out")
+_INPUTS = ("graph", "path")
+
 # per --family: the FamilySpec variant, the flags it takes, and the flags it
 # needs, grouped as its refusal names them
 _FAMILIES = (
@@ -69,6 +74,27 @@ def _add_family_flags(parser):
     parser.add_argument("--depth", type=int)
     parser.add_argument("--side", type=int)
     parser.add_argument("--path")
+
+
+def _check_paths(args):
+    """Refuse, before any input is read, an output in a missing directory
+    and an output that names another output or an input: the first would
+    fail only after the work, the second would overwrite a file."""
+
+    def named(dests):
+        return [("--" + d.replace("_", "-"), getattr(args, d)) for d in dests
+                if getattr(args, d, None) is not None]
+
+    outputs, inputs = named(_OUTPUTS), named(_INPUTS)
+    for i, (flag, path) in enumerate(outputs):
+        folder = os.path.dirname(path) or os.curdir
+        if not os.path.isdir(folder):
+            raise HypertrafficError(f"{flag} {path}: no directory {folder}")
+        for other, other_path in outputs[:i] + inputs:
+            if (os.path.samefile(path, other_path)
+                    if os.path.exists(path) and os.path.exists(other_path)
+                    else os.path.realpath(path) == os.path.realpath(other_path)):
+                raise HypertrafficError(f"{flag} and {other} name one file: {path}")
 
 
 def _load_graph(path):
@@ -333,6 +359,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_paths(args)
         return args.func(args)
     except (HypertrafficError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,8 +19,9 @@ creates vertices beyond it. The BFS of each saturation round stops one short
 of the radius, and the labelling BFS at the radius, so they read only the
 ball's share of the map; the structural audit still covers the whole map, as
 numpy checks over the half-edge tables. The map itself stays in Python lists,
-which gluing appends to; build_ball hands build_graph the ball's edges and
-symmetries as int64 arrays, relabelled in numpy.
+which gluing appends to; the audit hands its checked int32 tables to one numpy
+dart walk that gives both root symmetries, and build_ball hands build_graph
+the ball's edges and symmetries as int64 arrays, relabelled in numpy.
 """
 
 from __future__ import annotations
@@ -126,43 +127,10 @@ class TessellationMap:
             for w, o in zip(chain, ids[1::2]):
                 bnd_in[w] = o
 
-    def root_symmetry(self, image, reflect, depths, depth):
-        """Vertex map of the root-fixing map automorphism taking dart 1, from
-        vertex 1 into the root, to the dart `image`.
-
-        A map automorphism is fixed by the image of one dart (Weinberg's
-        walk): turning to the next dart into the same vertex, nxt[h] ^ 1,
-        commutes with it, and a reflection turns the image the other way.
-        Only vertices closer than `depth` are turned around, since only their
-        wheels are complete; every vertex of the ball is a neighbor of one of
-        them. `depths` may come from a bounded BFS: a vertex it left
-        unreached (-1) is not closer than `depth`. The walk checks nothing:
-        build_graph refuses the map unless it is a root-fixing automorphism
-        of the ball.
-        """
-        org, nxt, q = self.org, self.nxt, self.q
-        vmap = [-1] * self.vertex_count
-        vmap[0] = 0
-        queue = [(1, image)]
-        for h, g in queue:  # the loop also visits the darts appended while it runs
-            turns = [g]
-            for _ in range(q - 1):
-                turns.append(nxt[turns[-1]] ^ 1)
-            if reflect:
-                turns[1:] = turns[:0:-1]
-            for t in turns:
-                u = org[h]
-                if vmap[u] < 0:
-                    vmap[u] = org[t]
-                    if 0 <= depths[u] < depth:
-                        queue.append((h ^ 1, t ^ 1))
-                h = nxt[h] ^ 1
-        return vmap
-
     def audit(self):
         """Structural invariants of the half-edge disk, checked on the tables
         as numpy arrays. Raises CorruptMap naming the first one broken, and
-        returns the checked org table as an array."""
+        returns the checked org and nxt tables as arrays."""
         n_half, vertices, p, q = len(self.org), self.vertex_count, self.p, self.q
         if n_half % 2:
             raise CorruptMap(f"odd half-edge count {n_half}")
@@ -199,17 +167,23 @@ class TessellationMap:
         bad = np.flatnonzero(rim & ~rim[nxt])
         if bad.size:
             raise CorruptMap(f"rim half-edge {bad[0]} is followed by unmarked half-edge {nxt[bad[0]]}")
-        low = _cycle_min(nxt)
-        first = low == h
-        rims = np.count_nonzero(first & rim)
+        # the rim is a union of nxt cycles: they are counted by doubling the
+        # rim alone, compressed, and the faces are doubled with the rim held
+        # fixed, so they settle in log2(p) + 1 rounds
+        on = np.flatnonzero(rim)
+        step = np.empty(n_half, dtype=ids)
+        step[on] = np.arange(on.size, dtype=ids)
+        step = step[nxt[on]]
+        rims = np.count_nonzero(_cycle_min(step) == np.arange(step.size))
         if rims != 1:
             raise CorruptMap(f"the rim is {rims} cycles, not one")
-        faces = np.count_nonzero(first) - 1
+        low = _cycle_min(np.where(rim, h, nxt))
+        faces = np.count_nonzero(low == h) - on.size
         sides = np.bincount(low, minlength=n_half)[low]
         bad = np.flatnonzero(~rim & (sides != p))
         if bad.size:
             raise CorruptMap(f"the face of half-edge {low[bad[0]]} has {sides[bad[0]]} sides")
-        del low, first, sides  # freed early: the map's peak memory caps its size
+        del on, step, low, sides  # freed early: the map's peak memory caps its size
 
         # degrees within cap, full off the rim
         if set(map(type, self.adj)) - {list}:
@@ -247,7 +221,7 @@ class TessellationMap:
         # Euler characteristic of a disk
         if vertices - n_half // 2 + faces != 1:
             raise CorruptMap("the map is not a disk: V - E + F != 1")
-        return org
+        return org, nxt
 
 
 def _int_array(values, low, high, labels):
@@ -278,6 +252,51 @@ def _cycle_min(perm):
         if np.array_equal(new, low):
             return low
         low, step = new, step[step]
+
+
+def _root_symmetries(org, nxt, q, depths, depth, images):
+    """Vertex maps of the root-fixing map automorphisms taking dart 1, from
+    vertex 1 into the root, to each dart `image` of `images`, a sequence of
+    (image, reflect) pairs; -1 where a map reaches no vertex.
+
+    A map automorphism is fixed by the image of one dart (Weinberg's walk):
+    turning to the next dart into the same vertex, nxt[h] ^ 1, commutes with
+    it, and a reflection turns the image the other way. The walk is level
+    synchronous. Its row 0 walks dart 1 onto itself, the identity, and each
+    other row walks one image in step: each level turns every dart q times,
+    row-major in the order the darts were queued, and the first turn that
+    reaches a vertex sets its images. Only vertices closer than `depth` are
+    turned around, since only their wheels are complete; every vertex of the
+    ball is a neighbour of one of them. `depths` may come from a bounded BFS:
+    a vertex it left unreached (-1) is not closer than `depth`. The walk
+    checks nothing: build_graph refuses the map unless it is a root-fixing
+    automorphism of the ball.
+    """
+    depths = np.array(depths, dtype=org.dtype)
+    turned = (depths >= 0) & (depths < depth)
+    vmaps = np.full((len(images) + 1, depths.size), -1, dtype=org.dtype)
+    vmaps[:, 0] = 0
+    darts = np.array([[1], *([image] for image, _ in images)], dtype=nxt.dtype)
+    reflect = np.array([False, *(flip for _, flip in images)])
+    # per vertex, the first of its turns in the level that reaches it, the
+    # one level in which it is new: no entry needs resetting
+    first = np.full(depths.size, q * depths.size)
+    while darts.shape[1]:
+        turns = np.empty(darts.shape + (q,), dtype=darts.dtype)
+        turns[..., 0] = darts
+        for j in range(1, q):
+            np.bitwise_xor(nxt[turns[..., j - 1]], 1, out=turns[..., j])
+        turns[reflect, :, 1:] = turns[reflect, :, :0:-1]
+        turns = turns.reshape(darts.shape[0], -1)
+        reached = org[turns]
+        at = np.flatnonzero(vmaps[0, reached[0]] < 0)
+        new = reached[0, at]
+        np.minimum.at(first, new, at)
+        keep = first[new] == at
+        at, new = at[keep], new[keep]
+        vmaps[:, new] = reached[:, at]
+        darts = turns[:, at[turned[new]]] ^ 1
+    return vmaps[1:]
 
 
 def _bfs(adjacency, source, bound):
@@ -336,7 +355,7 @@ def build_ball(p: int, q: int, depth: int):
             break
         for v in pending:
             tmap.saturate(v)
-    org = tmap.audit()
+    org, nxt = tmap.audit()
 
     # labels follow a BFS that takes neighbours in map-id order
     ball = np.array(_bfs(tmap.adj, 0, depth)[1], dtype=np.int64)
@@ -347,8 +366,5 @@ def build_ball(p: int, q: int, depth: int):
     # half-edges 2e and 2e + 1 start at the two ends of edge e
     ends = label[org.reshape(-1, 2)]
     edges = ends[(ends >= 0).all(axis=1)]
-    symmetries = tuple(
-        label[np.array(tmap.root_symmetry(image, reflect, depths, depth), dtype=np.int64)[ball]]
-        for image, reflect in ((tmap.nxt[1] ^ 1, False), (1, True))
-    )
-    return edges, symmetries
+    vmaps = _root_symmetries(org, nxt, q, depths, depth, ((nxt[1] ^ 1, False), (1, True)))
+    return edges, tuple(label[vmap[ball]] for vmap in vmaps)

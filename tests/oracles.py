@@ -7,8 +7,9 @@ accumulation path by path with equal splitting, exact geodesic fields in
 Python integers, exact Brandes loads in fractions, Gromov products, the
 four-point delta over every 4-subset, the slim-triangle delta, the k-ary
 tree closed forms (distance counts, the root share's limit, and T and P as
-exact rationals), a set-lookup test for root-fixing automorphisms, and the
-orbits of every root-fixing automorphism by exhaustive backtracking.
+exact rationals), a set-lookup test for root-fixing automorphisms, the
+orbits of every root-fixing automorphism by exhaustive backtracking, and the
+scalar dart walk of a half-edge map's root symmetries.
 """
 
 import itertools
@@ -112,6 +113,33 @@ def is_root_automorphism(perm, g):
         return False
     neighbor_sets = [set(a) for a in g.adjacency]
     return all(image[v] in neighbor_sets[image[u]] for u, v in g.edge_list())
+
+
+def root_symmetry(org, nxt, q, image, reflect, depths, depth):
+    """Vertex map of the root-fixing automorphism of a half-edge map (the
+    lists org and nxt, half-edge h paired with h ^ 1) taking dart 1, from
+    vertex 1 into the root, to the dart `image`; -1 where it reaches no
+    vertex. One dart at a time, in FIFO order: turning to the next dart into
+    the same vertex, nxt[h] ^ 1, commutes with the map, and a reflection
+    turns the image the other way. Only a vertex u with 0 <= depths[u] <
+    depth is turned around. Checks nothing."""
+    vmap = [-1] * len(depths)
+    vmap[0] = 0
+    queue = [(1, image)]
+    for h, g in queue:  # the loop also visits the darts appended while it runs
+        turns = [g]
+        for _ in range(q - 1):
+            turns.append(nxt[turns[-1]] ^ 1)
+        if reflect:
+            turns[1:] = turns[:0:-1]
+        for t in turns:
+            u = org[h]
+            if vmap[u] < 0:
+                vmap[u] = org[t]
+                if 0 <= depths[u] < depth:
+                    queue.append((h ^ 1, t ^ 1))
+            h = nxt[h] ^ 1
+    return vmap
 
 
 def root_automorphism_orbits(g, max_nodes=12):

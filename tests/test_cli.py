@@ -1021,6 +1021,91 @@ class TestWorkerProcesses:
         assert forks
 
 
+# a short sweep of the k=2 tree, or of the file {edges}
+SWEEP = ["--beta-min", "1.2", "--beta-max", "1.5", "--steps", "2", "--depths", "2,3", "--r", "0"]
+TREE_SWEEP = ["sweep", "--family", "tree", "--k", "2", *SWEEP]
+
+
+class TestOutputPaths:
+    """A command refuses a bad output path before it reads any input: the
+    paths are {graph}, {edges} and {link}, inputs that exist, the last a
+    hard link to the first; {x} and {r}, which do not; and {missing}, in a
+    directory that does not exist."""
+
+    @staticmethod
+    def refused(tmp_path, capsys, argv):
+        """The stderr of `argv`, which must exit 3 and leave tmp_path as it
+        was: no file made, none changed."""
+        gfile = tmp_path / "g.json"
+        assert run("generate", "--family", "tree", "--k", "2", "--depth", "3",
+                   "--out", str(gfile)) == 0
+        (tmp_path / "p.txt").write_text("0 1\n1 2\n")
+        os.link(gfile, tmp_path / "link.json")
+        paths = {name: str(tmp_path / file) for name, file in (
+            ("graph", "g.json"), ("edges", "p.txt"), ("link", "link.json"), ("x", "x.out"),
+            ("r", "r.out"), ("missing", "missing/m.out"))}
+        before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        capsys.readouterr()
+        assert run(*(arg.format(**paths) for arg in argv)) == 3
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,flags", [
+        (["traffic", "--graph", "{graph}", "--beta", "1.5", "--out", "{x}", "--loads-out", "{x}"],
+         "--loads-out and --out"),
+        ([*TREE_SWEEP, "--out", "{x}", "--summary-out", "{x}"], "--summary-out and --out"),
+        (["traffic", "--graph", "{graph}", "--beta", "1.5", "--out", "{r}",
+          "--loads-out", "{graph}"], "--loads-out and --graph"),
+        (["analyze", "--graph", "{graph}", "--out", "{graph}"], "--out and --graph"),
+        (["sweep", "--family", "edges", "--path", "{edges}", *SWEEP, "--out", "{edges}"],
+         "--out and --path"),
+        (["analyze", "--graph", "{graph}", "--out", "{link}"], "--out and --graph"),
+    ], ids=["two-outputs", "sweep-outputs", "loads-over-input", "analyze-over-input",
+            "sweep-over-input", "hard-link"])
+    def test_output_that_names_another_file_exit_3(self, tmp_path, capsys, argv, flags):
+        assert f"{flags} name one file" in self.refused(tmp_path, capsys, argv)
+
+    @pytest.mark.parametrize("argv,flag", [
+        ([*TREE_SWEEP, "--out", "{r}", "--summary-out", "{missing}"], "--summary-out"),
+        (["traffic", "--graph", "{graph}", "--beta", "1.5", "--out", "{r}",
+          "--loads-out", "{missing}"], "--loads-out"),
+        (["tree-oracle", "--k", "2", "--beta", "2", "--n-max", "2", "--out", "{missing}"], "--out"),
+    ], ids=["sweep-summary", "traffic-loads", "tree-oracle"])
+    def test_output_in_a_missing_directory_exit_3_before_the_work(self, tmp_path, capsys,
+                                                                   monkeypatch, argv, flag):
+        monkeypatch.setattr(traffic, "pair_census", None)  # never reached
+        missing = tmp_path / "missing"
+        assert f"{flag} {missing / 'm.out'}: no directory {missing}" in self.refused(
+            tmp_path, capsys, argv)
+
+
+def test_commands_run_clean_in_dev_mode(tmp_path):
+    """generate, analyze, traffic with loads, tree-oracle and a (5,4) sweep
+    whose depth-8 census splits across the CPUs where there are two, each
+    once in a `python -X dev -W error` child: a warning of any kind, an
+    unclosed file or a fork from a threaded process among them, fails."""
+    src = str(Path(hypertraffic.__file__).resolve().parents[1])
+    commands = [
+        ["generate", "--family", "tess", "--p", "5", "--q", "4", "--depth", "4", "--out", "g.json"],
+        ["analyze", "--graph", "g.json", "--out", "a.json"],
+        ["traffic", "--graph", "g.json", "--beta", "1.5", "--out", "r.json",
+         "--loads-out", "l.csv"],
+        ["tree-oracle", "--k", "3", "--beta", "2", "--n-max", "4", "--out", "o.csv"],
+        ["sweep", "--family", "tess", "--p", "5", "--q", "4", "--beta-min", "1.1",
+         "--beta-max", "2.3", "--steps", "3", "--depths", "7,8", "--r", "2",
+         "--out", "s.csv", "--summary-out", "s.json"],
+    ]
+    for argv in commands:
+        child = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "hypertraffic.cli", *argv],
+            cwd=tmp_path, capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+            timeout=120,
+        )
+        assert (child.returncode, child.stderr) == (0, ""), argv
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "a.json", "g.json", "l.csv", "o.csv", "r.json", "s.csv", "s.json"]
+
+
 def test_cli_import_leaves_fractions_unloaded(tmp_path):
     """No command loads fractions, or the decimal module it pulls in: not
     the import of the CLI, and not analyze, whose four-point delta is an

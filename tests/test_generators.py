@@ -6,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +41,8 @@ from hypertraffic.graphs import (
     node_cap,
 )
 from hypertraffic.serialize import dumps
-from hypertraffic.tessellation import TessellationMap, _bfs, build_ball
+from hypertraffic.tessellation import TessellationMap, _bfs, _root_symmetries, build_ball
+from oracles import root_symmetry
 
 # growth rate of the (5,4) ball construction, largest root of
 # x^4 - 2x^3 - 2x + 1; frozen from the audited face expansion and
@@ -73,6 +75,27 @@ BALL_DIGESTS = [
     ((5, 4, 2), "e257a6ff1504d7948562f6c40b468da9257e3aef92f59d4bbdb7c03e52b66b89"),
     ((7, 3, 2), "beb045a719bd7064d74d6fff2b5d137370b2502be9cf93f8da0b88cabb87211e"),
 ]
+
+# sha256 over build_ball's edges and both symmetries, as little-endian int64
+# after a "p,q,depth;" tag, for every hyperbolic (p,q) with 3 <= p,q <= 10
+# at every depth whose map fits under a node cap of 2000: 258 balls
+SMALL_BALLS = 258
+SMALL_BALLS_DIGEST = "f455849b2b83ecf9ce6ddece725d98242fe5d605df49d1611be6ff7f235debbc"
+
+
+def _small_balls(monkeypatch):
+    """(p, q, depth, edges, symmetries) of each ball SMALL_BALLS_DIGEST pins."""
+    monkeypatch.setenv("HYPERTRAFFIC_NODE_CAP", "2000")
+    for p in range(3, 11):
+        for q in range(3, 11):
+            if (p - 2) * (q - 2) <= 4:
+                continue
+            for depth in count():
+                try:
+                    edges, symmetries = build_ball(p, q, depth)
+                except SizeOverflow:
+                    break
+                yield p, q, depth, edges, symmetries
 
 
 class TestKaryTree:
@@ -201,6 +224,32 @@ class TestTessellation:
         text = dumps(graph_to_json_dict(g)) + dumps([s.tolist() for s in g.symmetries])
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    def test_small_balls_pinned(self, monkeypatch):
+        sha, balls = hashlib.sha256(), 0
+        for p, q, depth, edges, symmetries in _small_balls(monkeypatch):
+            sha.update(f"{p},{q},{depth};".encode())
+            for array in (edges, *symmetries):
+                sha.update(np.ascontiguousarray(array, dtype="<i8").tobytes())
+            balls += 1
+        assert (balls, sha.hexdigest()) == (SMALL_BALLS, SMALL_BALLS_DIGEST)
+
+    def test_symmetry_walk_equals_the_scalar_walk(self, monkeypatch):
+        # every vertex map of every pinned ball, -1s and all, as the scalar
+        # reference walks it from the audited tables
+        walks = []
+
+        def checked(org, nxt, q, depths, depth, images):
+            vmaps = _root_symmetries(org, nxt, q, depths, depth, images)
+            expected = [root_symmetry(org.tolist(), nxt.tolist(), q, int(image), reflect,
+                                      depths, depth) for image, reflect in images]
+            assert vmaps.tolist() == expected
+            walks.append(depth)
+            return vmaps
+
+        monkeypatch.setattr(tessellation, "_root_symmetries", checked)
+        assert sum(1 for _ in _small_balls(monkeypatch)) == SMALL_BALLS
+        assert len(walks) == SMALL_BALLS - 56  # a depth-0 ball takes no walk
+
     def test_size_cap(self, monkeypatch):
         monkeypatch.setenv("HYPERTRAFFIC_NODE_CAP", "500")
         with pytest.raises(SizeOverflow):
@@ -254,19 +303,16 @@ class TestTessellation:
 
     def test_walk_that_does_not_close_raises(self):
         # saturating only the first face's corners leaves the map without
-        # the rotation symmetry at depth 2: root_symmetry checks nothing, and
+        # the rotation symmetry at depth 2: the walk checks nothing, and
         # build_graph refuses its vertex map, relabelled as build_ball does
-        tmap = TessellationMap(5, 4)
-        tmap.bootstrap()
-        for v in range(5):
-            tmap.saturate(v)
+        tmap = _unclosed_map()
 
         def ball_with_symmetry(image, depth):
             depths, ball = _bfs(tmap.adj, 0, depth)
             label = np.full(tmap.vertex_count + 1, -1)  # label[-1] is -1
             label[ball] = np.arange(len(ball))
             ends = label[np.array(tmap.org).reshape(-1, 2)]
-            vmap = np.array(tmap.root_symmetry(image, False, depths, depth))
+            vmap = np.array(root_symmetry(tmap.org, tmap.nxt, tmap.q, image, False, depths, depth))
             return build_graph(ends[(ends >= 0).all(axis=1)], 0, [label[vmap[ball]]])
 
         rotation = tmap.nxt[1] ^ 1
@@ -276,12 +322,32 @@ class TestTessellation:
         with pytest.raises(NotAutomorphism, match="permutation"):
             ball_with_symmetry(0, 1)  # dart 0 points away from the root
 
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_walk_that_does_not_close_equals_the_scalar_walk(self, depth):
+        # from every dart, turned either way, on the map above
+        tmap = _unclosed_map()
+        depths = _bfs(tmap.adj, 0, depth)[0]
+        images = [(image, reflect) for image in range(len(tmap.org)) for reflect in (False, True)]
+        vmaps = _root_symmetries(np.array(tmap.org, dtype=np.int32),
+                                 np.array(tmap.nxt, dtype=np.int32), tmap.q, depths, depth, images)
+        assert vmaps.tolist() == [root_symmetry(tmap.org, tmap.nxt, tmap.q, image, reflect,
+                                                depths, depth) for image, reflect in images]
+
     def test_bootstrap_invariants(self):
         tmap = TessellationMap(5, 4)
         tmap.bootstrap()
         tmap.audit()
         assert tmap.vertex_count == 5
         assert tmap.bnd_in == [1, 3, 5, 7, 9]
+
+
+def _unclosed_map():
+    """A (5,4) map with only the first face's corners saturated."""
+    tmap = TessellationMap(5, 4)
+    tmap.bootstrap()
+    for v in range(5):
+        tmap.saturate(v)
+    return tmap
 
 
 # a (5,4) map grown by saturating its first twelve vertices, as a script so
