@@ -77,9 +77,10 @@ def _add_family_flags(parser):
 
 
 def _check_paths(args):
-    """Refuse, before any input is read, an output in a missing directory
-    and an output that names another output or an input: the first would
-    fail only after the work, the second would overwrite a file."""
+    """Refuse, before any input is read, an output that is empty, names a
+    directory or sits in a missing one, and an output that names another
+    output or an input: the first three would fail only after the work, the
+    last would overwrite a file."""
 
     def named(dests):
         return [("--" + d.replace("_", "-"), getattr(args, d)) for d in dests
@@ -87,6 +88,10 @@ def _check_paths(args):
 
     outputs, inputs = named(_OUTPUTS), named(_INPUTS)
     for i, (flag, path) in enumerate(outputs):
+        if not path:
+            raise HypertrafficError(f"{flag} is empty")
+        if os.path.isdir(path):
+            raise HypertrafficError(f"{flag} {path}: is a directory")
         folder = os.path.dirname(path) or os.curdir
         if not os.path.isdir(folder):
             raise HypertrafficError(f"{flag} {path}: no directory {folder}")

@@ -23,7 +23,7 @@ from .errors import (
     SizeOverflow,
 )
 
-DEFAULT_NODE_CAP = 1 << 21  # about 2 GB at the ~900 B a node costs to build
+DEFAULT_NODE_CAP = 1 << 21  # about 1.5 GB at the ~720 B a (5,4) ball node costs to build
 FOUR_POINT_CAP = 300
 _SEARCH_BUDGET = 1 << 25  # node+edge visits a symmetry search may spend
 _MATCH_PASSES = 16  # a match and its check, in Python, priced as refinement rounds

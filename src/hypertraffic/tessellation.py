@@ -17,17 +17,21 @@ vertex first so the construction is also deterministic step by step.
 The map overshoots the ball: saturating the vertices closer than the radius
 creates vertices beyond it. The BFS of each saturation round stops one short
 of the radius, and the labelling BFS at the radius, so they read only the
-ball's share of the map; the structural audit still covers the whole map, as
-numpy checks over the half-edge tables. The map itself stays in Python lists,
-which gluing appends to; the audit hands its checked int32 tables to one numpy
-dart walk that gives both root symmetries, and build_ball hands build_graph
-the ball's edges and symmetries as int64 arrays, relabelled in numpy.
+ball's share of the map. The map itself stays in Python lists, which gluing
+appends to; build_ball converts org and nxt to int32 arrays once, for one
+numpy dart walk that gives both root symmetries, and hands build_graph the
+ball's edges and symmetries as int64 arrays, relabelled in numpy.
+
+A build checks two things at run time: saturate raises CorruptMap when a
+face's rim edges do not close, and build_graph refuses a symmetry that is
+not a root-fixing automorphism of the ball. The structural audit of the
+whole map (faces, rim, rotations, Euler characteristic) is a test oracle,
+which the test suite runs on the map of every ball it pins.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from itertools import chain, count
 
 import numpy as np
 
@@ -127,132 +131,6 @@ class TessellationMap:
             for w, o in zip(chain, ids[1::2]):
                 bnd_in[w] = o
 
-    def audit(self):
-        """Structural invariants of the half-edge disk, checked on the tables
-        as numpy arrays. Raises CorruptMap naming the first one broken, and
-        returns the checked org and nxt tables as arrays."""
-        n_half, vertices, p, q = len(self.org), self.vertex_count, self.p, self.q
-        if n_half % 2:
-            raise CorruptMap(f"odd half-edge count {n_half}")
-        ids = np.int32 if n_half < 1 << 31 else np.int64  # int32 halves the audit's peak memory
-
-        def table(name, size, low, high):
-            values = getattr(self, name)
-            if len(values) != size:
-                raise CorruptMap(f"{name} has {len(values)} entries, not {size}")
-            return _int_array(values, low, high, (f"{name}[{i}]" for i in count())).astype(ids)
-
-        org = table("org", n_half, 0, vertices)
-        nxt = table("nxt", n_half, 0, n_half)
-        bnd_in = table("bnd_in", vertices, -1, n_half)
-        hit = np.zeros(n_half, dtype=bool)
-        hit[nxt] = True
-        bad = np.flatnonzero(~hit)
-        if bad.size:
-            raise CorruptMap(f"nxt is not a permutation: no half-edge has nxt {bad[0]}")
-        h = np.arange(n_half, dtype=ids)
-        head = org[h ^ 1]
-        bad = np.flatnonzero(org[nxt] != head)
-        if bad.size:
-            raise CorruptMap(f"half-edge {nxt[bad[0]]} does not start where {bad[0]} ends")
-
-        # the rim: the half-edges bnd_in names, one into each vertex on it,
-        # closed under nxt into one cycle; every other cycle is a p-gon
-        on_rim = bnd_in >= 0
-        bad = np.flatnonzero(on_rim & (head[bnd_in] != np.arange(vertices)))
-        if bad.size:
-            raise CorruptMap(f"bnd_in of vertex {bad[0]} is not a half-edge into it")
-        rim = np.zeros(n_half, dtype=bool)
-        rim[bnd_in[on_rim]] = True
-        bad = np.flatnonzero(rim & ~rim[nxt])
-        if bad.size:
-            raise CorruptMap(f"rim half-edge {bad[0]} is followed by unmarked half-edge {nxt[bad[0]]}")
-        # the rim is a union of nxt cycles: they are counted by doubling the
-        # rim alone, compressed, and the faces are doubled with the rim held
-        # fixed, so they settle in log2(p) + 1 rounds
-        on = np.flatnonzero(rim)
-        step = np.empty(n_half, dtype=ids)
-        step[on] = np.arange(on.size, dtype=ids)
-        step = step[nxt[on]]
-        rims = np.count_nonzero(_cycle_min(step) == np.arange(step.size))
-        if rims != 1:
-            raise CorruptMap(f"the rim is {rims} cycles, not one")
-        low = _cycle_min(np.where(rim, h, nxt))
-        faces = np.count_nonzero(low == h) - on.size
-        sides = np.bincount(low, minlength=n_half)[low]
-        bad = np.flatnonzero(~rim & (sides != p))
-        if bad.size:
-            raise CorruptMap(f"the face of half-edge {low[bad[0]]} has {sides[bad[0]]} sides")
-        del on, step, low, sides  # freed early: the map's peak memory caps its size
-
-        # degrees within cap, full off the rim
-        if set(map(type, self.adj)) - {list}:
-            v, row = next((v, row) for v, row in enumerate(self.adj) if type(row) is not list)
-            raise CorruptMap(f"adj[{v}] = {row!r} is not a list of neighbours")
-        degree = np.fromiter(map(len, self.adj), dtype=np.int64, count=vertices)
-        bad = np.flatnonzero((degree < 1) | (degree > q))
-        if bad.size:
-            raise CorruptMap(f"vertex {bad[0]} has degree {degree[bad[0]]}")
-        bad = np.flatnonzero(~on_rim & (degree != q))
-        if bad.size:
-            raise CorruptMap(f"vertex {bad[0]} is marked interior but has degree {degree[bad[0]]}")
-
-        # turning about a vertex, h -> nxt[h] ^ 1, keeps the head (checked
-        # above): the half-edges into each vertex form one such cycle, and
-        # their origins are the vertex's neighbour list
-        cycles = np.bincount(head[_cycle_min(nxt ^ 1) == h], minlength=vertices)
-        bad = np.flatnonzero(cycles != 1)
-        if bad.size:
-            raise CorruptMap(f"the half-edges into vertex {bad[0]} form {cycles[bad[0]]} rotations")
-        nbr = _int_array(
-            list(chain.from_iterable(self.adj)), 0, vertices,
-            (f"adj[{v}][{j}]" for v, row in enumerate(self.adj) for j in range(len(row))),
-        )
-        bad = np.flatnonzero(np.bincount(head, minlength=vertices) != degree)
-        if not bad.size:  # equal in-degrees, so both key lists group the same vertices
-            keys = np.sort(head.astype(np.int64) * vertices + org)
-            bad = keys[keys != np.sort(np.repeat(np.arange(vertices), degree) * vertices + nbr)]
-            bad //= vertices
-        if bad.size:
-            raise CorruptMap(
-                f"the rotation about vertex {bad[0]} disagrees with its neighbour list"
-            )
-
-        # Euler characteristic of a disk
-        if vertices - n_half // 2 + faces != 1:
-            raise CorruptMap("the map is not a disk: V - E + F != 1")
-        return org, nxt
-
-
-def _int_array(values, low, high, labels):
-    """The list `values` as an int64 array if each entry is an int in [low,
-    high); else CorruptMap names the first that is not by its label, from
-    `labels` in the order of `values`. (np.fromiter would also read a float
-    or a numeric string as an int.)"""
-    try:
-        arr = np.array(values)
-    except ValueError:  # some entry is a sequence, so numpy reads no array
-        arr = np.array(values, dtype=object)
-    if arr.size and not (arr.shape == (len(values),) and arr.dtype.kind == "i"
-                         and low <= arr.min() and arr.max() < high):
-        label, x = next((label, x) for label, x in zip(labels, values)
-                        if not (isinstance(x, (int, np.integer)) and low <= x < high))
-        raise CorruptMap(f"{label} = {x!r} is not an int in [{low}, {high})")
-    return arr
-
-
-def _cycle_min(perm):
-    """The smallest member of each element's cycle under the permutation
-    `perm`, by doubling: after k rounds low[h] is the minimum over the first
-    2^k elements of h's orbit. A round that changes nothing has low[h] <=
-    low[perm^(2^k)[h]] for every h, so low is constant on each cycle."""
-    low, step = np.arange(perm.size, dtype=perm.dtype), perm
-    while True:
-        new = np.minimum(low, low[step])
-        if np.array_equal(new, low):
-            return low
-        low, step = new, step[step]
-
 
 def _root_symmetries(org, nxt, q, depths, depth, images):
     """Vertex maps of the root-fixing map automorphisms taking dart 1, from
@@ -268,9 +146,10 @@ def _root_symmetries(org, nxt, q, depths, depth, images):
     reaches a vertex sets its images. Only vertices closer than `depth` are
     turned around, since only their wheels are complete; every vertex of the
     ball is a neighbour of one of them. `depths` may come from a bounded BFS:
-    a vertex it left unreached (-1) is not closer than `depth`. The walk
-    checks nothing: build_graph refuses the map unless it is a root-fixing
-    automorphism of the ball.
+    a vertex it left unreached (-1) is not closer than `depth`. `org` and
+    `nxt` are the map's tables as arrays of one integer dtype, unaudited.
+    The walk checks nothing: build_graph refuses the map unless it is a
+    root-fixing automorphism of the ball.
     """
     depths = np.array(depths, dtype=org.dtype)
     turned = (depths >= 0) & (depths < depth)
@@ -339,8 +218,9 @@ def build_ball(p: int, q: int, depth: int):
     about the root and a reflection, which generate the dihedral group of
     order 2q. build_graph raises NotAutomorphism unless each is an
     automorphism of the ball. Saturates every vertex closer than `depth` to
-    the root, audits the half-edge map, then truncates to the ball; the map,
-    larger than the ball, must fit under node_cap().
+    the root, labels the ball by BFS and walks both symmetries over the
+    half-edge map, then truncates to the ball; the map, larger than the
+    ball, must fit under node_cap().
     """
     check_hyperbolic(p, q)
     tmap = TessellationMap(p, q)  # reads the cap, so a bad one fails at depth 0 too
@@ -355,7 +235,8 @@ def build_ball(p: int, q: int, depth: int):
             break
         for v in pending:
             tmap.saturate(v)
-    org, nxt = tmap.audit()
+    ids = np.int32 if len(tmap.org) < 1 << 31 else np.int64  # int32 halves the tables
+    org, nxt = np.array(tmap.org, dtype=ids), np.array(tmap.nxt, dtype=ids)
 
     # labels follow a BFS that takes neighbours in map-id order
     ball = np.array(_bfs(tmap.adj, 0, depth)[1], dtype=np.int64)

@@ -27,3 +27,21 @@ def forks(monkeypatch):
     yield started
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def grown_maps(monkeypatch):
+    """The half-edge maps build_ball grows while the test runs, each
+    appended when it is bootstrapped; a depth-0 ball grows none. Once
+    build_ball returns, the map it grew is complete, for oracles.audit_map."""
+    from hypertraffic.tessellation import TessellationMap
+
+    maps = []
+    bootstrap = TessellationMap.bootstrap
+
+    def recorded(tmap):
+        maps.append(tmap)
+        bootstrap(tmap)
+
+    monkeypatch.setattr(TessellationMap, "bootstrap", recorded)
+    return maps

@@ -8,8 +8,9 @@ Python integers, exact Brandes loads in fractions, Gromov products, the
 four-point delta over every 4-subset, the slim-triangle delta, the k-ary
 tree closed forms (distance counts, the root share's limit, and T and P as
 exact rationals), a set-lookup test for root-fixing automorphisms, the
-orbits of every root-fixing automorphism by exhaustive backtracking, and the
-scalar dart walk of a half-edge map's root symmetries.
+orbits of every root-fixing automorphism by exhaustive backtracking, the
+scalar dart walk of a half-edge map's root symmetries, and the structural
+audit of a half-edge map.
 """
 
 import itertools
@@ -20,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from hypertraffic.errors import GraphTooLarge
+from hypertraffic.errors import CorruptMap, GraphTooLarge
 
 
 def floyd_warshall(g):
@@ -140,6 +141,130 @@ def root_symmetry(org, nxt, q, image, reflect, depths, depth):
                     queue.append((h ^ 1, t ^ 1))
             h = nxt[h] ^ 1
     return vmap
+
+
+def audit_map(tmap):
+    """Structural invariants of a tessellation.TessellationMap, a half-edge
+    disk, checked on its tables as numpy arrays. Raises CorruptMap naming
+    the first one broken."""
+    n_half, vertices, p, q = len(tmap.org), tmap.vertex_count, tmap.p, tmap.q
+    if n_half % 2:
+        raise CorruptMap(f"odd half-edge count {n_half}")
+
+    def table(name, size, low, high):
+        values = getattr(tmap, name)
+        if len(values) != size:
+            raise CorruptMap(f"{name} has {len(values)} entries, not {size}")
+        return _int_array(values, low, high, (f"{name}[{i}]" for i in itertools.count()))
+
+    org = table("org", n_half, 0, vertices)
+    nxt = table("nxt", n_half, 0, n_half)
+    bnd_in = table("bnd_in", vertices, -1, n_half)
+    hit = np.zeros(n_half, dtype=bool)
+    hit[nxt] = True
+    bad = np.flatnonzero(~hit)
+    if bad.size:
+        raise CorruptMap(f"nxt is not a permutation: no half-edge has nxt {bad[0]}")
+    h = np.arange(n_half)
+    head = org[h ^ 1]
+    bad = np.flatnonzero(org[nxt] != head)
+    if bad.size:
+        raise CorruptMap(f"half-edge {nxt[bad[0]]} does not start where {bad[0]} ends")
+
+    # the rim: the half-edges bnd_in names, one into each vertex on it,
+    # closed under nxt into one cycle; every other cycle is a p-gon
+    on_rim = bnd_in >= 0
+    bad = np.flatnonzero(on_rim & (head[bnd_in] != np.arange(vertices)))
+    if bad.size:
+        raise CorruptMap(f"bnd_in of vertex {bad[0]} is not a half-edge into it")
+    rim = np.zeros(n_half, dtype=bool)
+    rim[bnd_in[on_rim]] = True
+    bad = np.flatnonzero(rim & ~rim[nxt])
+    if bad.size:
+        raise CorruptMap(f"rim half-edge {bad[0]} is followed by unmarked half-edge {nxt[bad[0]]}")
+    # the rim is a union of nxt cycles: they are counted by doubling the
+    # rim alone, compressed, and the faces are doubled with the rim held
+    # fixed, so they settle in log2(p) + 1 rounds
+    on = np.flatnonzero(rim)
+    step = np.empty(n_half, dtype=np.int64)
+    step[on] = np.arange(on.size)
+    step = step[nxt[on]]
+    rims = np.count_nonzero(_cycle_min(step) == np.arange(step.size))
+    if rims != 1:
+        raise CorruptMap(f"the rim is {rims} cycles, not one")
+    low = _cycle_min(np.where(rim, h, nxt))
+    faces = np.count_nonzero(low == h) - on.size
+    sides = np.bincount(low, minlength=n_half)[low]
+    bad = np.flatnonzero(~rim & (sides != p))
+    if bad.size:
+        raise CorruptMap(f"the face of half-edge {low[bad[0]]} has {sides[bad[0]]} sides")
+
+    # degrees within cap, full off the rim
+    if set(map(type, tmap.adj)) - {list}:
+        v, row = next((v, row) for v, row in enumerate(tmap.adj) if type(row) is not list)
+        raise CorruptMap(f"adj[{v}] = {row!r} is not a list of neighbours")
+    degree = np.fromiter(map(len, tmap.adj), dtype=np.int64, count=vertices)
+    bad = np.flatnonzero((degree < 1) | (degree > q))
+    if bad.size:
+        raise CorruptMap(f"vertex {bad[0]} has degree {degree[bad[0]]}")
+    bad = np.flatnonzero(~on_rim & (degree != q))
+    if bad.size:
+        raise CorruptMap(f"vertex {bad[0]} is marked interior but has degree {degree[bad[0]]}")
+
+    # turning about a vertex, h -> nxt[h] ^ 1, keeps the head (checked
+    # above): the half-edges into each vertex form one such cycle, and
+    # their origins are the vertex's neighbour list
+    cycles = np.bincount(head[_cycle_min(nxt ^ 1) == h], minlength=vertices)
+    bad = np.flatnonzero(cycles != 1)
+    if bad.size:
+        raise CorruptMap(f"the half-edges into vertex {bad[0]} form {cycles[bad[0]]} rotations")
+    nbr = _int_array(
+        list(itertools.chain.from_iterable(tmap.adj)), 0, vertices,
+        (f"adj[{v}][{j}]" for v, row in enumerate(tmap.adj) for j in range(len(row))),
+    )
+    bad = np.flatnonzero(np.bincount(head, minlength=vertices) != degree)
+    if not bad.size:  # equal in-degrees, so both key lists group the same vertices
+        keys = np.sort(head * vertices + org)
+        bad = keys[keys != np.sort(np.repeat(np.arange(vertices), degree) * vertices + nbr)]
+        bad //= vertices
+    if bad.size:
+        raise CorruptMap(
+            f"the rotation about vertex {bad[0]} disagrees with its neighbour list"
+        )
+
+    # Euler characteristic of a disk
+    if vertices - n_half // 2 + faces != 1:
+        raise CorruptMap("the map is not a disk: V - E + F != 1")
+
+
+def _int_array(values, low, high, labels):
+    """The list `values` as an int64 array if each entry is an int in [low,
+    high); else CorruptMap names the first that is not by its label, from
+    `labels` in the order of `values`. (np.fromiter would also read a float
+    or a numeric string as an int.)"""
+    try:
+        arr = np.array(values)
+    except ValueError:  # some entry is a sequence, so numpy reads no array
+        arr = np.array(values, dtype=object)
+    if arr.size and not (arr.shape == (len(values),) and arr.dtype.kind == "i"
+                         and low <= arr.min() and arr.max() < high):
+        label, x = next((label, x) for label, x in zip(labels, values)
+                        if not (isinstance(x, (int, np.integer)) and low <= x < high))
+        raise CorruptMap(f"{label} = {x!r} is not an int in [{low}, {high})")
+    return arr.astype(np.int64, copy=False)  # an empty list reads as float64
+
+
+def _cycle_min(perm):
+    """The smallest member of each element's cycle under the permutation
+    `perm`, by doubling: after k rounds low[h] is the minimum over the first
+    2^k elements of h's orbit. A round that changes nothing has low[h] <=
+    low[perm^(2^k)[h]] for every h, so low is constant on each cycle."""
+    low, step = np.arange(perm.size, dtype=perm.dtype), perm
+    while True:
+        new = np.minimum(low, low[step])
+        if np.array_equal(new, low):
+            return low
+        low, step = new, step[step]
 
 
 def root_automorphism_orbits(g, max_nodes=12):

@@ -35,7 +35,14 @@ from hypertraffic.traffic import (
     pair_census,
     traffic_totals,
 )
-from oracles import bfs_dist, brute_traffic, geodesic_field, pair_h, slim_delta_exact
+from oracles import (
+    audit_map,
+    bfs_dist,
+    brute_traffic,
+    geodesic_field,
+    pair_h,
+    slim_delta_exact,
+)
 
 PHI2 = (3.0 + math.sqrt(5.0)) / 2.0
 
@@ -308,12 +315,13 @@ def test_criterion_7_thread_determinism(tmp_path):
     )
 
 
-def test_criterion_8_tessellation_structural_audit():
+def test_criterion_8_tessellation_structural_audit(grown_maps):
     t0 = time.time()
     ok = True
     details = []
     for p, q in ((5, 4), (4, 5), (7, 3)):
-        build_ball(p, q, 6)  # audits face sizes, rim, rotations, Euler
+        build_ball(p, q, 6)
+        audit_map(grown_maps.pop())  # face sizes, rim, rotations, Euler
         g = gen_tessellation(p, q, 6)
         for d, nbrs in zip(g.depth.tolist(), g.adjacency):
             if d <= 4 and len(nbrs) != q:

@@ -1029,8 +1029,8 @@ TREE_SWEEP = ["sweep", "--family", "tree", "--k", "2", *SWEEP]
 class TestOutputPaths:
     """A command refuses a bad output path before it reads any input: the
     paths are {graph}, {edges} and {link}, inputs that exist, the last a
-    hard link to the first; {x} and {r}, which do not; and {missing}, in a
-    directory that does not exist."""
+    hard link to the first; {x} and {r}, which do not; {missing}, in a
+    directory that does not exist; and {dir}, an empty directory."""
 
     @staticmethod
     def refused(tmp_path, capsys, argv):
@@ -1041,13 +1041,19 @@ class TestOutputPaths:
                    "--out", str(gfile)) == 0
         (tmp_path / "p.txt").write_text("0 1\n1 2\n")
         os.link(gfile, tmp_path / "link.json")
+        (tmp_path / "dir").mkdir()
         paths = {name: str(tmp_path / file) for name, file in (
             ("graph", "g.json"), ("edges", "p.txt"), ("link", "link.json"), ("x", "x.out"),
-            ("r", "r.out"), ("missing", "missing/m.out"))}
-        before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+            ("r", "r.out"), ("missing", "missing/m.out"), ("dir", "dir"))}
+
+        def files():
+            return {path: path.read_bytes() if path.is_file() else None
+                    for path in tmp_path.rglob("*")}
+
+        before = files()
         capsys.readouterr()
         assert run(*(arg.format(**paths) for arg in argv)) == 3
-        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+        assert files() == before
         return capsys.readouterr().err
 
     @pytest.mark.parametrize("argv,flags", [
@@ -1077,6 +1083,21 @@ class TestOutputPaths:
         missing = tmp_path / "missing"
         assert f"{flag} {missing / 'm.out'}: no directory {missing}" in self.refused(
             tmp_path, capsys, argv)
+
+    @pytest.mark.parametrize("argv,error", [
+        (["traffic", "--graph", "{graph}", "--beta", "1.5", "--out", "{r}",
+          "--loads-out", "{dir}"], "--loads-out {dir}: is a directory"),
+        ([*TREE_SWEEP, "--out", "{r}", "--summary-out", "{dir}"],
+         "--summary-out {dir}: is a directory"),
+        (["analyze", "--graph", "{graph}", "--out", "{dir}"], "--out {dir}: is a directory"),
+        (["traffic", "--graph", "{graph}", "--beta", "1.5", "--out", ""], "--out is empty"),
+        ([*TREE_SWEEP, "--out", "{r}", "--summary-out", ""], "--summary-out is empty"),
+    ], ids=["traffic-loads-dir", "sweep-summary-dir", "analyze-dir", "traffic-empty",
+            "sweep-summary-empty"])
+    def test_output_that_is_a_directory_or_empty_exit_3_before_the_work(
+            self, tmp_path, capsys, monkeypatch, argv, error):
+        monkeypatch.setattr(traffic, "pair_census", None)  # never reached
+        assert error.format(dir=tmp_path / "dir") in self.refused(tmp_path, capsys, argv)
 
 
 def test_commands_run_clean_in_dev_mode(tmp_path):

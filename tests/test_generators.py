@@ -42,7 +42,7 @@ from hypertraffic.graphs import (
 )
 from hypertraffic.serialize import dumps
 from hypertraffic.tessellation import TessellationMap, _bfs, _root_symmetries, build_ball
-from oracles import root_symmetry
+from oracles import audit_map, root_symmetry
 
 # growth rate of the (5,4) ball construction, largest root of
 # x^4 - 2x^3 - 2x + 1; frozen from the audited face expansion and
@@ -83,18 +83,24 @@ SMALL_BALLS = 258
 SMALL_BALLS_DIGEST = "f455849b2b83ecf9ce6ddece725d98242fe5d605df49d1611be6ff7f235debbc"
 
 
-def _small_balls(monkeypatch):
-    """(p, q, depth, edges, symmetries) of each ball SMALL_BALLS_DIGEST pins."""
+def _small_balls(monkeypatch, maps):
+    """(p, q, depth, edges, symmetries) of each ball SMALL_BALLS_DIGEST pins,
+    once audit_map has passed the map it was cut from; `maps` is the
+    grown_maps fixture."""
     monkeypatch.setenv("HYPERTRAFFIC_NODE_CAP", "2000")
     for p in range(3, 11):
         for q in range(3, 11):
             if (p - 2) * (q - 2) <= 4:
                 continue
             for depth in count():
+                maps.clear()
                 try:
                     edges, symmetries = build_ball(p, q, depth)
                 except SizeOverflow:
                     break
+                assert len(maps) == min(depth, 1)
+                for tmap in maps:
+                    audit_map(tmap)
                 yield p, q, depth, edges, symmetries
 
 
@@ -158,24 +164,19 @@ class TestTessellation:
             else:
                 assert len(nbrs) <= q
 
-    def test_map_rows_stay_ascending(self, monkeypatch):
+    def test_map_rows_stay_ascending(self, grown_maps):
         # saturation and the labelling BFS read one neighbour order, map-id order
-        maps = []
-        audit = tessellation.TessellationMap.audit
-
-        def kept(tmap):
-            maps.append(tmap)
-            return audit(tmap)
-
-        monkeypatch.setattr(tessellation.TessellationMap, "audit", kept)
         gen_tessellation(5, 4, 8)
-        assert [row for row in maps[0].adj if row != sorted(row)] == []
+        assert [row for row in grown_maps[0].adj if row != sorted(row)] == []
 
-    def test_half_edge_audit_runs(self):
-        # the builder's own structural audit: faces are p-cycles, the rim is
-        # one cycle, rotations close, Euler characteristic of a disk
+    def test_half_edge_audit_runs(self, grown_maps):
+        # the structural audit of the builder's maps: faces are p-cycles, the
+        # rim is one cycle, rotations close, Euler characteristic of a disk
         for p, q in [(5, 4), (4, 5), (7, 3), (3, 7)]:
             build_ball(p, q, 3)
+        assert len(grown_maps) == 4
+        for tmap in grown_maps:
+            audit_map(tmap)
 
     def test_known_layer_counts(self):
         # hand-counted small layers
@@ -219,21 +220,24 @@ class TestTessellation:
     @pytest.mark.parametrize(
         "pqd,digest", BALL_DIGESTS, ids=[f"{p}-{q}-d{d}" for (p, q, d), _ in BALL_DIGESTS]
     )
-    def test_output_pinned(self, pqd, digest):
+    def test_output_pinned(self, grown_maps, pqd, digest):
         g = gen_tessellation(*pqd)
+        assert len(grown_maps) == min(pqd[2], 1)
+        for tmap in grown_maps:
+            audit_map(tmap)
         text = dumps(graph_to_json_dict(g)) + dumps([s.tolist() for s in g.symmetries])
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
-    def test_small_balls_pinned(self, monkeypatch):
+    def test_small_balls_pinned(self, monkeypatch, grown_maps):
         sha, balls = hashlib.sha256(), 0
-        for p, q, depth, edges, symmetries in _small_balls(monkeypatch):
+        for p, q, depth, edges, symmetries in _small_balls(monkeypatch, grown_maps):
             sha.update(f"{p},{q},{depth};".encode())
             for array in (edges, *symmetries):
                 sha.update(np.ascontiguousarray(array, dtype="<i8").tobytes())
             balls += 1
         assert (balls, sha.hexdigest()) == (SMALL_BALLS, SMALL_BALLS_DIGEST)
 
-    def test_symmetry_walk_equals_the_scalar_walk(self, monkeypatch):
+    def test_symmetry_walk_equals_the_scalar_walk(self, monkeypatch, grown_maps):
         # every vertex map of every pinned ball, -1s and all, as the scalar
         # reference walks it from the audited tables
         walks = []
@@ -247,7 +251,7 @@ class TestTessellation:
             return vmaps
 
         monkeypatch.setattr(tessellation, "_root_symmetries", checked)
-        assert sum(1 for _ in _small_balls(monkeypatch)) == SMALL_BALLS
+        assert sum(1 for _ in _small_balls(monkeypatch, grown_maps)) == SMALL_BALLS
         assert len(walks) == SMALL_BALLS - 56  # a depth-0 ball takes no walk
 
     def test_size_cap(self, monkeypatch):
@@ -336,7 +340,7 @@ class TestTessellation:
     def test_bootstrap_invariants(self):
         tmap = TessellationMap(5, 4)
         tmap.bootstrap()
-        tmap.audit()
+        audit_map(tmap)
         assert tmap.vertex_count == 5
         assert tmap.bnd_in == [1, 3, 5, 7, 9]
 
@@ -491,14 +495,14 @@ INVARIANTS = [
 class TestMapAudit:
     def test_grown_map_passes(self):
         tmap = _grown_map()
-        tmap.audit()
+        audit_map(tmap)
         assert tmap.vertex_count > 50
 
     @pytest.mark.parametrize("invariant", INVARIANTS)
     def test_each_invariant_has_its_message(self, invariant):
         tmap, message = _targeted(invariant)
         with pytest.raises(CorruptMap) as info:
-            tmap.audit()
+            audit_map(tmap)
         assert str(info.value) == message
 
     @pytest.mark.parametrize("seed", range(32))
@@ -507,7 +511,7 @@ class TestMapAudit:
         tmap = _grown_map()
         _corrupt(tmap, table, seed)
         with pytest.raises(CorruptMap):
-            tmap.audit()
+            audit_map(tmap)
 
     @pytest.mark.parametrize("table,value", [
         ("nxt", 1 << 40), ("org", None), ("bnd_in", "x"), ("org", "2"), ("nxt", 2.0),
@@ -526,16 +530,17 @@ class TestMapAudit:
             row[0] = value
             message = f"{where}[0] = {value!r} is not an int in ["
         with pytest.raises(CorruptMap) as info:
-            tmap.audit()
+            audit_map(tmap)
         assert str(info.value).startswith(message)
 
     def test_audit_raises_under_python_O(self):
         # python -O strips assert statements, so the audit must not use them
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, PYTHONPATH=str(src))
+        here = Path(__file__).resolve().parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, (here.parent / "src", here))))
         script = GROW_MAP + textwrap.dedent("""
+            from oracles import audit_map
             tmap.nxt[0] = tmap.nxt[1]  # two half-edges have one successor
-            tmap.audit()
+            audit_map(tmap)
         """)
         proc = subprocess.run(
             [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True,
@@ -549,12 +554,13 @@ class TestMapAudit:
 
         def corrupted(tmap):
             bootstrap(tmap)
-            tmap.nxt[0] = 0  # inside the first face, which saturation never reads
+            tmap.nxt[9] = 6  # the rim jumps from half-edge 9 into the first face
 
         monkeypatch.setattr(tessellation.TessellationMap, "bootstrap", corrupted)
         assert main(["generate", "--family", "tess", "--p", "5", "--q", "4",
                      "--depth", "2", "--out", str(tmp_path / "g.json")]) == 3
-        assert "nxt is not a permutation: no half-edge has nxt 2" in capsys.readouterr().err
+        assert "the 5 rim edges from half-edge 47 do not close" in capsys.readouterr().err
+        assert not (tmp_path / "g.json").exists()
 
 
 class TestGrid:
